@@ -194,9 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help=(
             "fuse columnar-eligible grid cells into batched group "
-            "executions (shared demand-script arena, stacked resolver, "
-            "one store commit per group; bit-identical to the per-cell "
-            "path); --no-batch pins every cell to the per-cell path"
+            "executions (shared demand-script arena, release-major "
+            "kernel, one store commit per group; bit-identical to the "
+            "per-cell path); --no-batch pins every cell to the per-cell "
+            "path"
         ),
     )
     return parser

@@ -514,7 +514,7 @@ def run_release_pair_batch(
     kwargs_list: List[Dict[str, Any]],
     metrics: Optional[MetricsRegistry] = None,
 ) -> Optional[List[SimulationRunResult]]:
-    """Resolve a fused group of Table-5/6 cells in one stacked pass.
+    """Resolve a fused group of Table-5/6 cells over one shared arena.
 
     The batched grid path (``run_cells(batch=True)``) calls this with
     the kwargs of every cell in a ``(fn, group)`` chunk.  The group key
@@ -634,9 +634,10 @@ def release_pair_cells(
     :class:`~repro.runtime.parallel.BatchSpec` grouping them by
     everything a fused arena must share (experiment, joint family,
     requests, profile, sampling, backend), so ``run_cells(batch=True)``
-    resolves them as stacked array programs via
-    :func:`run_release_pair_batch`.  ``batch=False`` (the CLI's
-    ``--no-batch``) pins every cell to the per-cell path.
+    draws each group into one script arena and resolves it with the
+    release-major kernel via :func:`run_release_pair_batch`.
+    ``batch=False`` (the CLI's ``--no-batch``) pins every cell to the
+    per-cell path.
     """
     if backend not in BACKENDS:
         raise ConfigurationError(

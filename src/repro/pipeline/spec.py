@@ -73,9 +73,9 @@ class ExperimentOptions:
 
     ``batch`` (the CLI's ``--batch``/``--no-batch``, default on) lets
     the engine fuse cells that declare a
-    :class:`~repro.runtime.parallel.BatchSpec` into stacked group
-    executions — one shared demand-script arena, one batched resolver
-    call and one fsync'd store commit per group — bit-identical to the
+    :class:`~repro.runtime.parallel.BatchSpec` into group executions
+    — one shared demand-script arena resolved by the release-major
+    kernel and one fsync'd store commit per group — bit-identical to the
     per-cell path; ``batch=False`` pins every cell to the per-cell
     path.
     """

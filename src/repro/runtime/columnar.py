@@ -27,7 +27,8 @@ arithmetic, in order:
   exec;
 * collection order is (arrival time, schedule sequence) — response
   events are scheduled at demand start in release order, so arrival
-  ties break toward the lower release index (a stable argsort);
+  ties break toward the lower release index (the rank a stable sort
+  would give, computed by pairwise comparisons);
 * the system decision time is the *m*-th collected arrival (``m`` =
   every active release in max-reliability, ``min_responses`` in dynamic
   mode) when that many arrived, else the cutoff; the system row records
@@ -50,6 +51,16 @@ arithmetic, in order:
   retry resolver replays the kernel's global ``(time, sequence)`` heap
   order exactly — including the attempt-supersession rule and the
   sequence numbers of events that are scheduled but never matter.
+
+Layout.  The three parallel modes share one kernel that is
+*release-major*: it holds one contiguous ``(cells, n)`` array per
+release (arrival times, within-cutoff masks, outcome codes read as
+views of the script's int64 block) and combines releases with ``k − 1``
+elementwise ops — no sort, no reduction along a short release axis.
+:func:`resolve_cell` runs it on a one-cell view of its script;
+:func:`resolve_cell_batch` runs it over blocks of whole cells of at
+most :data:`KERNEL_BLOCK_ROWS` demand rows, which keeps every
+temporary in cache.  Sequential and retry cells are replayed per cell.
 
 The *envelope* in which this equivalence is proven is wide but not
 universal: a pre-drawn script (not live sampling), the paper-rule
@@ -88,6 +99,13 @@ if TYPE_CHECKING:
 CODE_CORRECT = OUTCOME_ORDER.index(Outcome.CORRECT)
 CODE_EVIDENT = OUTCOME_ORDER.index(Outcome.EVIDENT_FAILURE)
 CODE_NEF = OUTCOME_ORDER.index(Outcome.NON_EVIDENT_FAILURE)
+
+#: Demand rows per parallel-mode kernel block.  The kernel takes as many
+#: whole cells as fit in this budget (always at least one), so each
+#: ``(cells, n)`` float64 temporary stays near 128 KB and in cache:
+#: larger blocks spill out of cache, smaller ones pay numpy's per-call
+#: overhead more often.  A fixed constant, not a tuning knob.
+KERNEL_BLOCK_ROWS = 1 << 14
 
 #: Canonical envelope-violation slugs.  Every ``(slug, message)`` pair
 #: :func:`unsupported_reasons` can emit uses a slug declared here, and
@@ -221,55 +239,29 @@ def resolve_cell(
     cells over-provision the script rows); *outcome_codes* overrides
     the script's outcome matrix for cells whose endpoints sample their
     own marginals (a single-release deployment).
+
+    The cell runs as a one-cell group: its script becomes zero-copy
+    ``(1, rows)`` views, resolved by the same code as
+    :func:`resolve_cell_batch`.
     """
-    codes_source = outcome_codes if outcome_codes is not None else script.outcome_codes
-    if codes_source is None:
-        raise ConfigurationError(
-            "columnar backend needs a script with outcome codes"
-        )
-    codes = np.asarray(codes_source, dtype=np.int64)
-    k = len(release_names)
-    if k < 1:
-        raise ConfigurationError("columnar backend needs at least one release")
-    if len(script.t2) != k or codes.shape[1] != k:
-        raise ConfigurationError(
-            f"script shape mismatch: {k} releases but {len(script.t2)} "
-            f"latency streams and {codes.shape[1]} outcome columns"
-        )
-    n = int(requests) if requests is not None else script.requests
-    if script.requests < n or codes.shape[0] < n:
-        raise ConfigurationError(
-            f"script covers {script.requests} demands, cell needs {n}"
-        )
-    config = mode if mode is not None else ModeConfig.max_reliability()
-    # Mirror UpgradeMiddleware.__init__: the adjudication generator is
-    # spawned from the middleware stream's first draw.
-    adjudication_rng = spawn_generator(int(middleware_rng.integers(2 ** 63)))
-    names = list(release_names)
-    if retry is not None:
-        if config.mode is not OperatingMode.PARALLEL_RELIABILITY:
-            raise ConfigurationError(
-                f"columnar retry is proven for max-reliability only, not "
-                f"operating mode {config.mode.value!r}"
-            )
-        return _resolve_retry(
-            script, names, codes, timeout, adjudication_delay, spacing,
-            adjudication_rng, n, retry,
-        )
-    resolver = _MODE_RESOLVERS.get(config.mode)
-    if resolver is None:  # pragma: no cover - REPRO203 keeps the table total
-        raise ConfigurationError(
-            f"no columnar resolver registered for operating mode "
-            f"{config.mode.value!r}"
-        )
-    return resolver(
-        script, names, codes, timeout, adjudication_delay, spacing,
-        adjudication_rng, middleware_rng, n, config,
+    codes = outcome_codes if outcome_codes is not None else script.outcome_codes
+    arena = ScriptArena(
+        requests=script.requests,
+        t1=np.asarray(script.t1, dtype=np.float64)[None],
+        t2=[np.asarray(t2, dtype=np.float64)[None] for t2 in script.t2],
+        outcome_codes=(
+            None if codes is None else np.asarray(codes, dtype=np.int64)[None]
+        ),
     )
+    n = int(requests) if requests is not None else script.requests
+    return _resolve_group(
+        arena, release_names, [timeout], adjudication_delay, [spacing],
+        [middleware_rng], n, mode, retry,
+    )[0]
 
 
 def resolve_cell_batch(
-    arena: "ScriptArena",
+    arena: ScriptArena,
     release_names: Sequence[str],
     timeouts: Sequence[float],
     adjudication_delay: float,
@@ -280,23 +272,41 @@ def resolve_cell_batch(
     mode: Optional[ModeConfig] = None,
     retry: Optional["RetryPolicy"] = None,
 ) -> List[SystemMetrics]:
-    """Resolve a whole batch of cells as one stacked array program.
+    """Resolve a whole batch of cells over their shared script arena.
 
     Cell *c* of the batch reads its script rows from ``arena.script(c)``
     and its scalar parameters from ``timeouts[c]`` / ``spacings[c]`` /
     ``middleware_rngs[c]``; the returned list is in cell order, and each
     entry is bit-identical to :func:`resolve_cell` run on that cell alone
-    (elementwise IEEE ops are identical under broadcasting, and the
-    per-row stable argsorts along the new trailing axis are exactly the
-    per-cell sorts — asserted, not assumed, by the batched equivalence
-    suite).  All cells in a batch share one (mode, release count, retry
-    policy) shape, mirroring how the batched grid path groups work.
+    (asserted, not assumed, by the batched equivalence suite).  All
+    cells in a batch share one (mode, release count, retry policy)
+    shape, mirroring how the batched grid path groups work.
 
-    Parallel modes fuse across the leading batch axis.  Sequential and
-    retry cells replay per cell over the shared arena — the win there is
-    the shared script drawing and the single batched store commit, not
-    the resolver arithmetic.
+    Parallel modes run the release-major kernel over blocks of whole
+    cells of at most :data:`KERNEL_BLOCK_ROWS` demand rows.  Sequential
+    and retry cells replay per cell over the shared arena — the win
+    there is the shared script drawing and the single batched store
+    commit, not the resolver arithmetic.
     """
+    n = int(requests) if requests is not None else arena.requests
+    return _resolve_group(
+        arena, release_names, timeouts, adjudication_delay, spacings,
+        middleware_rngs, n, mode, retry,
+    )
+
+
+def _resolve_group(
+    arena: ScriptArena,
+    release_names: Sequence[str],
+    timeouts: Sequence[float],
+    adjudication_delay: float,
+    spacings: Sequence[float],
+    middleware_rngs: Sequence[np.random.Generator],
+    n: int,
+    mode: Optional[ModeConfig],
+    retry: Optional["RetryPolicy"],
+) -> List[SystemMetrics]:
+    """Validate a cell group once, then resolve it by operating mode."""
     cells = arena.cells
     if not (len(timeouts) == len(spacings) == len(middleware_rngs) == cells):
         raise ConfigurationError(
@@ -307,192 +317,260 @@ def resolve_cell_batch(
     k = len(release_names)
     if k < 1:
         raise ConfigurationError("columnar backend needs at least one release")
-    if len(arena.t2) != k:
+    if arena.outcome_codes is None:
         raise ConfigurationError(
-            f"arena shape mismatch: {k} releases but {len(arena.t2)} "
-            f"latency slabs"
+            "columnar backend needs a script with outcome codes"
         )
-    n = int(requests) if requests is not None else arena.requests
-    if arena.rows < n:
+    codes = np.asarray(arena.outcome_codes, dtype=np.int64)
+    # The kernel reads code columns j < k only: a wider block would be
+    # truncated silently, so its shape is checked here, once.
+    if (
+        len(arena.t2) != k
+        or codes.ndim != 3
+        or codes.shape[0] != cells
+        or codes.shape[2] != k
+    ):
         raise ConfigurationError(
-            f"arena covers {arena.rows} demands per cell, cells need {n}"
+            f"script shape mismatch: {cells} cells of {k} releases, but "
+            f"{len(arena.t2)} latency streams and an outcome code block "
+            f"shaped {codes.shape} (expected ({cells}, rows, {k}))"
+        )
+    covered = min(
+        arena.rows, codes.shape[1], *(slab.shape[1] for slab in arena.t2)
+    )
+    if covered < n:
+        raise ConfigurationError(
+            f"script covers {covered} demands, cells need {n}"
         )
     config = mode if mode is not None else ModeConfig.max_reliability()
+    if retry is not None and config.mode is not OperatingMode.PARALLEL_RELIABILITY:
+        raise ConfigurationError(
+            f"columnar retry is proven for max-reliability only, not "
+            f"operating mode {config.mode.value!r}"
+        )
     names = list(release_names)
-    # Mirror resolve_cell / UpgradeMiddleware.__init__ per cell, in cell
-    # order: the adjudication generator is spawned from the middleware
-    # stream's first draw.
+    # Mirror UpgradeMiddleware.__init__ per cell, in cell order: the
+    # adjudication generator is spawned from the middleware stream's
+    # first draw.
     adjudication_rngs = [
         spawn_generator(int(rng.integers(2 ** 63)))
         for rng in middleware_rngs
     ]
     if retry is not None:
-        if config.mode is not OperatingMode.PARALLEL_RELIABILITY:
-            raise ConfigurationError(
-                f"columnar retry is proven for max-reliability only, not "
-                f"operating mode {config.mode.value!r}"
-            )
-        out = []
-        for c in range(cells):
-            script = arena.script(c)
-            codes = script.outcome_codes
-            if codes is None:
-                raise ConfigurationError(
-                    "columnar backend needs a script with outcome codes"
-                )
-            out.append(_resolve_retry(
-                script, names, np.asarray(codes, dtype=np.int64),
-                float(timeouts[c]), adjudication_delay, float(spacings[c]),
+        return [
+            _resolve_retry(
+                arena.script(c), names, codes[c], float(timeouts[c]),
+                adjudication_delay, float(spacings[c]),
                 adjudication_rngs[c], n, retry,
-            ))
-        return out
-    if config.mode is OperatingMode.SEQUENTIAL:
-        out = []
-        for c in range(cells):
-            script = arena.script(c)
-            codes = script.outcome_codes
-            if codes is None:
-                raise ConfigurationError(
-                    "columnar backend needs a script with outcome codes"
-                )
-            out.append(_resolve_sequential(
-                script, names, np.asarray(codes, dtype=np.int64),
-                float(timeouts[c]), adjudication_delay, float(spacings[c]),
-                adjudication_rngs[c], middleware_rngs[c], n, config,
-            ))
-        return out
-    return _resolve_parallel_batch(
-        arena, names, timeouts, spacings, adjudication_delay,
-        adjudication_rngs, n, config,
+            )
+            for c in range(cells)
+        ]
+    resolver = _MODE_RESOLVERS.get(config.mode)
+    if resolver is None:  # pragma: no cover - REPRO203 keeps the table total
+        raise ConfigurationError(
+            f"no columnar resolver registered for operating mode "
+            f"{config.mode.value!r}"
+        )
+    return resolver(
+        arena, names, codes, timeouts, adjudication_delay, spacings,
+        adjudication_rngs, middleware_rngs, n, config,
     )
 
 
-def _resolve_parallel_batch(
-    arena: "ScriptArena",
+def _bounded_draws(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
+    """Replay the adjudicator's per-demand ``integers(bound)`` draws.
+
+    A batched ``integers(2, size=m)`` consumes the bit stream exactly
+    like *m* scalar bound-2 draws (one random word each — the masked
+    rejection path never rejects for a power-of-two bound), so each
+    maximal run of bound-2 draws is one call (the whole array when every
+    bound is 2); other bounds stay scalar, which is definitionally
+    identical to the kernel's per-demand draws.
+    """
+    draws = np.empty(bounds.size, dtype=np.int64)
+    is_two = bounds == 2
+    edges = (np.flatnonzero(is_two[1:] != is_two[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *edges], [*edges, bounds.size]):
+        if is_two[lo]:
+            draws[lo:hi] = rng.integers(2, size=hi - lo)
+        else:
+            for i in range(lo, hi):
+                draws[i] = rng.integers(int(bounds[i]))
+    return draws
+
+
+def _stable_ranks(keys: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Each key's elementwise position in a stable sort of *keys*.
+
+    Key *i* sorts before key *j* (i < j) iff ``key_i <= key_j``: the
+    lower release index wins a tie, exactly as a stable argsort along
+    the release axis — one comparison per release pair, no sort.
+    """
+    ranks = [np.zeros(keys[0].shape, dtype=np.intp) for _ in keys]
+    for i in range(len(keys)):
+        for j in range(i + 1, len(keys)):
+            first = keys[i] <= keys[j]
+            ranks[j] += first
+            ranks[i] += ~first
+    return ranks
+
+
+def _resolve_parallel(
+    arena: ScriptArena,
     names: List[str],
+    codes: np.ndarray,
     timeouts: Sequence[float],
-    spacings: Sequence[float],
     adjudication_delay: float,
+    spacings: Sequence[float],
     adjudication_rngs: List[np.random.Generator],
+    middleware_rngs: Sequence[np.random.Generator],
     n: int,
     config: ModeConfig,
 ) -> List[SystemMetrics]:
-    """Parallel modes 1–3 over a leading batch axis: (C, n, k) tensors.
+    """Parallel modes 1–3: the kernel over row-budget blocks of cells.
 
-    Every array op here is the elementwise/per-row twin of its
-    :func:`_resolve_parallel` counterpart with the batch axis prepended:
-    ``arange(n)[None, :] * spacings[:, None]`` reproduces each cell's
-    scalar products bit for bit, and the stable argsorts run along the
-    trailing release axis exactly as the per-cell ``axis=1`` sorts.
-    Only the mismatch adjudication draws loop per cell — each cell owns
-    its generator and its draws must interleave in close order.
+    *middleware_rngs* are accepted for signature uniformity with the
+    :data:`_MODE_RESOLVERS` dispatch table but never drawn from: the
+    parallel modes consume no middleware draws after the construction
+    spawn (forced outcomes and difficulty are scripted).
     """
-    codes_block = arena.outcome_codes
-    if codes_block is None:
-        raise ConfigurationError(
-            "columnar backend needs a script arena with outcome codes"
-        )
-    cells = arena.cells
+    del middleware_rngs
+    timeout_col = np.asarray(timeouts, dtype=np.float64)[:, None]
+    spacing_col = np.asarray(spacings, dtype=np.float64)[:, None]
+    step = max(1, KERNEL_BLOCK_ROWS // max(n, 1))
+    results: List[SystemMetrics] = []
+    for lo in range(0, arena.cells, step):
+        block = slice(lo, lo + step)
+        results.extend(_parallel_kernel(
+            arena.t1[block, :n],
+            [slab[block, :n] for slab in arena.t2],
+            [codes[block, :n, j] for j in range(len(names))],
+            timeout_col[block], spacing_col[block], adjudication_delay,
+            adjudication_rngs[block], names, config,
+        ))
+    return results
+
+
+def _parallel_kernel(
+    t1: np.ndarray,
+    t2: List[np.ndarray],
+    code: List[np.ndarray],
+    timeout_col: np.ndarray,
+    spacing_col: np.ndarray,
+    adjudication_delay: float,
+    adjudication_rngs: List[np.random.Generator],
+    names: List[str],
+    config: ModeConfig,
+) -> List[SystemMetrics]:
+    """The parallel-mode adjudication, stated once, release-major.
+
+    Every argument array is ``(cells, n)``: one array per release for
+    the T2 latencies and outcome codes, combined across releases by
+    elementwise ops only.  Each rule below reproduces the event
+    kernel's float arithmetic and tie-breaks bit for bit:
+
+    * collection order is (arrival, release index) — the ranks of
+      :func:`_stable_ranks` — and a demand collects its first *m*
+      within-cutoff arrivals (all of them when ``m = k``);
+    * the decision time is the *m*-th collected arrival when *m*
+      arrived, else the cutoff; for ``m = k`` that is the elementwise
+      max of the arrivals when all are within the cutoff;
+    * max-responsiveness delivers the fastest valid response: a running
+      minimum with strict ``<`` keeps the lowest release on a tie;
+    * max-reliability and dynamic mode deliver the agreed code of the
+      valid responses (the first one's, by a reversed ``where`` chain)
+      and break a CR/NER mismatch with one draw per mismatching demand
+      from the cell's adjudication generator, in demand order, indexing
+      the valid responses in collection order.
+    """
     k = len(names)
-    codes = np.asarray(codes_block, dtype=np.int64)[:, :n, :]
-    t1 = np.asarray(arena.t1, dtype=np.float64)[:, :n]
-    timeouts_col = np.asarray(timeouts, dtype=np.float64)[:, None]
-    spacings_col = np.asarray(spacings, dtype=np.float64)[:, None]
-    starts = np.arange(n, dtype=np.float64)[None, :] * spacings_col
-    cutoffs = starts + timeouts_col
-
-    arrival = np.empty((cells, n, k), dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        for j in range(k):
-            t2j = np.asarray(arena.t2[j], dtype=np.float64)[:, :n]
-            arrival[:, :, j] = starts + (t1 + t2j)
-        within = arrival < cutoffs[:, :, None]
-    count_within = within.sum(axis=2)
-
+    cells, n = t1.shape
+    m = k
     if (
         config.mode is OperatingMode.PARALLEL_DYNAMIC
         and config.min_responses is not None
     ):
         m = min(int(config.min_responses), k)
-    else:
-        m = k
-
-    sort_key = np.where(within, arrival, np.inf)
-    order = np.argsort(sort_key, axis=2, kind="stable")
-    rank = np.argsort(order, axis=2, kind="stable")
-    collected = within & (rank < m)
-
-    valid = collected & (codes != CODE_EVIDENT)
-    valid_count = valid.sum(axis=2)
-    unavailable = count_within == 0
-
-    sorted_key = np.sort(sort_key, axis=2)
-    decision = np.where(count_within >= m, sorted_key[:, :, m - 1], cutoffs)
     with np.errstate(invalid="ignore"):
+        starts = np.arange(n, dtype=np.float64) * spacing_col
+        cutoffs = starts + timeout_col
+        arrival = [starts + (t1 + t2j) for t2j in t2]
+        within = [a < cutoffs for a in arrival]
+        any_within = within[0]
+        for w in within[1:]:
+            any_within = any_within | w
+        if m < k:
+            rank = _stable_ranks(
+                [np.where(w, a, np.inf) for w, a in zip(within, arrival)]
+            )
+            collected = [w & (r < m) for w, r in zip(within, rank)]
+            decision = cutoffs
+            for w, r, a in zip(within, rank, arrival):
+                decision = np.where(w & (r == m - 1), a, decision)
+        else:
+            collected = within
+            all_within, latest = within[0], arrival[0]
+            for w, a in zip(within[1:], arrival[1:]):
+                all_within = all_within & w
+                latest = np.maximum(latest, a)
+            decision = np.where(all_within, latest, cutoffs)
         clipped_times = (
-            np.minimum(decision - starts, timeouts_col) + adjudication_delay
+            np.minimum(decision - starts, timeout_col) + adjudication_delay
         )
+        valid = [c & (cj != CODE_EVIDENT) for c, cj in zip(collected, code)]
 
-    system_codes = np.full((cells, n), CODE_EVIDENT, dtype=np.int64)
-    if config.mode is OperatingMode.PARALLEL_RESPONSIVENESS:
-        delivered = valid_count > 0
-        fv_key = np.where(valid, arrival, np.inf)
-        fv_col = np.argmin(fv_key, axis=2)
-        with np.errstate(invalid="ignore"):
-            fv_times = (
-                np.take_along_axis(
-                    arrival, fv_col[:, :, None], axis=2
-                )[:, :, 0] - starts
-            ) + adjudication_delay
-        system_times = np.where(delivered, fv_times, clipped_times)
-        fv_codes = np.take_along_axis(
-            codes, fv_col[:, :, None], axis=2
-        )[:, :, 0]
-        system_codes = np.where(delivered, fv_codes, system_codes)
-    else:
-        system_times = clipped_times
-        has_correct = (valid & (codes == CODE_CORRECT)).any(axis=2)
-        has_nef = (valid & (codes == CODE_NEF)).any(axis=2)
-        mismatch = has_correct & has_nef
-        agree = (valid_count > 0) & ~mismatch
-        first_valid_col = np.argmax(valid, axis=2)
-        acell, arow = np.nonzero(agree)
-        system_codes[acell, arow] = codes[
-            acell, arow, first_valid_col[acell, arow]
-        ]
-        for c in range(cells):
-            m_rows = np.flatnonzero(mismatch[c])
-            if m_rows.size:
-                draws = np.asarray(
-                    _bounded_draws(
-                        adjudication_rngs[c],
-                        [int(b) for b in valid_count[c, m_rows]],
-                    ),
-                    dtype=np.int64,
-                )
-                vkey = np.where(valid[c, m_rows], arrival[c, m_rows], np.inf)
-                vorder = np.argsort(vkey, axis=1, kind="stable")
-                chosen_col = vorder[np.arange(m_rows.size), draws]
-                system_codes[c, m_rows] = codes[c, m_rows, chosen_col]
+        if config.mode is OperatingMode.PARALLEL_RESPONSIVENESS:
+            # The first valid response is delivered at once; its
+            # arrival is the consumer-visible decision time, unclipped,
+            # and no adjudication draw is ever consumed.
+            fastest = np.where(valid[0], arrival[0], np.inf)
+            system_codes = code[0]
+            for v, a, cj in zip(valid[1:], arrival[1:], code[1:]):
+                key = np.where(v, a, np.inf)
+                faster = key < fastest
+                fastest = np.where(faster, key, fastest)
+                system_codes = np.where(faster, cj, system_codes)
+            delivered = fastest < np.inf
+            system_times = np.where(
+                delivered, (fastest - starts) + adjudication_delay,
+                clipped_times,
+            )
+            system_codes = np.where(delivered, system_codes, CODE_EVIDENT)
+        else:
+            system_times = clipped_times
+            system_codes = np.full((cells, n), CODE_EVIDENT, dtype=np.int64)
+            for v, cj in zip(reversed(valid), reversed(code)):
+                system_codes = np.where(v, cj, system_codes)
+            # Valid codes are CR or NER: a demand mismatches when a later
+            # valid response disagrees with the first one.
+            mismatch = np.zeros((cells, n), dtype=bool)
+            for v, cj in zip(valid[1:], code[1:]):
+                mismatch |= v & (cj != system_codes)
+            _break_mismatches(
+                mismatch, valid, arrival, code, system_codes,
+                adjudication_rngs,
+            )
+        recorded = [a - starts for a in arrival]
 
     results = []
     for c in range(cells):
         release_rows = []
         for j, name in enumerate(names):
-            sel = collected[c, :, j]
+            sel = collected[j][c]
             release_rows.append(
                 ReleaseMetrics.from_arrays(
                     name,
-                    outcome_codes=codes[c, sel, j],
-                    recorded_times=(arrival[c, :, j] - starts[c])[sel],
+                    outcome_codes=code[j][c][sel],
+                    recorded_times=recorded[j][c][sel],
                     no_response=int(n - np.count_nonzero(sel)),
                 )
             )
+        available = any_within[c]
         system_row = ReleaseMetrics.from_arrays(
             "System",
-            outcome_codes=system_codes[c][~unavailable[c]],
+            outcome_codes=system_codes[c][available],
             recorded_times=system_times[c],
-            no_response=int(np.count_nonzero(unavailable[c])),
+            no_response=int(n - np.count_nonzero(available)),
         )
         metrics = SystemMetrics(releases=release_rows, system=system_row)
         metrics.check_consistency()
@@ -500,187 +578,43 @@ def _resolve_parallel_batch(
     return results
 
 
-def resolve_release_pair_cell(
-    script: DemandScript,
-    release_names: Sequence[str],
-    timeout: float,
-    adjudication_delay: float,
-    spacing: float,
-    adjudication_rng: np.random.Generator,
-) -> SystemMetrics:
-    """Resolve one release-pair max-reliability cell (PR-5 interface).
+def _break_mismatches(
+    mismatch: np.ndarray,
+    valid: List[np.ndarray],
+    arrival: List[np.ndarray],
+    code: List[np.ndarray],
+    system_codes: np.ndarray,
+    adjudication_rngs: List[np.random.Generator],
+) -> None:
+    """Replay the paper-rule tie-break draws into *system_codes*.
 
-    Back-compat wrapper over the mode-general resolver: takes the
-    already-spawned adjudication generator directly and pins the
-    original two-release max-reliability envelope.
+    Each cell draws ``integers(len(valid))`` per mismatching demand from
+    its own generator, in demand order (:func:`_bounded_draws`); the
+    draw indexes the valid responses in collection order.  The
+    mismatching demands are gathered by flat (cell-major) index.
     """
-    codes = script.outcome_codes
-    if codes is None:
-        raise ConfigurationError(
-            "columnar backend needs a script with outcome codes"
-        )
-    if len(release_names) != 2 or len(script.t2) != 2 or codes.shape[1] != 2:
-        raise ConfigurationError(
-            "resolve_release_pair_cell resolves exactly two releases"
-        )
-    return _resolve_parallel(
-        script, list(release_names), np.asarray(codes, dtype=np.int64),
-        timeout, adjudication_delay, spacing, adjudication_rng,
-        None, script.requests, ModeConfig.max_reliability(),
-    )
-
-
-def _bounded_draws(
-    rng: np.random.Generator, bounds: Sequence[int]
-) -> List[int]:
-    """Replay the adjudicator's per-demand ``integers(bound)`` draws.
-
-    A batched ``integers(2, size=m)`` consumes the bit stream exactly
-    like *m* scalar bound-2 draws (one random word each — the masked
-    rejection path never rejects for a power-of-two bound), so maximal
-    runs of bound-2 draws are batched; other bounds stay scalar, which
-    is definitionally identical to the kernel's per-demand draws.
-    """
-    out: List[int] = []
-    i = 0
-    size = len(bounds)
-    while i < size:
-        if bounds[i] == 2:
-            j = i
-            while j < size and bounds[j] == 2:
-                j += 1
-            out.extend(int(d) for d in rng.integers(2, size=j - i))
-            i = j
-        else:
-            out.append(int(rng.integers(int(bounds[i]))))
-            i += 1
-    return out
-
-
-def _resolve_parallel(
-    script: DemandScript,
-    names: List[str],
-    codes: np.ndarray,
-    timeout: float,
-    adjudication_delay: float,
-    spacing: float,
-    adjudication_rng: np.random.Generator,
-    middleware_rng: Optional[np.random.Generator],
-    n: int,
-    config: ModeConfig,
-) -> SystemMetrics:
-    """Parallel modes 1–3: stacked (n, k) arrival/outcome matrices.
-
-    *middleware_rng* is accepted for signature uniformity with the
-    :data:`_MODE_RESOLVERS` dispatch table but never drawn from: the
-    parallel modes consume no middleware draws after the construction
-    spawn (forced outcomes and difficulty are scripted).
-    """
-    del middleware_rng
-    k = len(names)
-    codes = codes[:n]
-    t1 = np.asarray(script.t1, dtype=np.float64)[:n]
-    starts = np.arange(n, dtype=np.float64) * spacing
-    cutoffs = starts + timeout
-
-    arrival = np.empty((n, k), dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        for j in range(k):
-            exec_times = t1 + np.asarray(script.t2[j], dtype=np.float64)[:n]
-            arrival[:, j] = starts + exec_times
-        within = arrival < cutoffs[:, None]
-    count_within = within.sum(axis=1)
-
-    if (
-        config.mode is OperatingMode.PARALLEL_DYNAMIC
-        and config.min_responses is not None
-    ):
-        m = min(int(config.min_responses), k)
-    else:
-        m = k
-
-    # Collection order is (arrival, schedule sequence); response events
-    # are scheduled at demand start in release order, so a stable
-    # argsort over within-cutoff arrivals reproduces the kernel's
-    # tie-break.  ``rank < m`` selects what the demand collected before
-    # it closed (everything within, in max-reliability/responsiveness).
-    sort_key = np.where(within, arrival, np.inf)
-    order = np.argsort(sort_key, axis=1, kind="stable")
-    rank = np.argsort(order, axis=1, kind="stable")
-    collected = within & (rank < m)
-
-    release_rows = []
-    for j, name in enumerate(names):
-        sel = collected[:, j]
-        release_rows.append(
-            ReleaseMetrics.from_arrays(
-                name,
-                outcome_codes=codes[sel, j],
-                recorded_times=(arrival[:, j] - starts)[sel],
-                no_response=int(n - np.count_nonzero(sel)),
-            )
-        )
-
-    valid = collected & (codes != CODE_EVIDENT)
-    valid_count = valid.sum(axis=1)
-    unavailable = count_within == 0
-
-    # Close at the m-th collected arrival when that many arrived within
-    # the cutoff, else at the cutoff (the timeout event).
-    sorted_key = np.sort(sort_key, axis=1)
-    decision = np.where(count_within >= m, sorted_key[:, m - 1], cutoffs)
-    with np.errstate(invalid="ignore"):
-        clipped_times = (
-            np.minimum(decision - starts, timeout) + adjudication_delay
-        )
-
-    system_codes = np.full(n, CODE_EVIDENT, dtype=np.int64)
-    if config.mode is OperatingMode.PARALLEL_RESPONSIVENESS:
-        # First valid response is delivered immediately; its arrival is
-        # the consumer-visible decision time, unclipped, and no
-        # adjudication draw is ever consumed.
-        delivered = valid_count > 0
-        fv_key = np.where(valid, arrival, np.inf)
-        fv_col = np.argmin(fv_key, axis=1)
-        rows_idx = np.arange(n)
-        with np.errstate(invalid="ignore"):
-            fv_times = (arrival[rows_idx, fv_col] - starts) + adjudication_delay
-        system_times = np.where(delivered, fv_times, clipped_times)
-        dsel = np.flatnonzero(delivered)
-        system_codes[dsel] = codes[dsel, fv_col[dsel]]
-    else:
-        system_times = clipped_times
-        has_correct = (valid & (codes == CODE_CORRECT)).any(axis=1)
-        has_nef = (valid & (codes == CODE_NEF)).any(axis=1)
-        mismatch = has_correct & has_nef
-        agree = (valid_count > 0) & ~mismatch
-        # Agreeing valid responses share one code — read the first.
-        first_valid_col = np.argmax(valid, axis=1)
-        asel = np.flatnonzero(agree)
-        system_codes[asel] = codes[asel, first_valid_col[asel]]
-        m_rows = np.flatnonzero(mismatch)
-        if m_rows.size:
-            draws = np.asarray(
-                _bounded_draws(
-                    adjudication_rng, [int(b) for b in valid_count[m_rows]]
-                ),
-                dtype=np.int64,
-            )
-            # The draw indexes the valid responses in collection order.
-            vkey = np.where(valid[m_rows], arrival[m_rows], np.inf)
-            vorder = np.argsort(vkey, axis=1, kind="stable")
-            chosen_col = vorder[np.arange(m_rows.size), draws]
-            system_codes[m_rows] = codes[m_rows, chosen_col]
-
-    system_row = ReleaseMetrics.from_arrays(
-        "System",
-        outcome_codes=system_codes[~unavailable],
-        recorded_times=system_times,
-        no_response=int(np.count_nonzero(unavailable)),
-    )
-    metrics = SystemMetrics(releases=release_rows, system=system_row)
-    metrics.check_consistency()
-    return metrics
+    cells, n = mismatch.shape
+    rows = np.flatnonzero(mismatch)
+    if not rows.size:
+        return
+    sub_valid = [v.reshape(-1)[rows] for v in valid]
+    bounds = np.add.reduce(sub_valid, dtype=np.intp)
+    draws = np.empty(rows.size, dtype=np.int64)
+    offset = 0
+    per_cell = np.bincount(rows // n, minlength=cells).tolist()
+    for rng, count in zip(adjudication_rngs, per_cell):
+        if count:
+            span = slice(offset, offset + count)
+            draws[span] = _bounded_draws(rng, bounds[span])
+            offset += count
+    rank = _stable_ranks([
+        np.where(v, a.reshape(-1)[rows], np.inf)
+        for v, a in zip(sub_valid, arrival)
+    ])
+    chosen = system_codes.reshape(-1)[rows]
+    for r, cj in zip(rank, code):
+        chosen = np.where(r == draws, cj.reshape(-1)[rows], chosen)
+    np.put(system_codes, rows, chosen)
 
 
 def _resolve_sequential(
@@ -837,18 +771,42 @@ def _resolve_sequential(
     return metrics
 
 
+def _resolve_sequential_cells(
+    arena: ScriptArena,
+    names: List[str],
+    codes: np.ndarray,
+    timeouts: Sequence[float],
+    adjudication_delay: float,
+    spacings: Sequence[float],
+    adjudication_rngs: List[np.random.Generator],
+    middleware_rngs: Sequence[np.random.Generator],
+    n: int,
+    config: ModeConfig,
+) -> List[SystemMetrics]:
+    """Sequential mode: each cell replays its own escalation chains."""
+    return [
+        _resolve_sequential(
+            arena.script(c), names, codes[c], float(timeouts[c]),
+            adjudication_delay, float(spacings[c]), adjudication_rngs[c],
+            middleware_rngs[c], n, config,
+        )
+        for c in range(arena.cells)
+    ]
+
+
 #: Columnar resolver per operating mode.  Every :class:`OperatingMode`
 #: member must have an entry — the whole-program analyzer (REPRO203)
 #: checks this table against the enum, so widening the envelope to a
 #: new mode without a resolver is a lint failure, not a runtime
-#: surprise.  All resolvers share one signature: ``(script, names,
-#: codes, timeout, adjudication_delay, spacing, adjudication_rng,
-#: middleware_rng, n, config)``.
-_MODE_RESOLVERS: Dict[OperatingMode, Callable[..., SystemMetrics]] = {
+#: surprise.  All resolvers take a validated cell group and return one
+#: :class:`SystemMetrics` per cell: ``(arena, names, codes, timeouts,
+#: adjudication_delay, spacings, adjudication_rngs, middleware_rngs, n,
+#: config)``.
+_MODE_RESOLVERS: Dict[OperatingMode, Callable[..., List[SystemMetrics]]] = {
     OperatingMode.PARALLEL_RELIABILITY: _resolve_parallel,
     OperatingMode.PARALLEL_RESPONSIVENESS: _resolve_parallel,
     OperatingMode.PARALLEL_DYNAMIC: _resolve_parallel,
-    OperatingMode.SEQUENTIAL: _resolve_sequential,
+    OperatingMode.SEQUENTIAL: _resolve_sequential_cells,
 }
 
 

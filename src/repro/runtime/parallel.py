@@ -117,12 +117,16 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 INLINE_CELL_THRESHOLD_SECONDS = 0.05
 
 #: Default ceiling on cells fused into one batched execution (and hence
-#: one store commit).  Bounds both peak arena memory (a chunk of C cells
-#: holds C×rows×(releases+2) float64/int64 slabs) and the resume grain:
-#: a killed run loses at most one chunk's worth of work.  The
+#: one store commit).  Bounds both the script arena (a chunk of C cells
+#: holds C×rows×(2×releases+1) float64/int64 values: T1, one T2 slab
+#: per release and the outcome-code block) and the resume grain: a
+#: killed run loses at most one chunk's worth of work.  The resolver's
+#: temporaries do not grow with C: the release-major parallel kernel
+#: walks the chunk in blocks of whole cells of at most
+#: :data:`repro.runtime.columnar.KERNEL_BLOCK_ROWS` rows.  The
 #: ``REPRO_BATCH_MAX_CELLS`` environment variable overrides it (the
 #: resume harness uses a small value to force chunk boundaries inside
-#: small grids).
+#: small grids); a value that is not a positive integer is an error.
 BATCH_MAX_CELLS = 64
 
 
@@ -130,12 +134,16 @@ def _batch_chunk_limit(batch_limit: Optional[int]) -> int:
     if batch_limit is not None:
         return max(1, int(batch_limit))
     env = os.environ.get("REPRO_BATCH_MAX_CELLS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return BATCH_MAX_CELLS
+    if not env:
+        return BATCH_MAX_CELLS
+    message = f"REPRO_BATCH_MAX_CELLS must be a positive integer, got {env!r}"
+    try:
+        limit = int(env)
+    except ValueError:
+        raise ConfigurationError(message) from None
+    if limit < 1:
+        raise ConfigurationError(message)
+    return limit
 
 
 def _execute_cell(spec: CellSpec) -> Any:
@@ -325,7 +333,7 @@ def run_cells(
         metrics.counter("store.resume_skipped_cells").inc(resumed)
 
     if batch and todo:
-        # Batched pass first: fusable cells run as stacked groups (one
+        # Batched pass first: fusable cells run as fused groups (one
         # arena, one resolver call, one fsync'd store commit per chunk)
         # in the parent process — no pool dispatch, no pickling.
         # Whatever the pass declines (no BatchSpec, or the batch

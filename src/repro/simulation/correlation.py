@@ -159,6 +159,23 @@ class ConditionalOutcomeMatrix:
         return f"ConditionalOutcomeMatrix({self.as_matrix().tolist()!r})"
 
 
+def _conditional_draws(
+    cdf: np.ndarray, given: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Vectorised inverse-CDF draws from the conditional rows ``cdf[given]``.
+
+    The scalar reference counts ``u > row`` over the whole CDF row and
+    caps the count at the last outcome.  The CDF rows are nondecreasing,
+    so counting one outcome column at a time over all but the last
+    column gives the same index — without an ``(n, outcomes)``
+    comparison matrix or a reduction along its short axis.
+    """
+    drawn = np.zeros(u.shape, dtype=np.intp)
+    for col in range(cdf.shape[1] - 1):
+        drawn += u > cdf[given, col]
+    return drawn
+
+
 class JointOutcomeModel:
     """Abstract base: samples the joint (release 1, release 2) outcome."""
 
@@ -236,14 +253,8 @@ class ConditionalOutcomeModel(JointOutcomeModel):
         self, rng: np.random.Generator, size: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         first_idx = self._first.sample_many(rng, size)
-        matrix = self._conditional.as_matrix()
-        # Inverse-CDF sampling of the conditional rows, vectorised.
-        cdf = np.cumsum(matrix, axis=1)
-        u = rng.random(size)
-        row_cdfs = cdf[first_idx]
-        second_idx = (u[:, None] > row_cdfs).sum(axis=1)
-        second_idx = np.minimum(second_idx, len(OUTCOME_ORDER) - 1)
-        return first_idx, second_idx
+        cdf = np.cumsum(self._conditional.as_matrix(), axis=1)
+        return first_idx, _conditional_draws(cdf, first_idx, rng.random(size))
 
     def sample_pairs_scalar(
         self, rng: np.random.Generator, size: int
@@ -330,10 +341,9 @@ class ChainedOutcomeModel(JointOutcomeModel):
         chain[:, 0] = self._first.sample_many(rng, size)
         cdf = np.cumsum(self._conditional.as_matrix(), axis=1)
         for level in range(1, count):
-            u = rng.random(size)
-            row_cdfs = cdf[chain[:, level - 1]]
-            nxt = (u[:, None] > row_cdfs).sum(axis=1)
-            chain[:, level] = np.minimum(nxt, len(OUTCOME_ORDER) - 1)
+            chain[:, level] = _conditional_draws(
+                cdf, chain[:, level - 1], rng.random(size)
+            )
         return chain
 
     def sample_chain_scalar(

@@ -2,16 +2,16 @@
 
 The batched resolver's claim is the same as the columnar backend's —
 *bit-identity*, not statistical agreement — one level up: a whole group
-of cells resolved as one stacked array program must reproduce, float by
-float, what each cell produces alone.  These tests pin that claim at
-every layer: the shared script arena against per-cell
-:func:`build_demand_script` (array bytes), the batched resolver against
-:func:`resolve_cell` for every operating mode x release count x retry
-policy x several seeds (reduced rows as IEEE bit patterns), the
-orchestration (``run_cells(batch=True)`` vs ``batch=False``) end to
-end, the mixed-envelope group fallback, and cache-key invariance in
-both directions (a batched run's cache serves a per-cell run and vice
-versa).
+of cells resolved in one call must reproduce, float by float, what each
+cell produces alone.  These tests pin that claim at every layer: the
+shared script arena against per-cell :func:`build_demand_script` (array
+bytes), the batched resolver against :func:`resolve_cell` for every
+operating mode x release count x retry policy x several seeds (reduced
+rows as IEEE bit patterns), chunks the parallel kernel splits at its
+row budget, the orchestration (``run_cells(batch=True)`` vs
+``batch=False``) end to end, the mixed-envelope group fallback, and
+cache-key invariance in both directions (a batched run's cache serves a
+per-cell run and vice versa).
 """
 
 import dataclasses
@@ -19,6 +19,7 @@ import struct
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.common.seeding import SeedSequenceFactory
 from repro.core.modes import ModeConfig, SequentialOrder
 from repro.experiments import paper_params as P
@@ -29,6 +30,7 @@ from repro.runtime import columnar
 from repro.runtime.cache import ResultCache
 from repro.runtime.parallel import run_cells
 from repro.runtime.sampling import (
+    ScriptArena,
     build_demand_script,
     build_demand_script_arena,
 )
@@ -210,6 +212,70 @@ class TestResolverEquivalence:
             assert rows_as_bits(expected) == rows_as_bits(got)
 
 
+PARALLEL_MODES = [
+    pytest.param(ModeConfig.max_reliability(), id="reliability"),
+    pytest.param(ModeConfig.max_responsiveness(), id="responsiveness"),
+    pytest.param(ModeConfig.dynamic(1), id="dynamic-k1"),
+    pytest.param(ModeConfig.dynamic(2), id="dynamic-k2"),
+]
+
+
+class TestKernelBlocks:
+    """Chunks the parallel kernel splits at its row budget."""
+
+    @pytest.mark.parametrize("mode", PARALLEL_MODES)
+    @pytest.mark.parametrize("n_releases", (2, 3))
+    def test_chunk_spanning_several_blocks(self, n_releases, mode):
+        requests = columnar.KERNEL_BLOCK_ROWS // 2
+        seeds = (3, 9, 17)
+        # Two cells fit a block, so the chunk runs as blocks of 2 + 1.
+        assert columnar.KERNEL_BLOCK_ROWS // requests == 2
+        percell, batched = resolve_both_ways(
+            n_releases, mode=mode, seeds=seeds, requests=requests
+        )
+        assert len(batched) == len(seeds)
+        for expected, got in zip(percell, batched):
+            assert rows_as_bits(expected) == rows_as_bits(got)
+
+    @pytest.mark.parametrize("mode", PARALLEL_MODES)
+    def test_cell_larger_than_the_budget(self, mode):
+        requests = columnar.KERNEL_BLOCK_ROWS + 37
+        percell, batched = resolve_both_ways(
+            3, mode=mode, seeds=(5, 8), requests=requests
+        )
+        for expected, got in zip(percell, batched):
+            assert rows_as_bits(expected) == rows_as_bits(got)
+
+
+class TestShapeGuard:
+    def test_wider_code_block_than_release_names_rejected(self):
+        arena = build_demand_script_arena(
+            [chained_model(1)] * 2, Exponential(P.T1_MEAN),
+            [Exponential(P.T2_MEAN)] * 3, 50,
+            [SeedSequenceFactory(seed) for seed in (1, 2)],
+        )
+        assert arena.outcome_codes is not None
+        # Two latency slabs, as for two releases, but a 3-column code
+        # block: the kernel reads only columns j < 2, so without the
+        # guard the third column would be dropped silently.
+        two_release = ScriptArena(
+            requests=arena.requests, t1=arena.t1, t2=arena.t2[:2],
+            outcome_codes=arena.outcome_codes,
+        )
+        with pytest.raises(ConfigurationError, match="outcome code block"):
+            columnar.resolve_cell_batch(
+                two_release,
+                release_names=["Web-Service 1.0", "Web-Service 1.1"],
+                timeouts=[1.5, 1.5],
+                adjudication_delay=P.ADJUDICATION_DELAY,
+                spacings=[2.1, 2.1],
+                middleware_rngs=[
+                    SeedSequenceFactory(seed).generator("middleware")
+                    for seed in (1, 2)
+                ],
+            )
+
+
 class TestOrchestration:
     def grid(self, metrics=None, backend="auto", sampling="vectorized"):
         return release_pair_cells(
@@ -265,6 +331,14 @@ class TestOrchestration:
         baseline = run_cells(self.grid(), batch=False)
         for left, right in zip(results, baseline):
             assert rows_as_bits(left.metrics) == rows_as_bits(right.metrics)
+
+    @pytest.mark.parametrize("value", ["sixty", "0", "-3"])
+    def test_invalid_batch_max_cells_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_BATCH_MAX_CELLS", value)
+        with pytest.raises(ConfigurationError) as err:
+            run_cells(self.grid(), batch=True)
+        assert "REPRO_BATCH_MAX_CELLS" in str(err.value)
+        assert repr(value) in str(err.value)
 
     def test_event_backend_cells_carry_no_batch_spec(self):
         for spec in self.grid(backend="event"):

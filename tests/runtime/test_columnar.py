@@ -25,13 +25,17 @@ from repro.core.adjudicators import FastestValidAdjudicator
 from repro.core.modes import ModeConfig, SequentialOrder
 from repro.experiments import paper_params as P
 from repro.experiments.event_sim import (
+    LatencyProfile,
     calibrated_profile,
     joint_model,
     paper_profile,
     release_pair_cells,
     run_release_pair_simulation,
 )
-from repro.experiments.multi_release import run_n_release_simulation
+from repro.experiments.multi_release import (
+    chained_model,
+    run_n_release_simulation,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemoryTracer
 from repro.pipeline import (
@@ -42,6 +46,7 @@ from repro.pipeline import (
 from repro.runtime import columnar
 from repro.runtime.sampling import build_demand_script
 from repro.services.retry import RetryPolicy
+from repro.simulation.distributions import Deterministic, WithHangs
 
 #: All four §4.2 operating modes (max-reliability is the historical
 #: envelope; the others joined it when the backend was widened).
@@ -207,7 +212,7 @@ class TestRetryEquivalence:
 
 
 class TestMultiReleaseEquivalence:
-    """Stacked (n, k) resolution for N-release deployments."""
+    """Release-major resolution for N-release deployments."""
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("mode", ALL_MODES)
@@ -230,6 +235,77 @@ class TestMultiReleaseEquivalence:
         columnar = run_n_release_simulation(
             1, requests=200, seed=seed, backend="columnar"
         )
+        assert rows_as_bits(event) == rows_as_bits(columnar)
+
+
+def parallel_modes(n_releases):
+    """Reliability, responsiveness and dynamic k-of-N for k = 1..N."""
+    modes = [
+        ("reliability", ModeConfig.max_reliability()),
+        ("responsiveness", ModeConfig.max_responsiveness()),
+    ]
+    modes.extend(
+        (f"dynamic-k{k}", ModeConfig.dynamic(k))
+        for k in range(1, n_releases + 1)
+    )
+    return [
+        pytest.param(n_releases, mode, id=f"N{n_releases}-{name}")
+        for name, mode in modes
+    ]
+
+
+def tie_profile(t2_values):
+    """Fixed latencies with hangs on every leg: the rank's hard cases.
+
+    Every non-hung arrival of a release is ``start + (0.5 + t2)``, so
+    releases with equal *t2_values* tie exactly, and a release whose
+    ``0.5 + t2`` equals the TimeOut lands exactly on the cutoff (which
+    the kernel must not collect).
+    """
+    return LatencyProfile(
+        name="ties",
+        demand_difficulty=WithHangs(Deterministic(0.5), 0.05),
+        release_latencies=tuple(
+            WithHangs(Deterministic(value), 0.2) for value in t2_values
+        ),
+    )
+
+
+class TestTieAndBoundaryEquivalence:
+    """Exact arrival ties, hangs and arrivals on the cutoff, IEEE-bit.
+
+    The parallel kernel ranks arrivals by pairwise comparisons instead
+    of a stable sort; these cells force every tie-break it makes —
+    equal arrivals across releases, within the cutoff and exactly on
+    it — under each parallel mode.  The weakly correlated run-4 chain
+    makes CR/NER mismatches (and so adjudication draws) common.
+    """
+
+    CASES = [
+        # All releases tie, inside the cutoff.
+        pytest.param((0.5,) * 5, 1.5, id="tied-within"),
+        # Releases 0 and 2 sit exactly on the cutoff; 1 and 4 tie inside.
+        pytest.param((1.0, 0.5, 1.0, 0.75, 0.5), 1.5, id="on-cutoff"),
+        # The same latencies all inside a wider cutoff, with ties.
+        pytest.param((1.0, 0.5, 1.0, 0.75, 0.5), 2.0, id="tied-pairs"),
+    ]
+
+    @pytest.mark.parametrize("t2_values,timeout", CASES)
+    @pytest.mark.parametrize(
+        "n_releases,mode",
+        parallel_modes(2) + parallel_modes(3) + parallel_modes(5),
+    )
+    def test_rows_bit_identical(self, n_releases, mode, t2_values, timeout):
+        kwargs = dict(
+            joint_model=chained_model(4),
+            timeout=timeout,
+            requests=300,
+            seed=13,
+            profile=tie_profile(t2_values[:n_releases]),
+            mode=mode,
+        )
+        event = run_release_pair_simulation(backend="event", **kwargs)
+        columnar = run_release_pair_simulation(backend="columnar", **kwargs)
         assert rows_as_bits(event) == rows_as_bits(columnar)
 
 
