@@ -4,8 +4,7 @@ Measures the numbers the runtime work is accountable for —
 
 * kernel event throughput (events/sec),
 * middleware demand throughput (demands/sec),
-* Table-5 cell wall-time on the vectorised fast path, with the legacy
-  per-request (``live``) sampling time and the resulting speedup,
+* Table-5 cell wall-time on the event kernel,
 * the same cell on the columnar array backend
   (``cell.columnar_seconds`` / ``cell.speedup_vs_event`` — the
   bit-identical batch path must beat the vectorized event path ≥5x),
@@ -20,10 +19,10 @@ Measures the numbers the runtime work is accountable for —
   cross-checked against the columnar simulation, plus per-mode
   throughput),
 * the 12-cell grid per demand-resolution strategy (``grid.backends`` —
-  event vs per-cell columnar vs the fused batched path, with the
-  pool's inline-gate decision recorded) and a ≥1000-cell campaign
-  sweep down the batched path (``campaign`` — cells/sec, deterministic
-  chunk sizes, fallback ratio, batched Bayesian trajectories),
+  event vs the fused batched columnar path, with the pool's
+  inline-gate decision recorded) and a ≥1000-cell campaign sweep down
+  the batched path (``campaign`` — cells/sec, deterministic chunk
+  sizes, fallback ratio),
 * the event-store write path at both durability grains
   (``store.append_events_per_sec`` per-event vs
   ``store.batch_append_events_per_sec`` for envelope-slab appends with
@@ -57,10 +56,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bayes import (
-    AvailabilityAssessor,
-    availability_confidence_trajectories,
-)
 from repro.core.modes import ModeConfig, SequentialOrder
 from repro.experiments import paper_params as P
 from repro.experiments.event_sim import (
@@ -106,9 +101,7 @@ def bench_kernel_events(events: int = 50_000) -> float:
     return events / elapsed
 
 
-def bench_cell(
-    requests: int, sampling: str, backend: str = "event", **overrides
-) -> float:
+def bench_cell(requests: int, backend: str = "event", **overrides) -> float:
     """Wall-time of one Table-5 cell (run 1, TimeOut 1.5 s).
 
     Best of three runs with the garbage collector paused (as ``timeit``
@@ -118,7 +111,7 @@ def bench_cell(
     # Warm the code paths so the measured runs are steady-state.
     run_release_pair_simulation(
         P.correlated_model(1), timeout=1.5, requests=200, seed=3,
-        sampling=sampling, backend=backend, **overrides,
+        backend=backend, **overrides,
     )
     best = float("inf")
     reenable = gc.isenabled()
@@ -128,7 +121,7 @@ def bench_cell(
             started = time.perf_counter()
             metrics = run_release_pair_simulation(
                 P.correlated_model(1), timeout=1.5, requests=requests,
-                seed=3, sampling=sampling, backend=backend, **overrides,
+                seed=3, backend=backend, **overrides,
             )
             best = min(best, time.perf_counter() - started)
     finally:
@@ -158,10 +151,8 @@ def bench_modes(requests: int) -> dict:
     """Event vs columnar cell wall-time per newly vectorized mode."""
     out = {}
     for label, overrides in MODE_BENCHES:
-        event = bench_cell(requests, "vectorized", **overrides)
-        columnar = bench_cell(
-            requests, "vectorized", backend="columnar", **overrides
-        )
+        event = bench_cell(requests, **overrides)
+        columnar = bench_cell(requests, backend="columnar", **overrides)
         out[label] = {
             "requests": requests,
             "event_seconds": round(event, 4),
@@ -335,32 +326,31 @@ def bench_grid(requests: int, jobs: int) -> float:
 def bench_grid_backends(requests: int, jobs: int) -> dict:
     """The 12-cell Table-5 grid per demand-resolution strategy.
 
-    Times the identical grid three ways — event kernel, per-cell
-    columnar (``--no-batch``) and the fused batched path — best-of-N
-    with the garbage collector paused, all at ``jobs`` workers so the
-    pool's inline-probe gate is part of what is measured.  A separate
-    (untimed) metrics run per strategy records the gate's decision
-    (``pool.inline_cells``) and the fused-cell count
-    (``backend.batched_cells``): columnar cells dive under the
-    :data:`~repro.runtime.parallel.INLINE_CELL_THRESHOLD_SECONDS` probe
-    so they run inline, and the batched pass bypasses the pool
+    Times the identical grid two ways — event kernel and the fused
+    batched columnar path — best-of-N with the garbage collector
+    paused, both at ``jobs`` workers so the pool's inline-probe gate is
+    part of what is measured.  A separate (untimed) metrics run of the
+    batched grid records the fused-cell count
+    (``backend.batched_cells``) and the gate's decision
+    (``pool.inline_cells``): the batched pass bypasses the pool
     entirely.
     """
     configs = (
-        ("event", dict(backend="event", batch=False), 2),
-        ("columnar", dict(backend="columnar", batch=False), 3),
-        ("batched", dict(backend="columnar", batch=True), 3),
+        ("event", "event", 2),
+        ("batched", "columnar", 3),
     )
     out = {}
-    for label, kw, repeats in configs:
-        run_table5(seed=3, requests=200, jobs=jobs, **kw)  # warm
+    for label, backend, repeats in configs:
+        run_table5(seed=3, requests=200, jobs=jobs, backend=backend)  # warm
         best = float("inf")
         reenable = gc.isenabled()
         gc.disable()
         try:
             for _ in range(repeats):
                 started = time.perf_counter()
-                run_table5(seed=3, requests=requests, jobs=jobs, **kw)
+                run_table5(
+                    seed=3, requests=requests, jobs=jobs, backend=backend
+                )
                 best = min(best, time.perf_counter() - started)
         finally:
             if reenable:
@@ -373,7 +363,7 @@ def bench_grid_backends(requests: int, jobs: int) -> dict:
             registry = MetricsRegistry()
             run_table5(
                 seed=3, requests=requests, jobs=jobs,
-                metrics=registry, **kw,
+                metrics=registry, backend=backend,
             )
             counters = registry.as_dict()["counters"]
             entry["pool_inline_cells"] = int(
@@ -391,9 +381,6 @@ def bench_grid_backends(requests: int, jobs: int) -> dict:
         "speedup_batched_vs_event": round(
             out["event"]["seconds"] / out["batched"]["seconds"], 2
         ),
-        "speedup_batched_vs_columnar": round(
-            out["columnar"]["seconds"] / out["batched"]["seconds"], 2
-        ),
     }
 
 
@@ -405,11 +392,7 @@ def bench_campaign(grids: int, requests: int) -> dict:
     all of them as one cell list with batching on, and reports
     cells/sec, the deterministic chunk sizes the batched pass used, and
     the fallback ratio (which must be 0.0: every cell of this campaign
-    is inside the columnar envelope).  A companion measurement stacks
-    one synthetic availability-indicator row per cell and compares the
-    per-cell Bayesian confidence trajectories against the batched
-    (one-``beta.sf``-call) evaluation of
-    :func:`repro.bayes.availability_confidence_trajectories`.
+    is inside the columnar envelope).
     """
     cells = []
     for index in range(grids):
@@ -422,7 +405,7 @@ def bench_campaign(grids: int, requests: int) -> dict:
     gc.disable()
     try:
         started = time.perf_counter()
-        results = run_cells(cells, jobs=1, metrics=registry, batch=True)
+        results = run_cells(cells, jobs=1, metrics=registry)
         elapsed = time.perf_counter() - started
     finally:
         if reenable:
@@ -434,22 +417,11 @@ def bench_campaign(grids: int, requests: int) -> dict:
     total = batched + fallback
     # Chunk membership is deterministic (grid order, fixed limit), so
     # the batch sizes are arithmetic, not sampled.
-    limit = _batch_chunk_limit(None)
+    limit = _batch_chunk_limit()
     chunks = [
         min(limit, len(cells) - start)
         for start in range(0, len(cells), limit)
     ]
-
-    rng = np.random.default_rng(17)
-    indicators = rng.random((len(cells), requests)) < 0.9
-    started = time.perf_counter()
-    batched_traj = availability_confidence_trajectories(indicators, 0.85)
-    traj_batched_elapsed = time.perf_counter() - started
-    started = time.perf_counter()
-    for row in indicators:
-        AvailabilityAssessor().confidence_trajectory(row, 0.85)
-    traj_percell_elapsed = time.perf_counter() - started
-    assert batched_traj.shape == (len(cells), requests)
     return {
         "grids": grids,
         "cells": len(cells),
@@ -462,15 +434,6 @@ def bench_campaign(grids: int, requests: int) -> dict:
         "batched_cells": batched,
         "fallback_cells": fallback,
         "fallback_ratio": round(fallback / total, 4) if total else 0.0,
-        "confidence_trajectories": {
-            "cells": len(cells),
-            "demands": requests,
-            "batched_seconds": round(traj_batched_elapsed, 4),
-            "percell_seconds": round(traj_percell_elapsed, 4),
-            "speedup": round(
-                traj_percell_elapsed / traj_batched_elapsed, 2
-            ),
-        },
     }
 
 
@@ -481,13 +444,13 @@ def bench_tracing_overhead(requests: int) -> dict:
     zero-overhead-when-disabled claim: both cells run the instrumented
     kernel, one with a JSONL tracer attached and one with none.
     """
-    untraced = bench_cell(requests, "vectorized")
+    untraced = bench_cell(requests)
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = str(Path(tmp) / "bench-cell.jsonl")
         started = time.perf_counter()
         run_release_pair_simulation(
             P.correlated_model(1), timeout=1.5, requests=requests,
-            seed=3, sampling="vectorized", trace_path=trace_path,
+            seed=3, trace_path=trace_path,
             trace_cell="bench",
         )
         traced = time.perf_counter() - started
@@ -643,9 +606,8 @@ def main(argv=None) -> int:
     requests = 1_000 if args.quick else args.requests
 
     events_per_sec = bench_kernel_events()
-    vectorized = bench_cell(requests, "vectorized")
-    live = bench_cell(requests, "live")
-    columnar = bench_cell(requests, "vectorized", backend="columnar")
+    event = bench_cell(requests)
+    columnar = bench_cell(requests, backend="columnar")
     modes = bench_modes(requests)
     registry_fallback = bench_registry_fallback(
         300 if args.quick else 500
@@ -677,12 +639,10 @@ def main(argv=None) -> int:
         "kernel": {"events_per_sec": round(events_per_sec)},
         "cell": {
             "requests": requests,
-            "vectorized_seconds": round(vectorized, 4),
-            "live_seconds": round(live, 4),
-            "speedup_vs_live": round(live / vectorized, 2),
-            "demands_per_sec": round(requests / vectorized),
+            "vectorized_seconds": round(event, 4),
+            "demands_per_sec": round(requests / event),
             "columnar_seconds": round(columnar, 4),
-            "speedup_vs_event": round(vectorized / columnar, 2),
+            "speedup_vs_event": round(event / columnar, 2),
             "columnar_demands_per_sec": round(requests / columnar),
         },
         "modes": modes,
@@ -699,9 +659,6 @@ def main(argv=None) -> int:
             "backends": grid_backends["backends"],
             "speedup_batched_vs_event": grid_backends[
                 "speedup_batched_vs_event"
-            ],
-            "speedup_batched_vs_columnar": grid_backends[
-                "speedup_batched_vs_columnar"
             ],
         },
         "campaign": campaign,

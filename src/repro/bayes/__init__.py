@@ -19,8 +19,6 @@ re-evaluates the posterior at checkpoints along a demand stream.
 from repro.bayes.attributes import (
     AvailabilityAssessor,
     ResponsivenessAssessor,
-    availability_confidence_trajectories,
-    availability_lower_bound_trajectories,
 )
 from repro.bayes.beta import TruncatedBeta
 from repro.bayes.counts import JointCounts
@@ -50,8 +48,6 @@ from repro.bayes.stopping import (
 __all__ = [
     "AvailabilityAssessor",
     "ResponsivenessAssessor",
-    "availability_confidence_trajectories",
-    "availability_lower_bound_trajectories",
     "TruncatedBeta",
     "JointCounts",
     "BlackBoxAssessor",

@@ -27,83 +27,6 @@ from repro.common.errors import InferenceError
 from repro.common.validation import check_in_range, check_positive
 
 
-def _batched_trajectory_params(
-    responded,
-    prior_alpha: float,
-    prior_beta: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Posterior (alpha, beta) matrices for a whole batch of assessors.
-
-    *responded* is a ``(cells, demands)`` indicator matrix — row *c* is
-    cell *c*'s outcome vector in observation order.  The conjugate
-    recursion is a row-wise cumsum, so the entire batch reduces to two
-    ``(cells, demands)`` arrays feeding ONE vectorized beta call.
-    """
-    indicators = np.atleast_2d(np.asarray(responded, dtype=bool))
-    if indicators.ndim != 2:
-        raise InferenceError(
-            f"batched trajectories need a (cells, demands) matrix; got "
-            f"ndim={indicators.ndim}"
-        )
-    successes = np.cumsum(indicators, axis=1, dtype=np.int64)
-    totals = np.arange(
-        1, indicators.shape[1] + 1, dtype=np.int64
-    )[None, :]
-    return (
-        prior_alpha + successes,
-        prior_beta + (totals - successes),
-    )
-
-
-def availability_confidence_trajectories(
-    responded,
-    target_availability: float,
-    prior_alpha: float = 1.0,
-    prior_beta: float = 1.0,
-) -> np.ndarray:
-    """Batched :meth:`AvailabilityAssessor.confidence_trajectory`.
-
-    *responded* stacks one indicator row per cell; the returned
-    ``(cells, demands)`` matrix holds, per cell, the confidence a fresh
-    assessor (with the given priors) would report after each successive
-    outcome.  The whole batch is ONE ``stats.beta.sf`` evaluation;
-    scipy's beta functions are elementwise, so every row is bitwise
-    equal to the per-cell trajectory — the batched sweep path leans on
-    this for its confidence columns.
-    """
-    check_in_range(target_availability, 0.0, 1.0, "target_availability")
-    check_positive(prior_alpha, "prior_alpha")
-    check_positive(prior_beta, "prior_beta")
-    alphas, betas = _batched_trajectory_params(
-        responded, prior_alpha, prior_beta
-    )
-    return np.asarray(
-        stats.beta.sf(target_availability, alphas, betas), dtype=float
-    )
-
-
-def availability_lower_bound_trajectories(
-    responded,
-    confidence_level: float,
-    prior_alpha: float = 1.0,
-    prior_beta: float = 1.0,
-) -> np.ndarray:
-    """Batched :meth:`AvailabilityAssessor.lower_bound_trajectory`:
-    one ``stats.beta.ppf`` evaluation over the whole ``(cells,
-    demands)`` checkpoint grid (same contract as
-    :func:`availability_confidence_trajectories`)."""
-    check_in_range(confidence_level, 0.0, 1.0, "confidence_level")
-    check_positive(prior_alpha, "prior_alpha")
-    check_positive(prior_beta, "prior_beta")
-    alphas, betas = _batched_trajectory_params(
-        responded, prior_alpha, prior_beta
-    )
-    return np.asarray(
-        stats.beta.ppf(1.0 - confidence_level, alphas, betas),
-        dtype=float,
-    )
-
-
 class AvailabilityAssessor:
     """Beta-Bernoulli confidence in a release's availability.
 

@@ -22,9 +22,8 @@ Options: ``--seed``, ``--fast`` (each spec's reduced smoke sizes),
 processes (results are bit-identical to a sequential run),
 ``--backend {event,columnar,auto}`` to pick the demand-resolution
 backend (``auto`` uses the columnar array backend where it is proven
-bit-identical and the event kernel elsewhere), ``--batch`` /
-``--no-batch`` to fuse columnar-eligible cells into batched group
-executions (default on; bit-identical either way), and ``--no-cache`` /
+bit-identical and the event kernel elsewhere; columnar-eligible grid
+cells are fused into batched group executions), and ``--no-cache`` /
 ``--cache-dir`` / ``--clear-cache`` to control the on-disk result
 cache.
 
@@ -185,19 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
             "bit-identical across all four operating modes, any number "
             "of releases and retry — 'auto' (default) picks columnar "
             "everywhere except the genuinely event-only cases "
-            "(tracing, live sampling, non-paper adjudicators)"
-        ),
-    )
-    parser.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "fuse columnar-eligible grid cells into batched group "
-            "executions (shared demand-script arena, release-major "
-            "kernel, one store commit per group; bit-identical to the "
-            "per-cell path); --no-batch pins every cell to the per-cell "
-            "path"
+            "(tracing, non-paper adjudicators)"
         ),
     )
     return parser
@@ -229,7 +216,6 @@ def _options(
         output=args.output,
         backend=args.backend,
         store=store,
-        batch=args.batch,
     )
 
 

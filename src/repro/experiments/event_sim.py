@@ -12,10 +12,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError
 from repro.common.seeding import SeedSequenceFactory
 from repro.common.tables import render_table
-from repro.core.adjudicators import PaperRuleAdjudicator
+from repro.core.adjudicators import Adjudicator, PaperRuleAdjudicator
 from repro.core.middleware import UpgradeMiddleware
 from repro.core.modes import ModeConfig
 from repro.core.monitor import MonitoringSubsystem
@@ -27,6 +29,7 @@ from repro.obs.trace import JsonlTracer, Tracer
 from repro.runtime import columnar
 from repro.runtime.parallel import BatchSpec, CellSpec
 from repro.runtime.sampling import (
+    DemandScript,
     build_demand_script,
     build_demand_script_arena,
 )
@@ -34,7 +37,10 @@ from repro.services.endpoint import ServiceEndpoint
 from repro.services.message import RequestMessage
 from repro.services.retry import RetryingPort, RetryPolicy
 from repro.services.wsdl import default_wsdl
-from repro.simulation.correlation import JointOutcomeModel
+from repro.simulation.correlation import (
+    JointOutcomeModel,
+    OutcomeDistribution,
+)
 from repro.simulation.distributions import (
     Distribution,
     Exponential,
@@ -46,14 +52,6 @@ from repro.simulation.metrics import ReleaseMetrics, SystemMetrics
 from repro.simulation.release_model import ReleaseBehaviour
 from repro.simulation.timing import SystemTimingPolicy
 from repro.simulation.workload import StreamingArrivalSource
-
-#: Sampling strategies for the event-driven cells.  ``vectorized``
-#: pre-draws all per-demand randomness in numpy blocks (the fast path);
-#: ``scalar`` draws the same streams one value at a time (bit-identical,
-#: ~20x slower — exists to prove the equivalence); ``live`` draws
-#: per-request inside the event loop exactly as the original seed code
-#: did (a different, legacy stream layout).
-SAMPLING_MODES = ("vectorized", "scalar", "live")
 
 #: Demand-resolution backends.  ``event`` threads every demand through
 #: the discrete-event kernel (the reference semantics); ``columnar``
@@ -124,8 +122,7 @@ def run_release_pair_simulation(
     seed: int = DEFAULT_SEED,
     profile: Optional[LatencyProfile] = None,
     mode: Optional[ModeConfig] = None,
-    adjudicator=None,
-    sampling: str = "vectorized",
+    adjudicator: Optional[Adjudicator] = None,
     trace_path: Optional[str] = None,
     trace_cell: str = "",
     tracer: Optional[Tracer] = None,
@@ -135,9 +132,11 @@ def run_release_pair_simulation(
 ) -> SystemMetrics:
     """One Table-5/6 cell: a full event-driven run.
 
-    *sampling* picks the randomness strategy (see :data:`SAMPLING_MODES`);
-    ``vectorized`` and ``scalar`` are bit-identical by construction and
-    differ only in how fast the demand script is drawn.
+    The cell's randomness is pre-drawn as a demand script (see
+    :mod:`repro.runtime.sampling`) and resolved by
+    :func:`run_scripted_cell`.  Release 1 samples the first marginal of
+    *joint_model* and every later release the second, whenever the
+    middleware forces no outcomes on them.
 
     *backend* picks the demand-resolution strategy (see
     :data:`BACKENDS`).  ``columnar`` resolves the cell as array
@@ -166,10 +165,82 @@ def run_release_pair_simulation(
     Returns the reduced :class:`SystemMetrics` (Rel1 / Rel2 / System
     rows).
     """
-    if sampling not in SAMPLING_MODES:
-        raise ConfigurationError(
-            f"sampling must be one of {SAMPLING_MODES}: {sampling!r}"
-        )
+    profile = profile or paper_profile()
+    seeds = SeedSequenceFactory(seed)
+    releases = len(profile.release_latencies)
+    # Retry cells consume one script row per middleware attempt, so the
+    # script is over-provisioned; the scripted adapters tolerate
+    # leftover rows.
+    script = build_demand_script(
+        joint_model if releases >= 2 else None,
+        profile.demand_difficulty,
+        profile.release_latencies,
+        requests,
+        seeds,
+        draws=(
+            requests * (1 + retry.max_attempts)
+            if retry is not None
+            else None
+        ),
+    )
+    marginals = [joint_model.marginal_first()] + [
+        joint_model.marginal_second()
+    ] * (releases - 1)
+    return run_scripted_cell(
+        script,
+        seeds,
+        profile,
+        marginals,
+        timeout,
+        requests,
+        mode=mode,
+        adjudicator=adjudicator,
+        retry=retry,
+        backend=backend,
+        metrics=metrics,
+        trace_path=trace_path,
+        trace_cell=trace_cell,
+        tracer=tracer,
+    )
+
+
+def run_scripted_cell(
+    script: DemandScript,
+    seeds: SeedSequenceFactory,
+    profile: LatencyProfile,
+    marginals: Sequence[OutcomeDistribution],
+    timeout: float,
+    requests: int,
+    *,
+    mode: Optional[ModeConfig] = None,
+    adjudicator: Optional[Adjudicator] = None,
+    retry: Optional[RetryPolicy] = None,
+    backend: str = "event",
+    metrics: Optional[MetricsRegistry] = None,
+    trace_path: Optional[str] = None,
+    trace_cell: str = "",
+    tracer: Optional[Tracer] = None,
+) -> SystemMetrics:
+    """Resolve one scripted simulation cell on the chosen backend.
+
+    The one cell runner behind every Table-5/6 and 1-out-of-N cell.
+    *script* is the cell's pre-drawn randomness (drawn from *seeds*),
+    *profile* its latency laws (one T2 per release) and *marginals* the
+    outcome law each release samples when the middleware forces none.
+
+    The middleware forces outcomes only on two or more active releases,
+    so a lone release samples its own marginal on its endpoint stream
+    (``ep0``), one draw per invocation.  The columnar backend pre-draws
+    that stream as the cell's outcome codes, one per script row — retry
+    cells over-provision both alike.
+
+    ``backend="columnar"`` or ``"auto"`` first asks
+    :func:`repro.runtime.columnar.unsupported_reasons` whether the cell
+    is inside the columnar envelope; otherwise (or for ``"event"``) the
+    cell runs on the event kernel: one endpoint per release, the
+    monitor, the middleware (optionally behind a retry port) and a
+    streaming arrival source.
+    """
     if backend not in BACKENDS:
         raise ConfigurationError(
             f"backend must be one of {BACKENDS}: {backend!r}"
@@ -178,50 +249,38 @@ def run_release_pair_simulation(
         raise ConfigurationError(
             "pass trace_path or tracer, not both"
         )
-    profile = profile or paper_profile()
-    seeds = SeedSequenceFactory(seed)
-
-    script = None
-    if sampling != "live":
-        # Retry cells consume one script row per middleware attempt, so
-        # the script is over-provisioned; the scripted adapters tolerate
-        # leftover rows.
-        script = build_demand_script(
-            joint_model,
-            profile.demand_difficulty,
-            profile.release_latencies,
-            requests,
-            seeds,
-            vectorized=(sampling == "vectorized"),
-            draws=(
-                requests * (1 + retry.max_attempts)
-                if retry is not None
-                else None
-            ),
-        )
+    releases = len(profile.release_latencies)
+    release_names = [f"Web-Service 1.{index}" for index in range(releases)]
+    spacing = timeout + P.ADJUDICATION_DELAY + 0.5
 
     if backend != "event":
+        outcome_codes = None
+        if releases < 2:
+            # sample_many is bit-identical to the endpoint's scalar
+            # draws on the same stream.
+            outcome_codes = np.asarray(
+                marginals[0].sample_many(
+                    seeds.generator("ep0"), script.requests
+                ),
+                dtype=np.int64,
+            ).reshape(script.requests, 1)
         reasons = columnar.unsupported_reasons(
             script=script,
-            releases=len(profile.release_latencies),
             mode=mode,
             adjudicator=adjudicator,
             tracing=trace_path is not None or tracer is not None,
             retry=retry,
+            outcome_codes=outcome_codes,
         )
         if not reasons:
-            assert script is not None
             if metrics is not None:
                 metrics.counter("backend.columnar_cells").inc()
             return columnar.resolve_cell(
                 script,
-                release_names=[
-                    f"Web-Service 1.{index}"
-                    for index in range(len(profile.release_latencies))
-                ],
+                release_names=release_names,
                 timeout=timeout,
                 adjudication_delay=P.ADJUDICATION_DELAY,
-                spacing=timeout + P.ADJUDICATION_DELAY + 0.5,
+                spacing=spacing,
                 # The resolver mirrors the middleware's construction
                 # draw (it spawns the adjudication generator from the
                 # "middleware" stream) and, in random-order sequential
@@ -230,6 +289,7 @@ def run_release_pair_simulation(
                 requests=requests,
                 mode=mode,
                 retry=retry,
+                outcome_codes=outcome_codes,
             )
         if backend == "columnar":
             raise ConfigurationError(
@@ -250,17 +310,12 @@ def run_release_pair_simulation(
 
     endpoints = []
     for index, latency in enumerate(profile.release_latencies):
-        marginal = (
-            joint_model.marginal_first()
-            if index == 0
-            else joint_model.marginal_second()
-        )
         wsdl = default_wsdl("Web-Service", f"node-{index + 1}",
                             release=f"1.{index}")
-        if script is not None:
-            latency = script.release_latency(index, base=latency)
         behaviour = ReleaseBehaviour(
-            f"Web-Service 1.{index}", marginal, latency
+            release_names[index],
+            marginals[index],
+            script.release_latency(index, base=latency),
         )
         endpoints.append(
             ServiceEndpoint(wsdl, behaviour, seeds.generator(f"ep{index}"))
@@ -276,19 +331,12 @@ def run_release_pair_simulation(
         adjudicator=adjudicator or PaperRuleAdjudicator(),
         mode=mode or ModeConfig.max_reliability(),
         monitor=monitor,
-        joint_outcome_model=(
-            script.joint_model(base=joint_model)
-            if script is not None
-            else joint_model
-        ),
-        demand_difficulty=(
-            script.demand_difficulty(base=profile.demand_difficulty)
-            if script is not None
-            else profile.demand_difficulty
+        joint_outcome_model=script.joint_model(),
+        demand_difficulty=script.demand_difficulty(
+            base=profile.demand_difficulty
         ),
     )
 
-    spacing = timeout + P.ADJUDICATION_DELAY + 0.5
     sink: List[object] = []
     port = middleware if retry is None else RetryingPort(middleware, retry)
 
@@ -310,9 +358,7 @@ def run_release_pair_simulation(
         metrics.histogram("kernel.peak_heap").observe(
             simulator.peak_heap_size
         )
-    return metrics_from_log(
-        monitor.log, [endpoint.name for endpoint in endpoints]
-    )
+    return metrics_from_log(monitor.log, release_names)
 
 
 def metrics_from_log(
@@ -467,7 +513,6 @@ def run_joint_model_cell(
     requests: int,
     seed: int,
     profile: Optional[LatencyProfile],
-    sampling: str,
     trace_path: Optional[str] = None,
     trace_cell: str = "",
     metrics: Optional[MetricsRegistry] = None,
@@ -486,7 +531,6 @@ def run_joint_model_cell(
         requests=requests,
         seed=seed,
         profile=profile,
-        sampling=sampling,
         trace_path=trace_path,
         trace_cell=trace_cell,
         metrics=metrics,
@@ -516,11 +560,11 @@ def run_release_pair_batch(
 ) -> Optional[List[SimulationRunResult]]:
     """Resolve a fused group of Table-5/6 cells over one shared arena.
 
-    The batched grid path (``run_cells(batch=True)``) calls this with
-    the kwargs of every cell in a ``(fn, group)`` chunk.  The group key
+    :func:`~repro.runtime.parallel.run_cells` calls this with the
+    kwargs of every cell in a ``(fn, group)`` chunk.  The group key
     guarantees the cells share (joint family, requests, profile,
-    sampling, backend); this function still re-checks the columnar
-    envelope per cell — any member outside it declines the whole group
+    backend); this function still re-checks the columnar envelope per
+    cell — any member outside it declines the whole group
     (``backend.batched_fallback_cells``, reason-labelled), and the
     cells fall back to the ordinary per-cell path, whose own ``auto``
     logic then handles them correctly.
@@ -538,8 +582,6 @@ def run_release_pair_batch(
     count = len(kwargs_list)
     first = kwargs_list[0]
     for kw in kwargs_list:
-        if kw.get("sampling", "vectorized") != "vectorized":
-            return _batch_fallback(metrics, count, "live-sampling")
         if kw.get("trace_path") is not None:
             return _batch_fallback(metrics, count, "tracing")
         if kw.get("backend", "event") not in ("auto", "columnar"):
@@ -551,6 +593,10 @@ def run_release_pair_batch(
     profile = first.get("profile") or paper_profile()
     requests = int(first["requests"])
     releases = len(profile.release_latencies)
+    if releases < 2:
+        # A lone release samples its own marginal, not scripted outcome
+        # codes: the per-cell path pre-draws that marginal.
+        return _batch_fallback(metrics, count, "no-outcome-codes")
     joints = [joint_model(kw["joint"], kw["run"]) for kw in kwargs_list]
     seeds = [SeedSequenceFactory(kw["seed"]) for kw in kwargs_list]
     arena = build_demand_script_arena(
@@ -560,8 +606,6 @@ def run_release_pair_batch(
         requests,
         seeds,
     )
-    if arena.outcome_codes is None:
-        return _batch_fallback(metrics, count, "no-outcome-codes")
     timeouts = [float(kw["timeout"]) for kw in kwargs_list]
     rows = columnar.resolve_cell_batch(
         arena,
@@ -579,9 +623,8 @@ def run_release_pair_batch(
         requests=requests,
     )
     if metrics is not None:
-        # Fused cells are columnar cells: the per-backend counter keeps
-        # its meaning (and the CI fallback budget its denominator)
-        # whether or not fusion was on.
+        # Fused cells are columnar cells: the per-backend counter counts
+        # them (and gives the CI fallback budget its denominator).
         metrics.counter("backend.columnar_cells").inc(count)
         metrics.counter("backend.batched_cells").inc(count)
     return [
@@ -598,13 +641,11 @@ def release_pair_cells(
     timeouts: Sequence[float] = P.TIMEOUTS,
     runs: Sequence[int] = (1, 2, 3, 4),
     profile: Optional[LatencyProfile] = None,
-    sampling: str = "vectorized",
     jobs: int = 1,
     trace_dir: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
     trace_prefix: Optional[str] = None,
     backend: str = "event",
-    batch: bool = True,
 ) -> List[CellSpec]:
     """Build the Table-5/6 grid as pipeline cells.
 
@@ -629,15 +670,13 @@ def release_pair_cells(
     the inline ``jobs=1`` path — worker-process registries cannot
     report back to the parent.
 
-    With *batch* (the default), columnar-eligible cells — untraced,
-    vectorized sampling, ``auto``/``columnar`` backend — carry a
-    :class:`~repro.runtime.parallel.BatchSpec` grouping them by
+    Columnar-eligible cells — untraced, ``auto``/``columnar`` backend —
+    carry a :class:`~repro.runtime.parallel.BatchSpec` grouping them by
     everything a fused arena must share (experiment, joint family,
-    requests, profile, sampling, backend), so ``run_cells(batch=True)``
-    draws each group into one script arena and resolves it with the
-    release-major kernel via :func:`run_release_pair_batch`.
-    ``batch=False`` (the CLI's ``--no-batch``) pins every cell to the
-    per-cell path.
+    requests, profile, backend), so ``run_cells`` draws each group into
+    one script arena and resolves it with the release-major kernel via
+    :func:`run_release_pair_batch`.  Event-backend and traced cells take
+    the per-cell path.
     """
     if backend not in BACKENDS:
         raise ConfigurationError(
@@ -660,12 +699,7 @@ def release_pair_cells(
                 else backend
             )
             batch_spec = None
-            if (
-                batch
-                and trace_path is None
-                and sampling == "vectorized"
-                and cell_backend in ("auto", "columnar")
-            ):
+            if trace_path is None and cell_backend in ("auto", "columnar"):
                 batch_spec = BatchSpec(
                     fn=run_release_pair_batch,
                     group=(
@@ -674,7 +708,6 @@ def release_pair_cells(
                         joint,
                         requests,
                         repr(profile) if profile else "paper",
-                        sampling,
                         cell_backend,
                     ),
                 )
@@ -689,7 +722,6 @@ def release_pair_cells(
                         requests=requests,
                         seed=cell_seed,
                         profile=profile,
-                        sampling=sampling,
                         trace_path=trace_path,
                         trace_cell=f"{prefix}/run{run}/t{timeout}",
                         metrics=metrics if jobs == 1 else None,
@@ -704,7 +736,6 @@ def release_pair_cells(
                         requests=requests,
                         seed=cell_seed,
                         profile=repr(profile) if profile else "paper",
-                        sampling=sampling,
                         backend=cell_backend,
                     ),
                     batch=batch_spec,

@@ -187,6 +187,6 @@ FIDELITY_SPEC = register(ExperimentSpec(
     workload_key="requests",
     cache_schema=(
         "joint", "run", "timeout", "requests", "seed", "profile",
-        "sampling", "backend",
+        "backend",
     ),
 ))

@@ -19,39 +19,24 @@ what each extra release buys:
 from dataclasses import dataclass
 from typing import Any, List, Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro.common.errors import ConfigurationError
 from repro.common.seeding import SeedSequenceFactory
 from repro.common.tables import render_table
-from repro.core.adjudicators import PaperRuleAdjudicator
-from repro.core.middleware import UpgradeMiddleware
 from repro.core.modes import ModeConfig
-from repro.core.monitor import MonitoringSubsystem
 from repro.experiments import paper_params as P
 from repro.experiments.event_sim import (
-    BACKENDS,
-    SAMPLING_MODES,
     LatencyProfile,
     calibrated_profile,
-    metrics_from_log,
+    run_scripted_cell,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.runtime import columnar
 from repro.experiments.paper_params import DEFAULT_SEED
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import ExperimentOptions, ExperimentSpec, register
 from repro.runtime.cache import ResultCache
 from repro.runtime.parallel import CellSpec, run_cells
 from repro.runtime.sampling import build_demand_script
-from repro.services.endpoint import ServiceEndpoint
-from repro.services.message import RequestMessage
-from repro.services.wsdl import default_wsdl
 from repro.simulation.correlation import ChainedOutcomeModel
-from repro.simulation.engine import Simulator
 from repro.simulation.metrics import SystemMetrics
-from repro.simulation.release_model import ReleaseBehaviour
-from repro.simulation.timing import SystemTimingPolicy
-from repro.simulation.workload import StreamingArrivalSource
 
 
 def chained_model(run: int = 1) -> ChainedOutcomeModel:
@@ -71,154 +56,47 @@ def run_n_release_simulation(
     seed: int = DEFAULT_SEED,
     run: int = 1,
     profile: Optional[LatencyProfile] = None,
-    sampling: str = "vectorized",
     mode: Optional[ModeConfig] = None,
     backend: str = "event",
     metrics: Optional[MetricsRegistry] = None,
 ) -> SystemMetrics:
     """One 1-out-of-N cell through the full event-driven stack.
 
-    *sampling* picks the randomness strategy exactly as in
-    :func:`~repro.experiments.event_sim.run_release_pair_simulation`; the
-    chained outcome tuples, shared T1 and per-release T2 values are
-    pre-drawn in numpy blocks on the ``vectorized`` path.
-
-    *mode* selects the §4.2 operating mode (default max-reliability) and
-    *backend* the demand-resolution strategy, exactly as in the
-    release-pair runner: the columnar backend resolves N-release cells
-    bit-identically to the event kernel.  A single-release cell has no
-    joint model — its endpoint samples its own marginal — so the
-    columnar path pre-draws that marginal's stream as the outcome-code
-    override.
+    Builds the chained outcome model of *run* and an N-release profile
+    (the profile's first release latency law for every release), draws
+    the cell's demand script and hands both to
+    :func:`~repro.experiments.event_sim.run_scripted_cell`, which
+    resolves it exactly as a Table-5/6 cell: *mode* selects the §4.2
+    operating mode (default max-reliability) and *backend* the
+    demand-resolution strategy.
     """
     if n_releases < 1:
         raise ConfigurationError(f"n_releases must be >= 1: {n_releases!r}")
-    if sampling not in SAMPLING_MODES:
-        raise ConfigurationError(
-            f"sampling must be one of {SAMPLING_MODES}: {sampling!r}"
-        )
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"backend must be one of {BACKENDS}: {backend!r}"
-        )
-    profile = profile or calibrated_profile()
+    base = profile or calibrated_profile()
+    profile = LatencyProfile(
+        name=base.name,
+        demand_difficulty=base.demand_difficulty,
+        release_latencies=[base.release_latencies[0]] * n_releases,
+    )
     model = chained_model(run)
     seeds = SeedSequenceFactory(seed)
-    simulator = Simulator()
-
-    # Reuse the profile's per-release latency template for every release.
-    latency_template = profile.release_latencies[0]
-    script = None
-    if sampling != "live":
-        script = build_demand_script(
-            model if n_releases >= 2 else None,
-            profile.demand_difficulty,
-            [latency_template] * n_releases,
-            requests,
-            seeds,
-            vectorized=(sampling == "vectorized"),
-        )
-
-    if backend != "event":
-        outcome_codes = None
-        if script is not None and script.outcome_codes is None:
-            # No joint model (n_releases == 1): the endpoint samples its
-            # own marginal live, one draw per demand, from the "ep0"
-            # stream.  Pre-draw the same stream as the code override —
-            # sample_many is bit-identical to the scalar draws.
-            outcome_codes = np.asarray(
-                model.marginal_nth(0).sample_many(
-                    seeds.generator("ep0"), requests
-                ),
-                dtype=np.int64,
-            ).reshape(requests, 1)
-        reasons = columnar.unsupported_reasons(
-            script=script,
-            releases=n_releases,
-            mode=mode,
-            outcome_codes=outcome_codes,
-        )
-        if not reasons:
-            assert script is not None
-            if metrics is not None:
-                metrics.counter("backend.columnar_cells").inc()
-            return columnar.resolve_cell(
-                script,
-                release_names=[
-                    f"Web-Service 1.{index}" for index in range(n_releases)
-                ],
-                timeout=timeout,
-                adjudication_delay=P.ADJUDICATION_DELAY,
-                spacing=timeout + P.ADJUDICATION_DELAY + 0.5,
-                middleware_rng=seeds.generator("middleware"),
-                requests=requests,
-                mode=mode,
-                outcome_codes=outcome_codes,
-            )
-        if backend == "columnar":
-            raise ConfigurationError(
-                "backend 'columnar' cannot resolve this cell: "
-                + "; ".join(message for _slug, message in reasons)
-            )
-        if metrics is not None:
-            metrics.counter("backend.fallback_cells").inc()
-            for slug, _message in reasons:
-                metrics.counter(f"backend.fallback_reason.{slug}").inc()
-
-    endpoints: List[ServiceEndpoint] = []
-    for index in range(n_releases):
-        latency = (
-            script.release_latency(index, base=latency_template)
-            if script is not None
-            else latency_template
-        )
-        endpoints.append(
-            ServiceEndpoint(
-                default_wsdl("Web-Service", f"node-{index + 1}",
-                             release=f"1.{index}"),
-                ReleaseBehaviour(
-                    f"Web-Service 1.{index}",
-                    model.marginal_nth(index),
-                    latency,
-                ),
-                seeds.generator(f"ep{index}"),
-            )
-        )
-
-    base_joint = model if n_releases >= 2 else None
-    monitor = MonitoringSubsystem(seeds.generator("monitor"))
-    middleware = UpgradeMiddleware(
-        endpoints=endpoints,
-        timing=SystemTimingPolicy(
-            timeout=timeout, adjudication_delay=P.ADJUDICATION_DELAY
-        ),
-        rng=seeds.generator("middleware"),
-        adjudicator=PaperRuleAdjudicator(),
-        mode=mode or ModeConfig.max_reliability(),
-        monitor=monitor,
-        joint_outcome_model=(
-            script.joint_model(base=base_joint)
-            if script is not None and base_joint is not None
-            else base_joint
-        ),
-        demand_difficulty=(
-            script.demand_difficulty(base=profile.demand_difficulty)
-            if script is not None
-            else profile.demand_difficulty
-        ),
+    script = build_demand_script(
+        model if n_releases >= 2 else None,
+        profile.demand_difficulty,
+        profile.release_latencies,
+        requests,
+        seeds,
     )
-    spacing = timeout + P.ADJUDICATION_DELAY + 0.5
-
-    def submit(i: int) -> None:
-        request = RequestMessage("operation1", arguments=(i,))
-        middleware.submit(
-            simulator, request, lambda resp: None, reference_answer=i
-        )
-
-    StreamingArrivalSource(simulator, requests, spacing, submit).start()
-    simulator.run()
-    return metrics_from_log(
-        monitor.log, [endpoint.name for endpoint in endpoints]
+    return run_scripted_cell(
+        script,
+        seeds,
+        profile,
+        [model.marginal_nth(index) for index in range(n_releases)],
+        timeout,
+        requests,
+        mode=mode,
+        backend=backend,
+        metrics=metrics,
     )
 
 
@@ -254,7 +132,6 @@ def sweep_cells(
     requests: int = 5_000,
     seed: int = DEFAULT_SEED,
     run: int = 1,
-    sampling: str = "vectorized",
     backend: str = "event",
     jobs: int = 1,
     metrics: Optional[MetricsRegistry] = None,
@@ -279,7 +156,6 @@ def sweep_cells(
                     requests=requests,
                     seed=cell_seed,
                     run=run,
-                    sampling=sampling,
                     backend=backend,
                     metrics=metrics if jobs == 1 else None,
                 ),
@@ -289,7 +165,6 @@ def sweep_cells(
                     requests=requests,
                     seed=cell_seed,
                     run=run,
-                    sampling=sampling,
                     backend=backend,
                 ),
             )
@@ -305,7 +180,6 @@ def run_sweep(
     run: int = 1,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    sampling: str = "vectorized",
     backend: str = "event",
     metrics: Optional[MetricsRegistry] = None,
 ) -> MultiReleaseSweep:
@@ -316,7 +190,6 @@ def run_sweep(
         requests=requests,
         seed=seed,
         run=run,
-        sampling=sampling,
         backend=backend,
         jobs=jobs,
         metrics=metrics,
@@ -357,7 +230,6 @@ MULTI_RELEASE_SPEC = register(ExperimentSpec(
     fast_sizes={"requests": 1_500},
     workload_key="requests",
     cache_schema=(
-        "n_releases", "timeout", "requests", "seed", "run", "sampling",
-        "backend",
+        "n_releases", "timeout", "requests", "seed", "run", "backend",
     ),
 ))

@@ -40,11 +40,9 @@ def run_table5(
     profile: Optional[LatencyProfile] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    sampling: str = "vectorized",
     trace_dir: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
     backend: str = "event",
-    batch: bool = True,
 ) -> SimulationTable:
     """Run the Table 5 grid (correlated releases) programmatically.
 
@@ -62,16 +60,12 @@ def run_table5(
         timeouts=timeouts,
         runs=runs,
         profile=profile,
-        sampling=sampling,
         jobs=jobs,
         trace_dir=trace_dir,
         metrics=metrics,
         backend=backend,
-        batch=batch,
     )
-    results = run_cells(
-        cells, jobs=jobs, cache=cache, metrics=metrics, batch=batch
-    )
+    results = run_cells(cells, jobs=jobs, cache=cache, metrics=metrics)
     return SimulationTable(label=TABLE5_LABEL, results=results)
 
 
@@ -112,6 +106,6 @@ TABLE5_SPEC = register(ExperimentSpec(
     workload_key="requests",
     cache_schema=(
         "joint", "run", "timeout", "requests", "seed", "profile",
-        "sampling", "backend",
+        "backend",
     ),
 ))

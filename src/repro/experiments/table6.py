@@ -38,11 +38,9 @@ def run_table6(
     profile: Optional[LatencyProfile] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    sampling: str = "vectorized",
     trace_dir: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
     backend: str = "event",
-    batch: bool = True,
 ) -> SimulationTable:
     """Run the Table 6 grid (independent releases) programmatically.
 
@@ -59,16 +57,12 @@ def run_table6(
         timeouts=timeouts,
         runs=runs,
         profile=profile,
-        sampling=sampling,
         jobs=jobs,
         trace_dir=trace_dir,
         metrics=metrics,
         backend=backend,
-        batch=batch,
     )
-    results = run_cells(
-        cells, jobs=jobs, cache=cache, metrics=metrics, batch=batch
-    )
+    results = run_cells(cells, jobs=jobs, cache=cache, metrics=metrics)
     return SimulationTable(label=TABLE6_LABEL, results=results)
 
 
@@ -109,6 +103,6 @@ TABLE6_SPEC = register(ExperimentSpec(
     workload_key="requests",
     cache_schema=(
         "joint", "run", "timeout", "requests", "seed", "profile",
-        "sampling", "backend",
+        "backend",
     ),
 ))

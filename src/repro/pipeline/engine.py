@@ -104,7 +104,6 @@ def run_experiment(
             cache=cache,
             metrics=options.metrics,
             store=store,
-            batch=options.batch,
         )
         value = spec.reduce(results, options)
         cell_count = len(cells)

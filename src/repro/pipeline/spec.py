@@ -62,7 +62,7 @@ class ExperimentOptions:
     as array programs — bit-identical across all four §4.2 operating
     modes, any release count and retry — and ``auto``, the default,
     picks columnar everywhere except the genuinely event-only cases:
-    tracing, live sampling and non-paper adjudicators; see
+    tracing and non-paper adjudicators; see
     :mod:`repro.runtime.columnar`).  Grids whose cells take a backend
     carry it in their cache keys, so the two paths never alias.
 
@@ -71,13 +71,11 @@ class ExperimentOptions:
     append-only log as they finish and already-committed cells are
     replayed from it, which is what makes interrupted grids resumable.
 
-    ``batch`` (the CLI's ``--batch``/``--no-batch``, default on) lets
-    the engine fuse cells that declare a
-    :class:`~repro.runtime.parallel.BatchSpec` into group executions
-    — one shared demand-script arena resolved by the release-major
-    kernel and one fsync'd store commit per group — bit-identical to the
-    per-cell path; ``batch=False`` pins every cell to the per-cell
-    path.
+    The engine always fuses cells that declare a
+    :class:`~repro.runtime.parallel.BatchSpec` into group executions —
+    one shared demand-script arena resolved by the release-major kernel
+    and one fsync'd store commit per group — bit-identical to running
+    each cell alone.
     """
 
     seed: int
@@ -91,7 +89,6 @@ class ExperimentOptions:
     output: Optional[str] = None
     backend: str = "auto"
     store: Optional[RunStore] = None
-    batch: bool = True
 
     def trace_path(self, filename: str) -> Optional[str]:
         """Per-cell trace file path, or ``None`` when tracing is off."""

@@ -63,9 +63,9 @@ most :data:`KERNEL_BLOCK_ROWS` demand rows, which keeps every
 temporary in cache.  Sequential and retry cells are replayed per cell.
 
 The *envelope* in which this equivalence is proven is wide but not
-universal: a pre-drawn script (not live sampling), the paper-rule
-adjudicator, no tracing (traces are an event-loop artifact), and retry
-only under max-reliability.  :func:`unsupported_reasons` is the single
+universal: a script with outcome codes, the paper-rule adjudicator, no
+tracing (traces are an event-loop artifact), and retry only under
+max-reliability.  :func:`unsupported_reasons` is the single
 authority on that envelope — ``backend="auto"`` asks it whether
 columnar applies and falls back to the event kernel otherwise,
 counting each reason under ``backend.fallback_reason.<slug>``.
@@ -117,7 +117,6 @@ KERNEL_BLOCK_ROWS = 1 << 14
 #: tuple literal so the analyzer can read it from the AST.
 FALLBACK_SLUGS: Tuple[str, ...] = (
     "adjudicator",
-    "live-sampling",
     "no-outcome-codes",
     "retry-mode",
     "tracing",
@@ -126,8 +125,7 @@ FALLBACK_SLUGS: Tuple[str, ...] = (
 
 def unsupported_reasons(
     *,
-    script: Optional[DemandScript],
-    releases: int,
+    script: DemandScript,
     mode: Optional[ModeConfig] = None,
     adjudicator: Optional[Adjudicator] = None,
     tracing: bool = False,
@@ -142,22 +140,13 @@ def unsupported_reasons(
     ``backend="auto"`` falls back to the event kernel and counts each
     slug under the ``backend.fallback_reason.<slug>`` metric (plus the
     aggregate ``backend.fallback_cells``).
-
-    *releases* is accepted for interface stability; any release count
-    with a matching script resolves columnar since the N-release
-    generalisation.
     """
-    del releases  # any N resolves; kept for caller-signature stability
     reasons: List[Tuple[str, str]] = []
     if tracing:
         reasons.append(
             ("tracing", "tracing requested (traces are an event-loop artifact)")
         )
-    if script is None:
-        reasons.append(
-            ("live-sampling", "no demand script (live sampling resolves per event)")
-        )
-    elif script.outcome_codes is None and outcome_codes is None:
+    if script.outcome_codes is None and outcome_codes is None:
         reasons.append(
             (
                 "no-outcome-codes",
@@ -183,33 +172,6 @@ def unsupported_reasons(
                 )
             )
     return reasons
-
-
-def unsupported_reason(
-    *,
-    script: Optional[DemandScript],
-    releases: int,
-    mode: Optional[ModeConfig] = None,
-    adjudicator: Optional[Adjudicator] = None,
-    tracing: bool = False,
-    retry: Optional[object] = None,
-    outcome_codes: Optional[np.ndarray] = None,
-) -> Optional[str]:
-    """First applicable envelope violation, or None if inside.
-
-    Back-compat shim over :func:`unsupported_reasons` — use that to see
-    *every* applicable reason.
-    """
-    reasons = unsupported_reasons(
-        script=script,
-        releases=releases,
-        mode=mode,
-        adjudicator=adjudicator,
-        tracing=tracing,
-        retry=retry,
-        outcome_codes=outcome_codes,
-    )
-    return reasons[0][1] if reasons else None
 
 
 def resolve_cell(
@@ -875,25 +837,12 @@ def _resolve_retry(
     rel_miss = [0] * k
     sys_codes: List[int] = []
     sys_times: List[float] = []
-    if attempt_timeout is None and k == 2:
-        # Without an attempt timeout only one attempt per demand is ever
-        # in flight (retries launch strictly after the previous
-        # attempt's delivery), so the supersession machinery is dead
-        # weight — the release-pair replay drops it and unrolls the
-        # two-release inner loops.
-        sys_miss = _replay_retry_pair(
-            exec_lists, fin_lists, codes, rows_available, n, timeout,
-            adjudication_delay, spacing, backoff, max_attempts,
-            adjudication_rng, rel_codes, rel_times, rel_miss,
-            sys_codes, sys_times,
-        )
-    else:
-        sys_miss = _replay_retry_general(
-            exec_lists, fin_lists, sched_list, codes_list,
-            rows_available, n, k, timeout, adjudication_delay, spacing,
-            backoff, max_attempts, attempt_timeout, adjudication_rng,
-            rel_codes, rel_times, rel_miss, sys_codes, sys_times,
-        )
+    sys_miss = _replay_retry_general(
+        exec_lists, fin_lists, sched_list, codes_list,
+        rows_available, n, k, timeout, adjudication_delay, spacing,
+        backoff, max_attempts, attempt_timeout, adjudication_rng,
+        rel_codes, rel_times, rel_miss, sys_codes, sys_times,
+    )
 
     release_rows = [
         ReleaseMetrics.from_arrays(
@@ -1084,184 +1033,4 @@ def _replay_retry_general(
             demand_idx = len(demands)
             demands.append((request, attempt_no, time, coll, row))
             heappush(heap, (close_time, close_seq, _EVT_CLOSE, demand_idx, 0, 0))
-    return sys_miss
-
-
-def _replay_retry_pair(
-    exec_lists: List[List[float]],
-    fin_lists: List[List[bool]],
-    codes: np.ndarray,
-    rows_available: int,
-    n: int,
-    timeout: float,
-    adjudication_delay: float,
-    spacing: float,
-    backoff: float,
-    max_attempts: int,
-    adjudication_rng: np.random.Generator,
-    rel_codes: List[List[int]],
-    rel_times: List[List[float]],
-    rel_miss: List[int],
-    sys_codes: List[int],
-    sys_times: List[float],
-) -> int:
-    """Release-pair retry replay, no attempt timeout (the common cell).
-
-    Identical event/sequence semantics to :func:`_replay_retry_general`
-    — the same heap entries with the same sequence numbers in the same
-    order — minus the machinery that cannot fire here: with no attempt
-    timeout exactly one attempt per demand is in flight, so deliveries
-    are never superseded and the per-request state shrinks to the
-    attempt number carried in the event payload.  The two-release inner
-    loops are unrolled.  Mutates the metric accumulators in place and
-    returns the system no-response count.
-    """
-    ex0, ex1 = exec_lists
-    fin0, fin1 = fin_lists
-    c0 = codes[:rows_available, 0].tolist()
-    c1 = codes[:rows_available, 1].tolist()
-    rc0 = rel_codes[0].append
-    rt0 = rel_times[0].append
-    rc1 = rel_codes[1].append
-    rt1 = rel_times[1].append
-    sc = sys_codes.append
-    stm = sys_times.append
-
-    heap: List[Tuple[float, int, int, int, int, int]] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    alloc = 0
-    cursor = 0
-    demands: List[Tuple[int, int, float, List[Tuple[float, int, int]], int]] = []
-    sys_miss = 0
-
-    heappush(heap, (0.0 + 0 * spacing, alloc, _EVT_ARRIVAL, 0, 1, 0))
-    alloc += 1
-    while heap:
-        time, _seq, kind, a, b, c = heappop(heap)
-        if kind == _EVT_CLOSE:
-            request, attempt_no, start, coll, row = demands[a]
-            ncoll = len(coll)
-            code0 = c0[row]
-            code1 = c1[row]
-            if ncoll == 2:
-                e0, e1 = coll
-                rc0(code0)
-                rt0(e0[0] - start)
-                rc1(code1)
-                rt1(e1[0] - start)
-                v0 = code0 != CODE_EVIDENT
-                v1 = code1 != CODE_EVIDENT
-                if v0 and v1:
-                    # Valid codes follow arrival order (sequence breaks
-                    # ties toward release 0, which was scheduled first).
-                    if e1 < e0:
-                        first, second = code1, code0
-                    else:
-                        first, second = code0, code1
-                    if (first == CODE_CORRECT and second == CODE_NEF) or (
-                        first == CODE_NEF and second == CODE_CORRECT
-                    ):
-                        draw = int(adjudication_rng.integers(2))
-                        sc(second if draw else first)
-                    else:
-                        sc(first)
-                    fault = 0
-                elif v0:
-                    sc(code0)
-                    fault = 0
-                elif v1:
-                    sc(code1)
-                    fault = 0
-                else:
-                    sc(CODE_EVIDENT)
-                    fault = 1
-            elif ncoll == 1:
-                arr, _s, j = coll[0]
-                if j:
-                    rc1(code1)
-                    rt1(arr - start)
-                    rel_miss[0] += 1
-                    codej = code1
-                else:
-                    rc0(code0)
-                    rt0(arr - start)
-                    rel_miss[1] += 1
-                    codej = code0
-                if codej != CODE_EVIDENT:
-                    sc(codej)
-                    fault = 0
-                else:
-                    sc(CODE_EVIDENT)
-                    fault = 1
-            else:
-                rel_miss[0] += 1
-                rel_miss[1] += 1
-                sys_miss += 1
-                fault = 1
-            delta = time - start
-            stm(
-                (delta if delta < timeout else timeout)
-                + adjudication_delay
-            )
-            heappush(heap, (
-                time + adjudication_delay, alloc, _EVT_DELIVERY,
-                request, attempt_no, fault,
-            ))
-            alloc += 1
-        elif kind == _EVT_DELIVERY:
-            # c is the fault flag, b the attempt number; with no attempt
-            # timeout this delivery always belongs to the live attempt.
-            if c and b < max_attempts:
-                heappush(heap, (
-                    time + backoff, alloc, _EVT_ATTEMPT_START, a, b + 1, 0,
-                ))
-                alloc += 1
-        else:  # _EVT_ARRIVAL or _EVT_ATTEMPT_START
-            request = a
-            if kind == _EVT_ARRIVAL:
-                # The arrival source chains the next arrival before
-                # submitting (lower sequence), then the retry port
-                # starts attempt 1 inline.
-                if request + 1 < n:
-                    heappush(heap, (
-                        0.0 + (request + 1) * spacing, alloc,
-                        _EVT_ARRIVAL, request + 1, 1, 0,
-                    ))
-                    alloc += 1
-            row = cursor
-            cursor += 1
-            if row >= rows_available:
-                raise SimulationError(
-                    f"retry demand script exhausted: demand start {row} "
-                    f"of {rows_available} scripted rows"
-                )
-            # Sequence allocation mirrors the kernel's per-attempt
-            # schedule order: demand timeout, then one response per
-            # finite execution time, in release order.
-            timeout_seq = alloc
-            alloc += 1
-            cutoff = time + timeout
-            coll = []
-            if fin0[row]:
-                arr = time + ex0[row]
-                response_seq = alloc
-                alloc += 1
-                if arr < cutoff:
-                    coll.append((arr, response_seq, 0))
-            if fin1[row]:
-                arr = time + ex1[row]
-                response_seq = alloc
-                alloc += 1
-                if arr < cutoff:
-                    coll.append((arr, response_seq, 1))
-            if len(coll) == 2:
-                e0, e1 = coll
-                close_time, close_seq, _j = e1 if e0 < e1 else e0
-            else:
-                close_time, close_seq = cutoff, timeout_seq
-            heappush(heap, (
-                close_time, close_seq, _EVT_CLOSE, len(demands), 0, 0,
-            ))
-            demands.append((request, b, time, coll, row))
     return sys_miss

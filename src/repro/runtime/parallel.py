@@ -116,8 +116,8 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 #: cells sit well under this; event-kernel cells sit well over it.
 INLINE_CELL_THRESHOLD_SECONDS = 0.05
 
-#: Default ceiling on cells fused into one batched execution (and hence
-#: one store commit).  Bounds both the script arena (a chunk of C cells
+#: Ceiling on cells fused into one batched execution (and hence one
+#: store commit).  Bounds both the script arena (a chunk of C cells
 #: holds C×rows×(2×releases+1) float64/int64 values: T1, one T2 slab
 #: per release and the outcome-code block) and the resume grain: a
 #: killed run loses at most one chunk's worth of work.  The resolver's
@@ -130,9 +130,7 @@ INLINE_CELL_THRESHOLD_SECONDS = 0.05
 BATCH_MAX_CELLS = 64
 
 
-def _batch_chunk_limit(batch_limit: Optional[int]) -> int:
-    if batch_limit is not None:
-        return max(1, int(batch_limit))
+def _batch_chunk_limit() -> int:
     env = os.environ.get("REPRO_BATCH_MAX_CELLS")
     if not env:
         return BATCH_MAX_CELLS
@@ -178,7 +176,6 @@ def _run_batched(
     cache: Optional[ResultCache],
     metrics: Optional[MetricsRegistry],
     store: Optional[RunStore],
-    batch_limit: Optional[int],
 ) -> List[int]:
     """Execute fusable cells group by group; return the remaining todo.
 
@@ -203,7 +200,7 @@ def _run_batched(
             groups.setdefault((batch.fn, batch.group), []).append(index)
     if not groups:
         return todo
-    limit = _batch_chunk_limit(batch_limit)
+    limit = _batch_chunk_limit()
     done: set = set()
     for (fn, _group), members in groups.items():
         for start in range(0, len(members), limit):
@@ -261,8 +258,6 @@ def run_cells(
     metrics: Optional[MetricsRegistry] = None,
     inline_threshold: Optional[float] = None,
     store: Optional[RunStore] = None,
-    batch: bool = True,
-    batch_limit: Optional[int] = None,
 ) -> List[Any]:
     """Execute *cells*, returning their results in cell order.
 
@@ -298,16 +293,16 @@ def run_cells(
     its result lands, not at batch end, so interrupting the batch after
     k cells loses at most the in-flight cell.
 
-    With ``batch=True`` (the default), cells carrying a
-    :class:`BatchSpec` are fused into grouped executions first — one
-    batched call per ``(fn, group)`` chunk of at most
-    :data:`BATCH_MAX_CELLS` cells (*batch_limit* or
-    ``REPRO_BATCH_MAX_CELLS`` overrides), with one cache write-back and
-    one fsync'd store commit per chunk.  The durability grain coarsens
-    from one cell to one chunk; chunk membership is deterministic, so a
-    resumed run finds its completed chunks in the log
-    (``store.batch_resume_skipped_cells``).  ``batch=False`` (the CLI's
-    ``--no-batch``) forces every cell down the per-cell path.
+    Cells carrying a :class:`BatchSpec` are fused into grouped
+    executions first — one batched call per ``(fn, group)`` chunk of at
+    most :data:`BATCH_MAX_CELLS` cells (``REPRO_BATCH_MAX_CELLS``
+    overrides), with one cache write-back and one fsync'd store commit
+    per chunk.  For those cells the durability grain coarsens from one
+    cell to one chunk; chunk membership is deterministic, so a resumed
+    run finds its completed chunks in the log
+    (``store.batch_resume_skipped_cells``).  Cells without a
+    :class:`BatchSpec`, and the cells of a declined group, take the
+    per-cell path.
     """
     jobs = resolve_jobs(jobs)
     results: List[Any] = [None] * len(cells)
@@ -332,15 +327,12 @@ def run_cells(
     if metrics is not None and resumed:
         metrics.counter("store.resume_skipped_cells").inc(resumed)
 
-    if batch and todo:
-        # Batched pass first: fusable cells run as fused groups (one
-        # arena, one resolver call, one fsync'd store commit per chunk)
-        # in the parent process — no pool dispatch, no pickling.
-        # Whatever the pass declines (no BatchSpec, or the batch
-        # function fell back) continues below on the per-cell path.
-        todo = _run_batched(
-            cells, todo, results, cache, metrics, store, batch_limit
-        )
+    # Batched pass first: fusable cells run as fused groups (one arena,
+    # one resolver call, one fsync'd store commit per chunk) in the
+    # parent process — no pool dispatch, no pickling.  Whatever the pass
+    # declines (no BatchSpec, or the batch function fell back) continues
+    # below on the per-cell path.
+    todo = _run_batched(cells, todo, results, cache, metrics, store)
 
     execute: Callable[[CellSpec], Any] = (
         _execute_cell_timed if metrics is not None else _execute_cell

@@ -11,9 +11,9 @@ interfaces, so the middleware and endpoints are untouched.
 
 Stream-order preservation: every block draw is bit-identical to the
 scalar reference draws on the same named stream (see the
-``sample_many`` / ``sample_many_scalar`` contracts), so a cell sampled
-with ``vectorized=False`` reproduces the vectorised cell exactly —
-asserted by the determinism tests.
+``sample_many`` / ``sample_many_scalar`` contracts), so a script equals
+the one the scalar reference methods would draw value by value —
+asserted by the sampling tests.
 
 Streams are derived per leg from the cell's
 :class:`~repro.common.seeding.SeedSequenceFactory`:
@@ -364,8 +364,7 @@ def build_demand_script_arena(
             model = joint_models[c]
             assert model is not None
             codes[c] = _outcome_matrix(
-                model, factory.generator("script/outcomes"),
-                rows, releases, True,
+                model, factory.generator("script/outcomes"), rows, releases,
             )
         t1[c] = demand_difficulty.sample_many(
             factory.generator("script/t1"), rows
@@ -382,7 +381,6 @@ def _outcome_matrix(
     rng: np.random.Generator,
     requests: int,
     releases: int,
-    vectorized: bool,
 ) -> np.ndarray:
     """Draw the per-demand outcome codes for *releases* releases.
 
@@ -393,12 +391,7 @@ def _outcome_matrix(
     actually runs.
     """
     if releases == 2:
-        if vectorized:
-            first_idx, second_idx = joint_model.sample_pairs(rng, requests)
-        else:
-            first_idx, second_idx = joint_model.sample_pairs_scalar(
-                rng, requests
-            )
+        first_idx, second_idx = joint_model.sample_pairs(rng, requests)
         codes = np.stack(
             [
                 np.asarray(first_idx, dtype=np.int64),
@@ -407,10 +400,7 @@ def _outcome_matrix(
             axis=1,
         )
     elif isinstance(joint_model, ChainedOutcomeModel):
-        if vectorized:
-            chain = joint_model.sample_chain(rng, requests, releases)
-        else:
-            chain = joint_model.sample_chain_scalar(rng, requests, releases)
+        chain = joint_model.sample_chain(rng, requests, releases)
         codes = np.asarray(chain, dtype=np.int64).reshape(requests, releases)
     else:
         raise ValidationError(
@@ -425,15 +415,13 @@ def build_demand_script(
     release_latencies: Sequence[Distribution],
     requests: int,
     seeds: SeedSequenceFactory,
-    vectorized: bool = True,
     draws: Optional[int] = None,
 ) -> DemandScript:
     """Pre-draw one cell's randomness from the factory's script streams.
 
-    With ``vectorized=True`` (the default) each leg is drawn as one numpy
-    block; ``vectorized=False`` draws the same streams one value at a
-    time — bit-identical by the ``sample_many`` contracts, and ~20x
-    slower, existing only to prove that equivalence in tests.
+    Each leg is drawn as one numpy block, bit-identical to the scalar
+    reference draws (``*_scalar``) on the same stream by the
+    ``sample_many`` contracts.
 
     *draws* over-provisions the script beyond *requests* rows (retry
     cells consume one row per middleware attempt, up to
@@ -456,20 +444,12 @@ def build_demand_script(
             seeds.generator("script/outcomes"),
             requests,
             releases,
-            vectorized,
         )
-    t1_rng = seeds.generator("script/t1")
-    if vectorized:
-        t1 = demand_difficulty.sample_many(t1_rng, requests)
-    else:
-        t1 = demand_difficulty.sample_many_scalar(t1_rng, requests)
-    t2 = []
-    for index, latency in enumerate(release_latencies):
-        t2_rng = seeds.generator(f"script/t2/{index}")
-        if vectorized:
-            t2.append(latency.sample_many(t2_rng, requests))
-        else:
-            t2.append(latency.sample_many_scalar(t2_rng, requests))
+    t1 = demand_difficulty.sample_many(seeds.generator("script/t1"), requests)
+    t2 = [
+        latency.sample_many(seeds.generator(f"script/t2/{index}"), requests)
+        for index, latency in enumerate(release_latencies)
+    ]
     return DemandScript(
         requests=requests,
         t1=t1,

@@ -1,17 +1,12 @@
 """Determinism guarantees of the parallel experiment runtime.
 
-Two invariants, both load-bearing for trusting ``--jobs N``:
-
-* a grid run with ``jobs=N`` is bit-identical to ``jobs=1`` (each cell
-  derives its own root seed, so scheduling cannot reorder draws);
-* a cell sampled on the vectorised fast path is bit-identical to the
-  same cell sampled scalar draw by scalar draw.
+The invariant load-bearing for trusting ``--jobs N``: a grid run with
+``jobs=N`` is bit-identical to ``jobs=1`` (each cell derives its own
+root seed, so scheduling cannot reorder draws).  That a demand script
+equals its scalar reference draws is pinned in
+``tests/runtime/test_sampling.py``.
 """
 
-import pytest
-
-from repro.experiments import paper_params as P
-from repro.experiments.event_sim import run_release_pair_simulation
 from repro.experiments.table5 import run_table5
 from repro.experiments.table6 import run_table6
 from repro.runtime.cache import ResultCache
@@ -53,26 +48,3 @@ class TestJobsBitIdentical:
         a = run_table5(seed=11, requests=120, runs=(1,), timeouts=(1.5,))
         b = run_table5(seed=12, requests=120, runs=(1,), timeouts=(1.5,))
         assert _table_rows(a) != _table_rows(b)
-
-
-class TestVectorizedBitIdentical:
-    @pytest.mark.parametrize("run", [1, 4])
-    def test_cell_vectorized_matches_scalar(self, run):
-        joint = P.correlated_model(run)
-        fast = run_release_pair_simulation(
-            joint, 1.5, requests=250, seed=99, sampling="vectorized"
-        )
-        slow = run_release_pair_simulation(
-            joint, 1.5, requests=250, seed=99, sampling="scalar"
-        )
-        assert fast.system.as_row() == slow.system.as_row()
-        for a, b in zip(fast.releases, slow.releases):
-            assert a.as_row() == b.as_row()
-
-    def test_sampling_mode_validated(self):
-        from repro.common.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            run_release_pair_simulation(
-                P.correlated_model(1), 1.5, requests=10, sampling="turbo"
-            )

@@ -8,10 +8,10 @@ shared script arena against per-cell :func:`build_demand_script` (array
 bytes), the batched resolver against :func:`resolve_cell` for every
 operating mode x release count x retry policy x several seeds (reduced
 rows as IEEE bit patterns), chunks the parallel kernel splits at its
-row budget, the orchestration (``run_cells(batch=True)`` vs
-``batch=False``) end to end, the mixed-envelope group fallback, and
-cache-key invariance in both directions (a batched run's cache serves a
-per-cell run and vice versa).
+row budget, the orchestration (fused ``run_cells`` vs the same cells
+with their ``BatchSpec`` stripped) end to end, the mixed-envelope group
+fallback, and cache-key invariance in both directions (a batched run's
+cache serves a per-cell run and vice versa).
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.seeding import SeedSequenceFactory
 from repro.core.modes import ModeConfig, SequentialOrder
 from repro.experiments import paper_params as P
-from repro.experiments.event_sim import release_pair_cells
+from repro.experiments.event_sim import LatencyProfile, release_pair_cells
 from repro.experiments.multi_release import chained_model
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import columnar
@@ -96,7 +96,7 @@ def resolve_both_ways(
         factory = SeedSequenceFactory(seed)
         script = build_demand_script(
             model, demand_difficulty, latencies, requests, factory,
-            vectorized=True, draws=draws,
+            draws=draws,
         )
         percell.append(columnar.resolve_cell(
             script,
@@ -149,7 +149,7 @@ class TestScriptArena:
         for index, (model, seed, _) in enumerate(params):
             script = build_demand_script(
                 model, demand_difficulty, latencies, 150,
-                SeedSequenceFactory(seed), vectorized=True,
+                SeedSequenceFactory(seed),
             )
             view = arena.script(index)
             assert view.t1.tobytes() == script.t1.tobytes()
@@ -172,7 +172,7 @@ class TestScriptArena:
         script = build_demand_script(
             P.correlated_model(1), Exponential(P.T1_MEAN),
             [Exponential(P.T2_MEAN)] * 2, 100,
-            SeedSequenceFactory(5), vectorized=True, draws=300,
+            SeedSequenceFactory(5), draws=300,
         )
         assert arena.script(0).t1.tobytes() == script.t1.tobytes()
 
@@ -276,67 +276,107 @@ class TestShapeGuard:
             )
 
 
+def per_cell(cells):
+    """The same cells with their BatchSpec stripped: the per-cell path."""
+    return [dataclasses.replace(cell, batch=None) for cell in cells]
+
+
 class TestOrchestration:
-    def grid(self, metrics=None, backend="auto", sampling="vectorized"):
+    def grid(self, metrics=None, backend="auto"):
         return release_pair_cells(
             "table5", "correlated", seed=11, requests=180,
-            backend=backend, sampling=sampling, metrics=metrics,
+            backend=backend, metrics=metrics,
         )
 
     def test_batched_results_equal_per_cell_results(self):
-        batched = run_cells(self.grid(), batch=True)
-        percell = run_cells(self.grid(), batch=False)
+        batched = run_cells(self.grid())
+        percell = run_cells(per_cell(self.grid()))
         assert len(batched) == len(percell) == 12
         for left, right in zip(batched, percell):
             assert (left.run, left.timeout) == (right.run, right.timeout)
             assert rows_as_bits(left.metrics) == rows_as_bits(right.metrics)
 
-    def test_batch_limit_chunking_is_result_invariant(self):
-        whole = run_cells(self.grid(), batch=True)
-        chunked = run_cells(self.grid(), batch=True, batch_limit=5)
+    def test_batch_limit_chunking_is_result_invariant(self, monkeypatch):
+        whole = run_cells(self.grid())
+        monkeypatch.setenv("REPRO_BATCH_MAX_CELLS", "5")
+        chunked = run_cells(self.grid())
         for left, right in zip(whole, chunked):
             assert rows_as_bits(left.metrics) == rows_as_bits(right.metrics)
 
     def test_batched_counters(self):
         metrics = MetricsRegistry()
-        run_cells(self.grid(metrics), metrics=metrics, batch=True)
+        run_cells(self.grid(metrics), metrics=metrics)
         counters = metrics.as_dict()["counters"]
         assert counters["backend.batched_cells"] == 12
         assert counters["backend.columnar_cells"] == 12
         assert "backend.batched_fallback_cells" not in counters
 
-    def test_mixed_envelope_group_falls_back_whole_and_stays_correct(self):
-        # Doctor one cell of the group outside the arena's envelope
-        # (scalar sampling) while keeping its BatchSpec: the batch
-        # function must decline the whole group, and every cell — the
-        # doctored one included — must come back correct down the
-        # per-cell path (scalar sampling is bit-identical by contract).
+    def test_mixed_envelope_group_falls_back_whole_and_stays_correct(
+        self, tmp_path
+    ):
+        # Doctor one cell of the group outside the arena's envelope (a
+        # trace path) while keeping its BatchSpec: the batch function
+        # must decline the whole group, and every cell — the doctored
+        # one included — must come back correct down the per-cell path
+        # (the doctored cell on the event kernel, bit-identical to
+        # columnar by contract).
         metrics = MetricsRegistry()
         cells = self.grid(metrics)
         doctored = dataclasses.replace(
             cells[3],
-            kwargs={**cells[3].kwargs, "sampling": "scalar"},
+            kwargs={
+                **cells[3].kwargs,
+                "trace_path": str(tmp_path / "doctored.jsonl"),
+            },
         )
         cells = cells[:3] + [doctored] + cells[4:]
-        results = run_cells(cells, metrics=metrics, batch=True)
+        results = run_cells(cells, metrics=metrics)
         counters = metrics.as_dict()["counters"]
         assert counters["backend.batched_fallback_cells"] == 12
-        assert (
-            counters["backend.batched_fallback_reason.live-sampling"] == 12
-        )
+        assert counters["backend.batched_fallback_reason.tracing"] == 12
         assert "backend.batched_cells" not in counters
-        # The per-cell path resolved every cell (all inside the
-        # columnar envelope, scalar sampling included).
-        assert counters["backend.columnar_cells"] == 12
-        baseline = run_cells(self.grid(), batch=False)
+        # The per-cell path resolved every cell: the eleven untraced
+        # ones columnar, the traced one on the event kernel.
+        assert counters["backend.columnar_cells"] == 11
+        assert counters["backend.fallback_cells"] == 1
+        assert counters["backend.fallback_reason.tracing"] == 1
+        assert (tmp_path / "doctored.jsonl").stat().st_size > 0
+        baseline = run_cells(per_cell(self.grid()))
         for left, right in zip(results, baseline):
+            assert rows_as_bits(left.metrics) == rows_as_bits(right.metrics)
+
+    def test_lone_release_group_declines_to_the_per_cell_path(self):
+        # A lone release samples its own marginal, which the arena does
+        # not script: the group declines before drawing, and the
+        # per-cell path resolves every cell columnar, bit-identical to
+        # the event kernel.
+        profile = LatencyProfile(
+            "single", Exponential(P.T1_MEAN), (Exponential(P.T2_MEAN),)
+        )
+        metrics = MetricsRegistry()
+        cells = release_pair_cells(
+            "table5", "correlated", seed=11, requests=120,
+            profile=profile, backend="auto", metrics=metrics,
+        )
+        results = run_cells(cells, metrics=metrics)
+        counters = metrics.as_dict()["counters"]
+        assert (
+            counters["backend.batched_fallback_reason.no-outcome-codes"]
+            == 12
+        )
+        assert counters["backend.columnar_cells"] == 12
+        event = run_cells(release_pair_cells(
+            "table5", "correlated", seed=11, requests=120,
+            profile=profile, backend="event",
+        ))
+        for left, right in zip(results, event):
             assert rows_as_bits(left.metrics) == rows_as_bits(right.metrics)
 
     @pytest.mark.parametrize("value", ["sixty", "0", "-3"])
     def test_invalid_batch_max_cells_env_rejected(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_BATCH_MAX_CELLS", value)
         with pytest.raises(ConfigurationError) as err:
-            run_cells(self.grid(), batch=True)
+            run_cells(self.grid())
         assert "REPRO_BATCH_MAX_CELLS" in str(err.value)
         assert repr(value) in str(err.value)
 
@@ -346,22 +386,22 @@ class TestOrchestration:
 
     def test_batched_cache_serves_per_cell_run(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        run_cells(self.grid(), cache=cache, batch=True)
+        run_cells(self.grid(), cache=cache)
         assert cache.entry_count() == 12
         metrics = MetricsRegistry()
         cache.metrics = metrics
-        results = run_cells(self.grid(), cache=cache, batch=False)
+        results = run_cells(per_cell(self.grid()), cache=cache)
         counters = metrics.as_dict()["counters"]
         assert counters["cache.hit"] == 12
         assert all(result is not None for result in results)
 
     def test_per_cell_cache_serves_batched_run(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        run_cells(self.grid(), cache=cache, batch=False)
+        run_cells(per_cell(self.grid()), cache=cache)
         assert cache.entry_count() == 12
         metrics = MetricsRegistry()
         cache.metrics = metrics
-        results = run_cells(self.grid(), cache=cache, batch=True)
+        results = run_cells(self.grid(), cache=cache)
         counters = metrics.as_dict()["counters"]
         assert counters["cache.hit"] == 12
         assert "backend.batched_cells" not in counters

@@ -8,7 +8,7 @@ and both latency profiles (the calibrated one exercises hangs and shared
 unavailability), for N-release deployments, for retry, and for the first
 fast cell of every registered grid spec that carries a ``backend``
 cache-key field.  The envelope property test pins the support contract:
-``unsupported_reason() is None`` exactly when an explicit
+``unsupported_reasons()`` is empty exactly when an explicit
 ``backend="columnar"`` run succeeds.  The fallback tests pin the
 ``auto`` semantics: outside the envelope the event kernel runs and the
 ``backend.fallback_cells`` / ``backend.fallback_reason.<slug>``
@@ -110,11 +110,6 @@ class TestCellEquivalence:
         columnar = run_cell(
             "columnar", timeout=timeout, profile=calibrated_profile()
         )
-        assert rows_as_bits(event) == rows_as_bits(columnar)
-
-    def test_scalar_sampling_supported_and_identical(self):
-        event = run_cell("event", sampling="scalar")
-        columnar = run_cell("columnar", sampling="scalar")
         assert rows_as_bits(event) == rows_as_bits(columnar)
 
     def test_columnar_counter_increments(self):
@@ -238,6 +233,65 @@ class TestMultiReleaseEquivalence:
         assert rows_as_bits(event) == rows_as_bits(columnar)
 
 
+def single_release(profile):
+    """*profile* cut down to its first release."""
+    return LatencyProfile(
+        name=f"{profile.name}-single",
+        demand_difficulty=profile.demand_difficulty,
+        release_latencies=tuple(profile.release_latencies[:1]),
+    )
+
+
+class TestSingleReleaseEquivalence:
+    """A lone release through the release-pair runner.
+
+    The middleware forces no outcomes on a lone release, so its
+    endpoint samples its own marginal on the ``ep0`` stream; the
+    columnar backend must pre-draw exactly that stream, one code per
+    script row (retry cells over-provision the rows), whatever outcome
+    model the cell was built with.
+    """
+
+    MODELS = [
+        pytest.param(lambda: chained_model(1), id="chained"),
+        pytest.param(lambda: P.correlated_model(1), id="correlated"),
+        pytest.param(lambda: P.independent_model(1), id="independent"),
+    ]
+    CASES = ALL_MODES + [
+        pytest.param(RetryPolicy(max_attempts=2), id="retry-attempts-2"),
+        pytest.param(
+            RetryPolicy(max_attempts=3, backoff=0.25), id="retry-backoff"
+        ),
+        pytest.param(
+            RetryPolicy(max_attempts=2, attempt_timeout=1.0),
+            id="retry-attempt-timeout",
+        ),
+    ]
+
+    @pytest.mark.parametrize("seed", [3, 9])
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("profile", [
+        pytest.param(paper_profile, id="paper"),
+        pytest.param(calibrated_profile, id="calibrated"),
+    ])
+    def test_rows_bit_identical(self, profile, model, case, seed):
+        kwargs = dict(
+            joint_model=model(),
+            timeout=1.5,
+            requests=150,
+            seed=seed,
+            profile=single_release(profile()),
+        )
+        if isinstance(case, RetryPolicy):
+            kwargs["retry"] = case
+        else:
+            kwargs["mode"] = case
+        event = run_release_pair_simulation(backend="event", **kwargs)
+        columnar = run_release_pair_simulation(backend="columnar", **kwargs)
+        assert rows_as_bits(event) == rows_as_bits(columnar)
+
+
 def parallel_modes(n_releases):
     """Reliability, responsiveness and dynamic k-of-N for k = 1..N."""
     modes = [
@@ -318,10 +372,6 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError, match="trac"):
             run_cell("columnar", tracer=MemoryTracer())
 
-    def test_explicit_columnar_rejects_live_sampling(self):
-        with pytest.raises(ConfigurationError, match="live"):
-            run_cell("columnar", sampling="live")
-
     def test_explicit_columnar_rejects_retry_outside_reliability(self):
         # Retry is proven columnar under max-reliability only.
         with pytest.raises(ConfigurationError, match="mode"):
@@ -339,12 +389,13 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError) as err:
             run_cell(
                 "columnar",
-                sampling="live",
+                retry=RetryPolicy(max_attempts=2),
+                mode=ModeConfig.max_responsiveness(),
                 adjudicator=FastestValidAdjudicator(),
                 tracer=MemoryTracer(),
             )
         message = str(err.value)
-        assert "live" in message
+        assert "mode" in message
         assert "adjudicator" in message
         assert "trac" in message
 
@@ -354,7 +405,6 @@ class TestEnvelopeProperty:
     succeeds, over a grid of configurations (envelope exhaustiveness)."""
 
     @pytest.mark.parametrize("mode", ALL_MODES)
-    @pytest.mark.parametrize("sampling", ["vectorized", "live"])
     @pytest.mark.parametrize("retry", [
         pytest.param(None, id="no-retry"),
         pytest.param(RetryPolicy(max_attempts=2), id="retry"),
@@ -362,27 +412,24 @@ class TestEnvelopeProperty:
     @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize("other_adjudicator", [False, True])
     def test_reason_absence_iff_resolution_succeeds(
-        self, mode, sampling, retry, traced, other_adjudicator
+        self, mode, retry, traced, other_adjudicator
     ):
-        # Mirror the runner's script gate, then ask the authority.
+        # Draw the runner's script, then ask the authority.
         profile = paper_profile()
-        script = None
-        if sampling != "live":
-            script = build_demand_script(
-                P.correlated_model(1),
-                profile.demand_difficulty,
-                list(profile.release_latencies),
-                60,
-                SeedSequenceFactory(9),
-                draws=(
-                    60 * (1 + retry.max_attempts)
-                    if retry is not None
-                    else None
-                ),
-            )
+        script = build_demand_script(
+            P.correlated_model(1),
+            profile.demand_difficulty,
+            list(profile.release_latencies),
+            60,
+            SeedSequenceFactory(9),
+            draws=(
+                60 * (1 + retry.max_attempts)
+                if retry is not None
+                else None
+            ),
+        )
         reasons = columnar.unsupported_reasons(
             script=script,
-            releases=2,
             mode=mode,
             adjudicator=(
                 FastestValidAdjudicator() if other_adjudicator else None
@@ -390,18 +437,7 @@ class TestEnvelopeProperty:
             tracing=traced,
             retry=retry,
         )
-        shim = columnar.unsupported_reason(
-            script=script,
-            releases=2,
-            mode=mode,
-            adjudicator=(
-                FastestValidAdjudicator() if other_adjudicator else None
-            ),
-            tracing=traced,
-            retry=retry,
-        )
-        assert (shim is None) == (not reasons)
-        kwargs = dict(sampling=sampling, retry=retry, requests=60)
+        kwargs = dict(retry=retry, requests=60)
         if traced:
             kwargs["tracer"] = MemoryTracer()
         if other_adjudicator:
@@ -448,12 +484,11 @@ class TestAutoFallback:
 
     def test_fallback_reason_counters_are_labeled(self):
         counters = self._counters(
-            tracer=MemoryTracer(), sampling="live",
+            tracer=MemoryTracer(),
             adjudicator=FastestValidAdjudicator(),
         )
         assert counters["backend.fallback_cells"] == 1
         assert counters["backend.fallback_reason.tracing"] == 1
-        assert counters["backend.fallback_reason.live-sampling"] == 1
         assert counters["backend.fallback_reason.adjudicator"] == 1
 
     def test_auto_retry_result_matches_event_retry(self):

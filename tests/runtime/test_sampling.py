@@ -192,27 +192,54 @@ class TestScriptedJointOutcomeModel:
             scripted.sample_pair(rng)
 
 
-class TestBuildDemandScript:
-    def _build(self, vectorized):
-        seeds = SeedSequenceFactory(42)
-        return build_demand_script(
-            P.correlated_model(1),
-            Exponential(P.T1_MEAN),
-            (Exponential(P.T2_MEAN), Exponential(P.T2_MEAN)),
-            200,
-            seeds,
-            vectorized=vectorized,
+def scalar_script(joint_model, demand_difficulty, release_latencies,
+                  requests, seeds):
+    """Reference script: the same named streams, one scalar draw at a time.
+
+    Returns ``(outcome_codes, t1, t2)`` as :func:`build_demand_script`
+    would draw them, through the ``*_scalar`` reference methods.
+    """
+    first, second = joint_model.sample_pairs_scalar(
+        seeds.generator("script/outcomes"), requests
+    )
+    codes = np.stack([first, second], axis=1)
+    t1 = demand_difficulty.sample_many_scalar(
+        seeds.generator("script/t1"), requests
+    )
+    t2 = [
+        latency.sample_many_scalar(
+            seeds.generator(f"script/t2/{index}"), requests
         )
+        for index, latency in enumerate(release_latencies)
+    ]
+    return codes, t1, t2
+
+
+class TestBuildDemandScript:
+    ARGS = (
+        P.correlated_model(1),
+        Exponential(P.T1_MEAN),
+        (Exponential(P.T2_MEAN), Exponential(P.T2_MEAN)),
+        200,
+    )
+
+    def _build(self):
+        return build_demand_script(*self.ARGS, SeedSequenceFactory(42))
 
     def test_vectorized_equals_scalar(self):
-        fast, slow = self._build(True), self._build(False)
-        assert fast.outcomes == slow.outcomes
-        np.testing.assert_array_equal(fast.t1, slow.t1)
-        for a, b in zip(fast.t2, slow.t2):
+        fast = self._build()
+        codes, t1, t2 = scalar_script(*self.ARGS, SeedSequenceFactory(42))
+        np.testing.assert_array_equal(fast.outcome_codes, codes)
+        assert fast.outcomes == [
+            tuple(OUTCOME_ORDER[int(code)] for code in row) for row in codes
+        ]
+        np.testing.assert_array_equal(fast.t1, t1)
+        assert len(fast.t2) == len(t2)
+        for a, b in zip(fast.t2, t2):
             np.testing.assert_array_equal(a, b)
 
     def test_outcomes_are_outcome_tuples(self):
-        script = self._build(True)
+        script = self._build()
         assert len(script.outcomes) == 200
         assert all(
             len(row) == 2 and all(o in OUTCOME_ORDER for o in row)
@@ -222,7 +249,7 @@ class TestBuildDemandScript:
     def test_outcome_codes_mirror_outcome_tuples(self):
         # The columnar backend consumes the raw code matrix; it must be
         # the same draw as the Outcome tuples, not a second one.
-        script = self._build(True)
+        script = self._build()
         assert script.outcome_codes.shape == (200, 2)
         assert script.outcomes == [
             tuple(OUTCOME_ORDER[int(code)] for code in row)

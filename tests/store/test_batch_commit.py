@@ -10,6 +10,7 @@ real SIGTERM delivered across a batch commit boundary via the
 ``check-resume`` harness.
 """
 
+import dataclasses
 import json
 import struct
 import subprocess
@@ -206,13 +207,11 @@ class TestBatchedGridResume:
             backend="columnar", metrics=metrics,
         )
 
-    def test_chunked_commits_and_full_resume(self, tmp_path):
+    def test_chunked_commits_and_full_resume(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCH_MAX_CELLS", "5")
         metrics = MetricsRegistry()
         store = RunStore(tmp_path / "store", metrics=metrics)
-        first = run_cells(
-            self.grid(metrics), metrics=metrics, store=store,
-            batch=True, batch_limit=5,
-        )
+        first = run_cells(self.grid(metrics), metrics=metrics, store=store)
         counters = metrics.as_dict()["counters"]
         # 12 cells at a 5-cell chunk limit: 5 + 5 + 2.
         assert counters["store.batch_commits"] == 3
@@ -224,7 +223,6 @@ class TestBatchedGridResume:
             self.grid(resumed_metrics),
             metrics=resumed_metrics,
             store=RunStore(tmp_path / "store", metrics=resumed_metrics),
-            batch=True, batch_limit=5,
         )
         resumed_counters = resumed_metrics.as_dict()["counters"]
         assert resumed_counters["store.batch_resume_skipped_cells"] == 12
@@ -234,7 +232,7 @@ class TestBatchedGridResume:
                 right.metrics
             )
 
-    def test_resume_across_a_missing_chunk(self, tmp_path):
+    def test_resume_across_a_missing_chunk(self, tmp_path, monkeypatch):
         # Simulate a crash between batch commits: complete the grid,
         # then destroy one group stream (as if the run died before that
         # chunk's fsync).  The resumed run must serve the surviving
@@ -242,11 +240,9 @@ class TestBatchedGridResume:
         # produce bit-identical results.
         import shutil
 
+        monkeypatch.setenv("REPRO_BATCH_MAX_CELLS", "5")
         store_root = tmp_path / "store"
-        baseline = run_cells(
-            self.grid(), store=RunStore(store_root),
-            batch=True, batch_limit=5,
-        )
+        baseline = run_cells(self.grid(), store=RunStore(store_root))
         streams = sorted((store_root / "table5").iterdir())
         assert len(streams) == 3
         victim = streams[1]
@@ -257,7 +253,6 @@ class TestBatchedGridResume:
         resumed = run_cells(
             self.grid(metrics), metrics=metrics,
             store=RunStore(store_root, metrics=metrics),
-            batch=True, batch_limit=5,
         )
         counters = metrics.as_dict()["counters"]
         assert counters["store.batch_resume_skipped_cells"] == 12 - lost
@@ -269,13 +264,10 @@ class TestBatchedGridResume:
             )
 
     def test_batched_and_per_cell_store_runs_agree(self, tmp_path):
-        batched = run_cells(
-            self.grid(), store=RunStore(tmp_path / "batched"),
-            batch=True,
-        )
+        batched = run_cells(self.grid(), store=RunStore(tmp_path / "batched"))
         percell = run_cells(
-            self.grid(), store=RunStore(tmp_path / "percell"),
-            batch=False,
+            [dataclasses.replace(cell, batch=None) for cell in self.grid()],
+            store=RunStore(tmp_path / "percell"),
         )
         for left, right in zip(batched, percell):
             assert rows_as_bits(left.metrics) == rows_as_bits(

@@ -9,6 +9,7 @@ interrupt would leave it); the subprocess test delivers a real SIGTERM
 through the ``python -m repro.store check-resume`` harness CI uses.
 """
 
+import dataclasses
 import subprocess
 import sys
 
@@ -29,11 +30,6 @@ REQUESTS = 200
 
 
 def options_for(jobs, backend, store, metrics=None):
-    # batch=False pins the per-cell durability grain these tests are
-    # about: the prefix-interrupt simulation below commits k *cells*,
-    # which only matches what a resumed run looks up per cell.  The
-    # batched grain (group streams, chunk-consistent interrupts) has
-    # its own suite in tests/store/test_batch_commit.py.
     return ExperimentOptions(
         seed=DEFAULT_SEED,
         fast=True,
@@ -43,8 +39,31 @@ def options_for(jobs, backend, store, metrics=None):
         metrics=metrics,
         backend=backend,
         store=store,
-        batch=False,
     )
+
+
+def per_cell_grid(spec, opts):
+    """The grid's cells with their BatchSpec stripped.
+
+    This pins the per-cell durability grain these tests are about: the
+    prefix-interrupt simulation below commits k *cells*, which only
+    matches what a resumed run looks up per cell.  The batched grain
+    (group streams, chunk-consistent interrupts) has its own suite in
+    tests/store/test_batch_commit.py.
+    """
+    return [
+        dataclasses.replace(cell, batch=None)
+        for cell in spec.build_cells(opts, spec.sizes(opts))
+    ]
+
+
+def run_per_cell(spec, opts):
+    """Run the per-cell grid through the engine's executor; render it."""
+    results = run_cells(
+        per_cell_grid(spec, opts), jobs=opts.jobs, metrics=opts.metrics,
+        store=opts.store,
+    )
+    return spec.render(spec.reduce(results, opts), opts)
 
 
 class TestInProcessResume:
@@ -64,15 +83,14 @@ class TestInProcessResume:
         # store — exactly the state a SIGTERM after k commits leaves.
         store_root = tmp_path / "store"
         store = RunStore(store_root)
-        opts = options_for(jobs, backend, store=store)
-        cells = list(spec.build_cells(opts, spec.sizes(opts)))
+        cells = per_cell_grid(spec, options_for(jobs, backend, store=store))
         assert len(cells) >= 6
-        run_cells(cells[:5], jobs=jobs, store=store, batch=False)
+        run_cells(cells[:5], jobs=jobs, store=store)
 
-        # Resume: the engine discovers the 5 committed cells from the
+        # Resume: the executor discovers the 5 committed cells from the
         # log and executes only the rest.
         metrics = MetricsRegistry()
-        resumed = run_experiment(
+        resumed = run_per_cell(
             spec,
             options_for(
                 jobs, backend, store=RunStore(store_root), metrics=metrics
@@ -81,18 +99,18 @@ class TestInProcessResume:
         counters = metrics.as_dict()["counters"]
         assert counters["store.resume_skipped_cells"] == 5
         assert counters.get("pool.cells_executed", 0) == len(cells) - 5
-        assert resumed.text == baseline.text
+        assert resumed == baseline.text
 
     def test_fully_committed_grid_replays_without_executing(
         self, tmp_path
     ):
         spec = get_spec("table5")
         store_root = tmp_path / "store"
-        first = run_experiment(
+        first = run_per_cell(
             spec, options_for(1, "columnar", RunStore(store_root))
         )
         metrics = MetricsRegistry()
-        replay = run_experiment(
+        replay = run_per_cell(
             spec,
             options_for(
                 1, "columnar", RunStore(store_root), metrics=metrics
@@ -101,7 +119,7 @@ class TestInProcessResume:
         counters = metrics.as_dict()["counters"]
         assert counters.get("pool.cells_executed", 0) == 0
         assert counters["store.resume_skipped_cells"] > 0
-        assert replay.text == first.text
+        assert replay == first
 
     def test_resume_rewarms_an_attached_cache(self, tmp_path):
         # The cache is a materialized view of the log: serving a cell

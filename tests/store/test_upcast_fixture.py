@@ -30,7 +30,6 @@ CELL_KWARGS = dict(
     requests=50,
     seed=20040628,
     profile=None,
-    sampling="vectorized",
     trace_cell="table5/run1/t1.5",
 )
 
