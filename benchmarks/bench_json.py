@@ -27,6 +27,10 @@ Measures the numbers the runtime work is accountable for —
   (``store.append_events_per_sec`` per-event vs
   ``store.batch_append_events_per_sec`` for envelope-slab appends with
   one fsync'd commit),
+* the white-box posterior at the paper's 160x160x64 grid (``bayes`` —
+  assessor construction and one checkpoint evaluation as median and
+  IQR of repeated runs, plus one Table 2 grid at 3,000 demands per cell
+  across every CPU),
 
 plus the ``--jobs`` scaling of a small Table-5 grid, the wall-time of
 the ``repro.lint`` determinism linter over ``src/`` and of its
@@ -48,6 +52,7 @@ plugin's statistics machinery.
 import argparse
 import gc
 import json
+import os
 import platform
 import sys
 import tempfile
@@ -56,12 +61,16 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bayes.counts import JointCounts
+from repro.bayes.priors import GridSpec
+from repro.bayes.whitebox import WhiteBoxAssessor
 from repro.core.modes import ModeConfig, SequentialOrder
 from repro.experiments import paper_params as P
 from repro.experiments.event_sim import (
     release_pair_cells,
     run_release_pair_simulation,
 )
+from repro.experiments.scenarios import scenario_1
 from repro.experiments.table5 import run_table5
 from repro.runtime.parallel import _batch_chunk_limit, run_cells
 from repro.lint import run_lint, run_program_lint
@@ -310,6 +319,89 @@ def bench_store_catchup(events: int) -> dict:
         "batch_append_speedup": round(append_elapsed / batch_elapsed, 2),
         "catchup_seconds": round(catchup_elapsed, 4),
         "catchup_events_per_sec": round(events / catchup_elapsed),
+    }
+
+
+#: Repeats of each white-box micro-benchmark (median and IQR), and of
+#: the Table 2 grid timing.
+BAYES_REPEATS = 15
+BAYES_GRID_REPEATS = 3
+
+
+def _quartiles(samples: list) -> dict:
+    """Median and interquartile range of *samples*, in seconds."""
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {
+        "median_seconds": round(float(median), 5),
+        "iqr_seconds": round(float(q3 - q1), 5),
+    }
+
+
+def _timed_repeats(fn, repeats: int) -> list:
+    """Wall-times of *repeats* calls of *fn*, GC paused, after one warm call."""
+    fn()
+    samples = []
+    reenable = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            started = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - started)
+    finally:
+        if reenable:
+            gc.enable()
+    return samples
+
+
+def bench_bayes() -> dict:
+    """The white-box posterior at the paper's 160x160x64 grid.
+
+    ``construct`` builds a :class:`WhiteBoxAssessor` (its five
+    likelihood tables); ``checkpoint`` replaces the counts and answers
+    one checkpoint's queries (a posterior evaluation plus both
+    single-release marginals) — each as median and IQR of
+    :data:`BAYES_REPEATS` runs with the collector paused.  ``table2``
+    runs the ``assessment`` workload's grid (Table 2, 3,000 demands per
+    cell, no cache) with one worker per CPU, median of
+    :data:`BAYES_GRID_REPEATS` runs.
+    """
+    prior = scenario_1().prior
+    grid = GridSpec()
+    construct = _timed_repeats(
+        lambda: WhiteBoxAssessor(prior, grid), BAYES_REPEATS
+    )
+    assessor = WhiteBoxAssessor(prior, grid)
+    counts = JointCounts(15, 35, 25, 2_925)
+
+    def checkpoint() -> None:
+        assessor.replace_counts(counts)
+        assessor.checkpoint_summary(
+            levels_a=(0.99,), levels_b=(0.99, 0.90), targets_b=(1e-3,)
+        )
+
+    evaluate = _timed_repeats(checkpoint, BAYES_REPEATS)
+    jobs = os.cpu_count() or 1
+    spec = get_spec("table2")
+    options = ExperimentOptions(seed=1, requests=3_000, jobs=jobs)
+    grids = _timed_repeats(
+        lambda: run_experiment(spec, options), BAYES_GRID_REPEATS
+    )
+    cells = len(spec.build_cells(options, spec.sizes(options)))
+    grid_seconds = float(np.median(grids))
+    return {
+        "grid": [grid.n_pa, grid.n_pb, grid.n_q],
+        "repeats": BAYES_REPEATS,
+        "construct": _quartiles(construct),
+        "checkpoint": _quartiles(evaluate),
+        "table2": {
+            "demands_per_cell": 3_000,
+            "cells": cells,
+            "jobs": jobs,
+            "repeats": BAYES_GRID_REPEATS,
+            "seconds": round(grid_seconds, 4),
+            "cells_per_sec": round(cells / grid_seconds, 2),
+        },
     }
 
 
@@ -622,6 +714,7 @@ def main(argv=None) -> int:
     campaign = bench_campaign(
         21 if args.quick else 84, 200
     )
+    bayes = bench_bayes()
     lint = bench_lint(Path(__file__).resolve().parents[1] / "src")
     tracing = bench_tracing_overhead(requests)
     pipeline = bench_pipeline_overhead(requests)
@@ -634,7 +727,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": platform.platform(),
-            "cpu_count": __import__("os").cpu_count(),
+            "cpu_count": os.cpu_count(),
         },
         "kernel": {"events_per_sec": round(events_per_sec)},
         "cell": {
@@ -662,6 +755,7 @@ def main(argv=None) -> int:
             ],
         },
         "campaign": campaign,
+        "bayes": bayes,
         "lint": lint,
         "pipeline": pipeline,
         "obs": {

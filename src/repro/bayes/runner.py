@@ -175,8 +175,11 @@ class SequentialAssessment:
         """Simulate the stream and assess at each checkpoint.
 
         An existing *assessor* can be supplied to reuse its (expensive)
-        precomputed likelihood grid across runs with the same prior; its
-        observations are reset first.  A *tracer* (see
+        precomputed likelihood grid across runs with the same prior and
+        grid; its observations are reset first.  An assessor built for
+        another grid (compared by equality) or prior (compared by
+        ``repr``, as :meth:`describe` identifies it) raises
+        :class:`~repro.common.errors.ConfigurationError`.  A *tracer* (see
         :mod:`repro.obs.trace`) receives one ``checkpoint`` event per
         posterior evaluation — the demand count, the cumulative Table-1
         counts and the recorded percentiles; fields are functions of the
@@ -185,6 +188,16 @@ class SequentialAssessment:
         if assessor is None:
             assessor = WhiteBoxAssessor(self.prior, self.grid)
         else:
+            if assessor.grid != self.grid:
+                raise ConfigurationError(
+                    f"assessor grid {assessor.grid!r} differs from the "
+                    f"assessment's grid {self.grid!r}"
+                )
+            if repr(assessor.prior) != repr(self.prior):
+                raise ConfigurationError(
+                    f"assessor prior {assessor.prior!r} differs from the "
+                    f"assessment's prior {self.prior!r}"
+                )
             assessor.reset()
         trace = tracer if tracer is not None and tracer.enabled else None
 

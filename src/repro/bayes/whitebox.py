@@ -16,9 +16,27 @@ Marginal posteriors (eq. 3-5) come from summing the grid; confidences
 (eq. 6) and percentiles from cumulative sums.  The reparameterisation
 ``pAB = q * min(pA, pB)``, ``q ~ U(0, 1)`` makes the paper's indifference
 prior a product measure on the grid.
+
+Evaluation.  :class:`WhiteBoxAssessor` allocates its grids once: the
+five likelihood tables (``pAB`` and the four cell log-probabilities)
+and one posterior buffer, six float64 arrays of the grid's shape
+(≈ 79 MB at the default 160×160×64), plus a scratch block.  The tables
+are built block by block of :data:`BLOCK_ROWS` pA rows, straight into
+place.  A posterior evaluation makes two passes over the same blocks:
+the first writes the log-prior plus ``r·log p`` for each non-zero count
+into the buffer and tracks the peak, the second subtracts the peak and
+exponentiates.  The total, the normalising division and the marginal
+sums then run as whole-grid numpy calls.  Every elementwise operation
+gives the same bits wherever in the grid it runs, the terms are added
+in the same order, the peak is an exact maximum, and each reduction
+still sees the whole grid in memory order — so tables, posteriors,
+percentiles and confidences are IEEE-bit identical to evaluating every
+step over the whole grid at once, without its dozen grid-sized
+temporaries.  The array :meth:`WhiteBoxAssessor._posterior` returns *is*
+that buffer: the next evaluation overwrites it in place.
 """
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,11 +45,25 @@ from repro.bayes.counts import JointCounts
 from repro.bayes.priors import GridSpec, WhiteBoxPrior
 
 
-def _safe_log(values: np.ndarray) -> np.ndarray:
-    """log(values) with -inf (not nan) for non-positive entries."""
+#: pA rows per block of the table build and of both posterior passes.
+#: At the default grid a row is 160×64 cells, so a block's float64
+#: scratch stays near 320 KB and in cache: larger blocks spill out of
+#: cache, smaller ones pay numpy's per-call overhead more often.  A
+#: fixed constant, not a tuning knob.
+BLOCK_ROWS = 4
+
+
+def _safe_log(
+    values: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """log(values) with -inf (not nan) for non-positive entries.
+
+    Writes into *out* (the shape of *values*) when given.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(values)
-    return np.where(values > 0.0, logs, -np.inf)
+        logs = np.log(values, out=out)
+    np.copyto(logs, -np.inf, where=np.logical_not(values > 0.0))
+    return logs
 
 
 class WhiteBoxAssessor:
@@ -73,15 +105,15 @@ class WhiteBoxAssessor:
             log_wa[:, None, None] + log_wb[None, :, None] + log_wq
         )  # (A, B, 1) broadcastable over Q
 
-        pa3 = self._pa[:, None, None]
-        pb3 = self._pb[None, :, None]
-        q3 = self._q[None, None, :]
-        pab = q3 * np.minimum(pa3, pb3)  # (A, B, Q)
-        self._pab = pab
-        self._log_p11 = _safe_log(pab)
-        self._log_p10 = _safe_log(pa3 - pab)
-        self._log_p01 = _safe_log(pb3 - pab)
-        self._log_p00 = _safe_log(1.0 - pa3 - pb3 + pab)
+        shape = (grid.n_pa, grid.n_pb, grid.n_q)
+        self._pab = np.empty(shape)
+        self._log_p11 = np.empty(shape)
+        self._log_p10 = np.empty(shape)
+        self._log_p01 = np.empty(shape)
+        self._log_p00 = np.empty(shape)
+        self._posterior_buffer = np.empty(shape)
+        self._scratch = np.empty((min(BLOCK_ROWS, grid.n_pa),) + shape[1:])
+        self._build_tables()
 
         self._counts = JointCounts()
         self._posterior_cache: Optional[np.ndarray] = None
@@ -120,28 +152,69 @@ class WhiteBoxAssessor:
     # posterior evaluation
     # ------------------------------------------------------------------
 
+    def _blocks(self) -> Iterator[slice]:
+        """The pA-row slices both passes and the table build walk."""
+        rows = len(self._scratch)
+        for start in range(0, self.grid.n_pa, rows):
+            yield slice(start, start + rows)
+
+    def _build_tables(self) -> None:
+        """Fill ``pAB`` and the four cell log-probabilities in place."""
+        pb3 = self._pb[None, :, None]
+        q3 = self._q[None, None, :]
+        for rows in self._blocks():
+            pa3 = self._pa[rows, None, None]
+            pab = self._pab[rows]
+            diff = self._scratch[: len(pab)]
+            np.multiply(q3, np.minimum(pa3, pb3), out=pab)
+            _safe_log(pab, out=self._log_p11[rows])
+            np.subtract(pa3, pab, out=diff)
+            _safe_log(diff, out=self._log_p10[rows])
+            np.subtract(pb3, pab, out=diff)
+            _safe_log(diff, out=self._log_p01[rows])
+            np.add(1.0 - pa3 - pb3, pab, out=diff)
+            _safe_log(diff, out=self._log_p00[rows])
+
     def _posterior(self) -> np.ndarray:
+        """The normalised posterior grid for the current counts.
+
+        The array returned is the assessor's posterior buffer: the next
+        evaluation (after :meth:`observe`, :meth:`replace_counts` or
+        :meth:`reset`) overwrites it in place, so a caller that keeps it
+        longer must copy it.
+        """
         if self._posterior_cache is not None:
             return self._posterior_cache
-        r1, r2, r3, r4 = self._counts.as_tuple()
-        log_post = self._log_prior + np.zeros_like(self._log_p11)
         # Multiply only the terms with non-zero exponents: with r=0 a cell
         # probability of exactly zero is still admissible (0^0 = 1).
-        if r1:
-            log_post = log_post + r1 * self._log_p11
-        if r2:
-            log_post = log_post + r2 * self._log_p10
-        if r3:
-            log_post = log_post + r3 * self._log_p01
-        if r4:
-            log_post = log_post + r4 * self._log_p00
-        peak = log_post.max()
+        terms = [
+            (r, table)
+            for r, table in zip(
+                self._counts.as_tuple(),
+                (self._log_p11, self._log_p10, self._log_p01, self._log_p00),
+            )
+            if r
+        ]
+        log_post = self._posterior_buffer
+        peak = -np.inf
+        for rows in self._blocks():
+            block = log_post[rows]
+            term = self._scratch[: len(block)]
+            np.copyto(block, self._log_prior[rows])
+            for r, table in terms:
+                np.multiply(table[rows], r, out=term)
+                np.add(block, term, out=block)
+            peak = max(peak, block.max())
         if not np.isfinite(peak):
             raise InferenceError(
                 "posterior vanished everywhere: the observations are "
                 "impossible under the prior's support"
             )
-        mass = np.exp(log_post - peak)
+        for rows in self._blocks():
+            block = log_post[rows]
+            np.subtract(block, peak, out=block)
+            np.exp(block, out=block)
+        mass = log_post
         mass /= mass.sum()
         self._posterior_cache = mass
         return mass

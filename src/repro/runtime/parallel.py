@@ -149,15 +149,18 @@ def _execute_cell(spec: CellSpec) -> Any:
 
 
 def _execute_cell_timed(spec: CellSpec) -> Tuple[Any, float, float]:
-    """Run a cell and report ``(value, started_wall, elapsed)``.
+    """Run a cell and report ``(value, started, elapsed)``.
 
-    Wall-clock timing is legitimate here: these numbers describe the
-    *host's* execution of a cell, never anything inside the simulated
-    world (repro.runtime is outside the repro.lint wall-clock scopes).
+    Host timing is legitimate here: these numbers describe the *host's*
+    execution of a cell, never anything inside the simulated world
+    (repro.runtime is outside the repro.lint wall-clock scopes).  They
+    come from ``time.perf_counter`` — CLOCK_MONOTONIC on Linux, which
+    forked workers share with the parent — so a wall-clock step during
+    a grid cannot skew cell times, queue waits or utilization.
     """
-    started = time.time()
+    started = time.perf_counter()
     value = spec.fn(**spec.kwargs)
-    return value, started, time.time() - started
+    return value, started, time.perf_counter() - started
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -337,7 +340,7 @@ def run_cells(
     execute: Callable[[CellSpec], Any] = (
         _execute_cell_timed if metrics is not None else _execute_cell
     )
-    batch_started = time.time() if metrics is not None else 0.0
+    batch_started = time.perf_counter() if metrics is not None else 0.0
     timings: List[Tuple[float, float]] = []
 
     def unpack(index: int, outcome: Any) -> None:
@@ -377,9 +380,9 @@ def run_cells(
         # tax inverts the speedup — grid scaling drops below 1 — so the
         # whole batch runs inline instead.
         probe_index = todo[0]
-        probe_started = time.time()
+        probe_started = time.perf_counter()
         probe_outcome = execute(cells[probe_index])
-        probe_elapsed = time.time() - probe_started
+        probe_elapsed = time.perf_counter() - probe_started
         unpack(probe_index, probe_outcome)
         remaining = todo[1:]
         threshold = (

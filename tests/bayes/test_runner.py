@@ -5,7 +5,7 @@ import pytest
 
 from repro.bayes.demand_process import TwoReleaseGroundTruth
 from repro.bayes.detection import OmissionDetection, PerfectDetection
-from repro.bayes.priors import GridSpec
+from repro.bayes.priors import GridSpec, WhiteBoxPrior
 from repro.bayes.runner import SequentialAssessment
 from repro.bayes.whitebox import WhiteBoxAssessor
 from repro.common.errors import ConfigurationError
@@ -96,6 +96,25 @@ class TestRun:
         assert first.records[-1].percentile_b_99 == pytest.approx(
             second.records[-1].percentile_b_99
         )
+
+    def test_assessor_for_another_grid_is_refused(
+        self, ground_truth, scenario1_prior, rng
+    ):
+        assessor = WhiteBoxAssessor(scenario1_prior, GridSpec(40, 40, 16))
+        assessment = make_assessment(ground_truth, scenario1_prior)
+        with pytest.raises(ConfigurationError, match="grid"):
+            assessment.run(rng, assessor=assessor)
+
+    def test_assessor_for_another_prior_is_refused(
+        self, ground_truth, scenario1_prior, rng
+    ):
+        other = WhiteBoxPrior(
+            scenario1_prior.marginal_b, scenario1_prior.marginal_a
+        )
+        assessor = WhiteBoxAssessor(other, GridSpec(48, 48, 16))
+        assessment = make_assessment(ground_truth, scenario1_prior)
+        with pytest.raises(ConfigurationError, match="prior"):
+            assessment.run(rng, assessor=assessor)
 
     def test_detection_model_applied(self, ground_truth, scenario1_prior):
         perfect = make_assessment(ground_truth, scenario1_prior).run(

@@ -187,3 +187,162 @@ class TestCheckpointSummary:
     def test_rejects_bad_level(self, assessor):
         with pytest.raises(InferenceError):
             assessor.checkpoint_summary(levels_a=(1.5,))
+
+
+# -- the whole-grid arithmetic the blocked evaluation must reproduce --------
+
+
+def _reference_safe_log(values):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(values)
+    return np.where(values > 0.0, logs, -np.inf)
+
+
+def reference_tables(assessor):
+    """``(pAB, log p11, log p10, log p01, log p00)``, each built over the
+    whole grid at once."""
+    pa3 = assessor._pa[:, None, None]
+    pb3 = assessor._pb[None, :, None]
+    q3 = assessor._q[None, None, :]
+    pab = q3 * np.minimum(pa3, pb3)
+    return (
+        pab,
+        _reference_safe_log(pab),
+        _reference_safe_log(pa3 - pab),
+        _reference_safe_log(pb3 - pab),
+        _reference_safe_log(1.0 - pa3 - pb3 + pab),
+    )
+
+
+def reference_posterior(assessor, tables):
+    """The normalised posterior, one whole-grid numpy op per step."""
+    prior, grid = assessor.prior, assessor.grid
+    log_wa = _reference_safe_log(prior.marginal_a.grid_weights(grid.n_pa))
+    log_wb = _reference_safe_log(prior.marginal_b.grid_weights(grid.n_pb))
+    log_wq = -np.log(grid.n_q)
+    log_prior = log_wa[:, None, None] + log_wb[None, :, None] + log_wq
+    _pab, log_p11, log_p10, log_p01, log_p00 = tables
+    r1, r2, r3, r4 = assessor.counts.as_tuple()
+    log_post = log_prior + np.zeros_like(log_p11)
+    if r1:
+        log_post = log_post + r1 * log_p11
+    if r2:
+        log_post = log_post + r2 * log_p10
+    if r3:
+        log_post = log_post + r3 * log_p01
+    if r4:
+        log_post = log_post + r4 * log_p00
+    mass = np.exp(log_post - log_post.max())
+    mass /= mass.sum()
+    return mass
+
+
+def _same_bits(left, right):
+    left, right = np.asarray(left), np.asarray(right)
+    return (
+        left.dtype == right.dtype
+        and left.shape == right.shape
+        and left.tobytes() == right.tobytes()
+    )
+
+
+#: One full-stream count and the same stream with each Table-1 cell
+#: emptied in turn, then all four empty (the prior).
+COUNT_CASES = [
+    (3, 12, 7, 2_978),
+    (0, 12, 7, 2_981),
+    (3, 0, 7, 2_990),
+    (3, 12, 0, 2_985),
+    (3, 12, 7, 0),
+    (0, 0, 0, 0),
+]
+
+#: The paper's grid, the unit-test grid, and one whose last block of pA
+#: rows is partial.
+GRIDS = [GridSpec(), GridSpec(96, 96, 32), GridSpec(50, 40, 12)]
+
+
+@pytest.fixture(scope="module", params=GRIDS, ids=repr)
+def assessed(request):
+    prior = WhiteBoxPrior(
+        TruncatedBeta(20, 20, upper=0.002), TruncatedBeta(2, 3, upper=0.002)
+    )
+    assessor = WhiteBoxAssessor(prior, request.param)
+    return assessor, reference_tables(assessor)
+
+
+class TestBlockedEvaluationMatchesWholeGrid:
+    """The block passes give the whole-grid arithmetic's exact bits."""
+
+    def test_last_block_is_partial_on_one_grid(self):
+        from repro.bayes import whitebox
+
+        assert GRIDS[-1].n_pa % whitebox.BLOCK_ROWS != 0
+
+    def test_tables(self, assessed):
+        assessor, tables = assessed
+        built = (
+            assessor._pab, assessor._log_p11, assessor._log_p10,
+            assessor._log_p01, assessor._log_p00,
+        )
+        for name, got, expected in zip(
+            ("pab", "log_p11", "log_p10", "log_p01", "log_p00"),
+            built, tables,
+        ):
+            assert _same_bits(got, expected), name
+
+    @pytest.mark.parametrize("counts", COUNT_CASES, ids=str)
+    def test_posterior_summary_and_marginals(self, assessed, counts):
+        assessor, tables = assessed
+        assessor.replace_counts(JointCounts(*counts))
+        expected = reference_posterior(assessor, tables)
+        assert _same_bits(assessor._posterior(), expected)
+
+        mass_a = expected.sum(axis=(1, 2))
+        mass_b = expected.sum(axis=(0, 2))
+        order = np.argsort(tables[0], axis=None)
+        marginals = (
+            (assessor.marginal_a(), (assessor._pa, mass_a)),
+            (assessor.marginal_b(), (assessor._pb, mass_b)),
+            (
+                assessor.marginal_ab(),
+                (tables[0].ravel()[order], expected.ravel()[order]),
+            ),
+        )
+        for (values, mass), (expected_values, expected_mass) in marginals:
+            assert _same_bits(values, expected_values)
+            assert _same_bits(mass, expected_mass)
+
+        targets = (1e-3, 1.5e-3)
+        summary = assessor.checkpoint_summary(
+            levels_a=(0.99,), levels_b=(0.99, 0.90), targets_b=targets
+        )
+        percentile = WhiteBoxAssessor._percentile
+        assert _same_bits(
+            np.array([value for part in summary for value in part]),
+            np.array(
+                [percentile(assessor._pa, mass_a, 0.99)]
+                + [percentile(assessor._pb, mass_b, level)
+                   for level in (0.99, 0.90)]
+                + [float(mass_b[assessor._pb <= t].sum()) for t in targets]
+            ),
+        )
+
+
+class TestPosteriorBufferReuse:
+    def test_next_evaluation_overwrites_the_returned_grid(self, assessor):
+        assessor.replace_counts(JointCounts(1, 4, 2, 9_993))
+        first = assessor._posterior()
+        assessor.replace_counts(JointCounts(0, 0, 0, 50_000))
+        assert assessor._posterior() is first
+
+    def test_marginals_survive_the_next_evaluation(self, assessor):
+        assessor.replace_counts(JointCounts(1, 4, 2, 9_993))
+        kept = [assessor.marginal_a(), assessor.marginal_b(),
+                assessor.marginal_ab()]
+        copies = [(values.copy(), mass.copy()) for values, mass in kept]
+        assessor.replace_counts(JointCounts(0, 30, 0, 49_970))
+        assessor.checkpoint_summary(levels_b=(0.99,))
+        for (values, mass), (values_copy, mass_copy) in zip(kept, copies):
+            assert _same_bits(values, values_copy)
+            assert _same_bits(mass, mass_copy)

@@ -198,3 +198,37 @@ class TestInlineProbe:
         inline = run_cells(cells, jobs=4)  # probe diverts inline
         pooled = run_cells(cells, jobs=4, inline_threshold=0.0)
         assert inline == pooled
+
+
+class TestPoolTimingsClock:
+    """Pool timings are immune to wall-clock steps.
+
+    Regression: cells, the probe and the batch start were stamped with
+    ``time.time()``, so a wall clock stepping back mid-grid reported
+    negative cell times and left ``pool.utilization`` unset.
+    """
+
+    @pytest.mark.parametrize(
+        "jobs, inline_threshold", [(1, None), (2, 0.0)], ids=["inline", "pool"]
+    )
+    def test_wall_clock_stepping_back(
+        self, monkeypatch, jobs, inline_threshold
+    ):
+        import itertools
+        import time
+
+        calls = itertools.count()
+        # Every read of the wall clock lands an hour before the last.
+        monkeypatch.setattr(time, "time", lambda: 2e9 - 3600.0 * next(calls))
+        registry = MetricsRegistry()
+        results = run_cells(
+            _cells([1, 2, 3, 4]), jobs=jobs, metrics=registry,
+            inline_threshold=inline_threshold,
+        )
+        assert results == [1, 4, 9, 16]
+        snapshot = registry.as_dict()
+        cell_seconds = snapshot["histograms"]["pool.cell_seconds"]
+        queue_wait = snapshot["histograms"]["pool.queue_wait_seconds"]
+        assert cell_seconds["count"] == 4
+        assert cell_seconds["min"] >= 0.0 and queue_wait["min"] >= 0.0
+        assert 0.0 < snapshot["gauges"]["pool.utilization"] <= 1.0
