@@ -29,12 +29,13 @@ backend-equivalence CI job asserts.  Wall-clock throughput is carried
 on the result object for the benchmark harness but never rendered.
 """
 
+import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.seeding import SeedSequenceFactory
-from repro.core.modes import ModeConfig
+from repro.core.modes import ModeConfig, OperatingMode
 from repro.experiments import paper_params as P
 from repro.experiments.paper_params import DEFAULT_SEED
 from repro.experiments.event_sim import (
@@ -43,7 +44,7 @@ from repro.experiments.event_sim import (
     run_release_pair_simulation,
 )
 from repro.pipeline import ExperimentOptions, ExperimentSpec, register
-from repro.runtime.parallel import CellSpec, run_cells
+from repro.runtime.parallel import CellSpec
 from repro.runtime.sampling import build_demand_script
 from repro.services.aio.endpoint import AsyncEndpoint
 from repro.services.aio.load import run_load
@@ -69,6 +70,9 @@ TIE_FRACTION = 0.02
 #: million scale.
 COUNT_SLACK_PER_MILLION = 10
 
+#: ``dynamic-<k>``: parallel-dynamic mode adjudicating after k responses.
+_DYNAMIC_MODE = re.compile(r"dynamic-([1-9][0-9]*)")
+
 
 def mode_config(name: str) -> ModeConfig:
     """The ModeConfig behind a spec-level mode name."""
@@ -78,16 +82,20 @@ def mode_config(name: str) -> ModeConfig:
         return ModeConfig.max_responsiveness()
     if name == "sequential":
         return ModeConfig.sequential()
-    if name.startswith("dynamic-"):
-        return ModeConfig.dynamic(int(name.split("-", 1)[1]))
-    raise ConfigurationError(f"unknown service_load mode: {name!r}")
+    match = _DYNAMIC_MODE.fullmatch(name)
+    if match is None:
+        raise ConfigurationError(f"unknown service_load mode: {name!r}")
+    return ModeConfig.dynamic(int(match.group(1)))
 
 
 def _tie_capable(name: str) -> bool:
     """Modes whose adjudication can draw on disagreeing valid results."""
-    if name == "reliability":
-        return True
-    return name.startswith("dynamic-") and int(name.split("-", 1)[1]) >= 2
+    config = mode_config(name)
+    # min_responses is set only in parallel-dynamic mode.
+    return (
+        config.mode is OperatingMode.PARALLEL_RELIABILITY
+        or (config.min_responses or 1) >= 2
+    )
 
 
 def _count_slack(requests: int) -> int:
@@ -278,7 +286,6 @@ def run_service_load_cell(
         requests,
         concurrency=concurrency,
         queue_capacity=queue_capacity,
-        clock="virtual",
     )
     sim = run_release_pair_simulation(
         model,
@@ -347,28 +354,6 @@ def service_load_cells(
             )
         )
     return cells
-
-
-def run_service_load(
-    seed: int = DEFAULT_SEED,
-    requests: int = 100_000,
-    jobs: int = 1,
-    modes: Sequence[str] = MODE_NAMES,
-    concurrency: int = 32,
-    queue_capacity: int = 128,
-    backend: str = "auto",
-) -> ServiceLoadReport:
-    """Run the service-load grid programmatically (library entry)."""
-    cells = service_load_cells(
-        seed=seed,
-        requests=requests,
-        modes=modes,
-        concurrency=concurrency,
-        queue_capacity=queue_capacity,
-        backend=backend,
-    )
-    results = run_cells(cells, jobs=jobs)
-    return ServiceLoadReport(results=list(results))
 
 
 def _build_cells(

@@ -59,7 +59,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
 #: name must start with one of these; REPRO203 separately checks that
 #: literal ``backend.fallback_reason.<slug>`` names use declared slugs.
 METRIC_PREFIXES: Tuple[str, ...] = (
-    "aio.release_up.",
     "backend.batched_fallback_reason.",
     "backend.fallback_reason.",
 )

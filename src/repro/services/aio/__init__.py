@@ -1,65 +1,49 @@
 """Asyncio service substrate (``repro.services.aio``).
 
-The coroutine twin of the callback-driven service layer: the same
-message types, fault models, operating modes and adjudication rules as
-:mod:`repro.core` / :mod:`repro.services`, executed by real asyncio
-tasks instead of kernel callbacks.  The port protocol is
+The paper's managed-upgrade middleware (§4.1–4.2) re-run on real
+asyncio tasks instead of kernel callbacks: the same message types,
+operating modes and adjudication rules as :mod:`repro.core` /
+:mod:`repro.services`, which stay the one definition of each concept.
+The package holds only what the ``service_load`` experiment runs:
 
-    ``async def call(request, *, reference_answer=None,
-    demand_index=None) -> ResponseMessage``
+* :class:`AsyncEndpoint` — one release, serving budgeted invocations;
+* :class:`AsyncUpgradeMiddleware` — the four operating modes as
+  coroutine fan-out over a pre-drawn demand script;
+* :func:`run_load` — a bounded producer/worker pipeline that drives
+  N demands through the middleware and streams them into Table-5/6
+  rows (:class:`StreamingReducer`);
+* the deterministic virtual-clock loop
+  (:mod:`repro.services.aio.clock`), on which scripted runs are
+  bit-identical across repetitions and concurrency limits and a lost
+  response raises :class:`VirtualTimeDeadlock` instead of hanging.
 
-and every port here — endpoint, transport, middleware, retrying port,
-mediator, composite — composes by wrapping, exactly like the sync
-substrate.
-
-Two clocks run the substrate (:mod:`repro.services.aio.clock`): the
-deterministic virtual-clock loop, where scripted runs are bit-identical
-across repetitions and concurrency limits and a lost response raises
-:class:`~repro.services.aio.clock.VirtualTimeDeadlock` instead of
-hanging; and the wall clock, for measuring real asyncio overhead.  The
-load harness (:mod:`repro.services.aio.load`) drives millions of
-requests through the middleware under bounded-queue backpressure and
-reduces straight to Table-5/6 rows; the ``service_load`` experiment
-cross-checks those rows against the simulation backends.
+The ``service_load`` experiment cross-checks the streamed rows against
+the simulation backends.
 """
 
-from repro.services.aio.client import AsyncConsumer
 from repro.services.aio.clock import (
     VirtualClockEventLoop,
     VirtualTimeDeadlock,
     checked_sleep,
     forever,
     run_virtual,
-    run_wall,
 )
-from repro.services.aio.composite import AsyncCompositeService
 from repro.services.aio.endpoint import AsyncEndpoint
-from repro.services.aio.mediator import AsyncConfidenceMediator
 from repro.services.aio.middleware import (
     AsyncDemandReport,
     AsyncUpgradeMiddleware,
     DemandSummary,
     ReleaseSummary,
 )
-from repro.services.aio.ports import AsyncPort
-from repro.services.aio.retry import AsyncRetryingPort
-from repro.services.aio.transport import AsyncTransport
 from repro.services.aio.load import (
     LoadResult,
     StreamingReducer,
-    drive_load,
     run_load,
 )
 
 __all__ = [
-    "AsyncCompositeService",
-    "AsyncConfidenceMediator",
-    "AsyncConsumer",
     "AsyncDemandReport",
     "AsyncEndpoint",
-    "AsyncPort",
-    "AsyncRetryingPort",
-    "AsyncTransport",
     "AsyncUpgradeMiddleware",
     "DemandSummary",
     "LoadResult",
@@ -68,9 +52,7 @@ __all__ = [
     "VirtualClockEventLoop",
     "VirtualTimeDeadlock",
     "checked_sleep",
-    "drive_load",
     "forever",
     "run_load",
     "run_virtual",
-    "run_wall",
 ]

@@ -29,7 +29,7 @@ Two consequences worth knowing:
 import asyncio
 import math
 import selectors
-from typing import Any, Awaitable, Coroutine, List, Optional, Tuple, TypeVar
+from typing import Any, Coroutine, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -110,16 +110,6 @@ def run_virtual(main: Coroutine[Any, Any, T]) -> T:
             loop.close()
 
 
-def run_wall(main: Coroutine[Any, Any, T]) -> T:
-    """Run *main* on a real (wall-clock) loop — ``asyncio.run``.
-
-    Exists as the named counterpart of :func:`run_virtual` so harness
-    code can switch clocks with a string knob; wall-clock runs are for
-    measuring real asyncio overhead and are *not* deterministic.
-    """
-    return asyncio.run(main)
-
-
 async def forever() -> None:
     """Await an event that never fires (a lost message, a hang).
 
@@ -152,5 +142,4 @@ __all__ = [
     "checked_sleep",
     "forever",
     "run_virtual",
-    "run_wall",
 ]

@@ -15,9 +15,8 @@ response by pure duration arithmetic *before* sleeping —
 The strict ``<`` reproduces the kernel's tie rule (the demand's timeout
 event is scheduled before any response event, so at equal timestamps
 the timeout wins).  Because the classification never consults the
-clock, it is identical for every concurrency limit and for virtual and
-wall clocks alike — the property the cross-check against the event
-kernel rests on.
+clock, it is identical for every concurrency limit — the property the
+cross-check against the event kernel rests on.
 """
 
 import math
@@ -25,7 +24,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import Gauge
 from repro.services.aio.clock import checked_sleep, forever
 from repro.services.message import (
     RequestMessage,
@@ -46,10 +44,10 @@ class AsyncEndpoint:
     wsdl / behaviour:
         As for the sync endpoint.
     rng:
-        Randomness for *live* (unscripted) invocations — outcome and T2
-        draws.  Scripted invocations (the harness passes ``t2`` and
-        ``forced_outcome`` from a demand script) never touch it, so a
-        scripted run is deterministic whatever this generator is.
+        Randomness for the bare :meth:`call` — outcome and T2 draws.
+        The middleware's invocations pass ``t2`` and ``forced_outcome``
+        from its demand script and never touch it, so a middleware run
+        is deterministic whatever this generator is.
     """
 
     def __init__(
@@ -64,38 +62,19 @@ class AsyncEndpoint:
         self.online = True
         self.invocations = 0
         self.responses = 0
-        self._up_gauge: Optional[Gauge] = None
 
     @property
     def name(self) -> str:
         """Display name, e.g. ``"Web-Service 1.0"``."""
         return f"{self.wsdl.service_name} {self.wsdl.release}"
 
-    @property
-    def release(self) -> str:
-        return self.wsdl.release
-
     # ------------------------------------------------------------------
-    # administrative control + observability
+    # administrative control
     # ------------------------------------------------------------------
-
-    def bind_up_gauge(self, gauge: Gauge) -> None:
-        """Attach the release's up/down gauge (``aio.release_up.<name>``);
-        reflects the online flag from now on."""
-        self._up_gauge = gauge
-        gauge.set(1.0 if self.online else 0.0)
 
     def take_offline(self) -> None:
         """Stop responding to new invocations (denial of service)."""
         self.online = False
-        if self._up_gauge is not None:
-            self._up_gauge.set(0.0)
-
-    def bring_online(self) -> None:
-        """Resume responding."""
-        self.online = True
-        if self._up_gauge is not None:
-            self._up_gauge.set(1.0)
 
     # ------------------------------------------------------------------
     # invocation
@@ -150,9 +129,9 @@ class AsyncEndpoint:
     def _require_rng(self) -> np.random.Generator:
         if self._rng is None:
             raise RuntimeError(
-                f"endpoint {self.name!r} has no generator: live "
-                "invocations need an rng; scripted invocations must "
-                "pass t2 and forced_outcome"
+                f"endpoint {self.name!r} has no generator: call() "
+                "needs an rng; invoke_within() without one must pass "
+                "t2 and forced_outcome"
             )
         return self._rng
 
@@ -190,15 +169,14 @@ class AsyncEndpoint:
         request: RequestMessage,
         *,
         reference_answer: object = None,
-        demand_index: Optional[int] = None,
     ) -> ResponseMessage:
-        """The bare-endpoint port: no middleware, no timeout discipline.
+        """The bare endpoint: no middleware, no timeout discipline.
 
-        An offline or hanging release never resolves — the caller's own
-        deadline (``asyncio.wait_for``, a retrying port) governs, just
-        as for a real unreachable WS.  On the virtual clock an unguarded
-        lost response raises
-        :class:`~repro.services.aio.clock.VirtualTimeDeadlock`.
+        Draws the outcome and T2 from the endpoint's generator.  An
+        offline or hanging release never resolves — the caller's own
+        deadline (``asyncio.wait_for``) governs, just as for a real
+        unreachable WS.  On the virtual clock an unguarded lost response
+        raises :class:`~repro.services.aio.clock.VirtualTimeDeadlock`.
         """
         response, d = self._resolve(request, reference_answer, None, 0.0, None)
         if response is None or not math.isfinite(d):

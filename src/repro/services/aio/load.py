@@ -10,17 +10,15 @@ directly comparable.
 Backpressure
 ------------
 
-Three knobs bound the pipeline, none of which can change a *scripted*
-run's results (collection decisions are pure duration arithmetic keyed
-by demand index):
+Two knobs bound the pipeline, neither of which can change the results
+(collection decisions are pure duration arithmetic keyed by demand
+index):
 
 * ``queue_capacity`` — the arrival queue is an ``asyncio.Queue`` with
   this maxsize; the producer's ``await put`` blocks when workers fall
   behind (loss-free backpressure, the bounded-buffer discipline).
 * ``concurrency`` — number of worker coroutines consuming the queue;
   at most this many demands are in service at once.
-* the middleware's own ``max_inflight`` semaphore, a second gate inside
-  whatever the harness does.
 
 Memory discipline
 -----------------
@@ -41,16 +39,13 @@ from typing import Dict, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
-from repro.services.aio.clock import checked_sleep, run_virtual, run_wall
+from repro.services.aio.clock import run_virtual
 from repro.services.aio.middleware import (
     AsyncUpgradeMiddleware,
     DemandSummary,
 )
 from repro.services.message import RequestMessage
 from repro.simulation.metrics import ReleaseMetrics, SystemMetrics
-
-#: Clock selection for :func:`run_load`.
-CLOCKS = ("virtual", "wall")
 
 
 class StreamingReducer:
@@ -123,7 +118,6 @@ class LoadResult:
     requests: int
     wall_seconds: float
     throughput: float
-    clock: str
     concurrency: int
     queue_capacity: int
     peak_queue_depth: int
@@ -131,23 +125,25 @@ class LoadResult:
     faults: int
 
 
-async def drive_load(
+def run_load(
     middleware: AsyncUpgradeMiddleware,
     requests: int,
     *,
     concurrency: int = 16,
     queue_capacity: int = 64,
-    arrival_spacing: Optional[float] = None,
-    operation: str = "operation1",
     registry: Optional[MetricsRegistry] = None,
 ) -> LoadResult:
-    """The load pipeline itself (await under a running loop).
+    """Drive *requests* demands through *middleware* on a fresh
+    virtual-clock loop and return what the run measured.
 
     Demand *i* carries ``arguments=(i,)`` and ``reference_answer=i`` —
     the exact request stream of
     :func:`repro.experiments.event_sim.run_release_pair_simulation` —
-    and is served with ``demand_index=i`` so a scripted middleware
-    reads row *i* whichever worker picks it up.
+    and is served with ``demand_index=i`` so the middleware reads
+    script row *i* whichever worker picks it up.  Simulated seconds
+    are free, so ``wall_seconds``/``throughput`` measure pure
+    processing cost, and the rows are bit-identical across repetitions
+    and backpressure settings.
     """
     if requests < 0:
         raise ConfigurationError(f"requests must be >= 0: {requests!r}")
@@ -157,8 +153,6 @@ async def drive_load(
         raise ConfigurationError(
             f"queue_capacity must be >= 1: {queue_capacity!r}"
         )
-    loop = asyncio.get_running_loop()
-    queue: asyncio.Queue = asyncio.Queue(maxsize=queue_capacity)
     reducer = StreamingReducer(middleware.release_names())
     state = {"faults": 0, "peak_depth": 0}
     # Histograms retain observations; sample the queue wait at ~10k
@@ -173,39 +167,44 @@ async def drive_load(
         registry.gauge("aio.queue_depth") if registry is not None else None
     )
 
-    async def producer() -> None:
-        for i in range(requests):
-            await queue.put((i, loop.time()))
-            depth = queue.qsize()
-            if depth > state["peak_depth"]:
-                state["peak_depth"] = depth
-            if depth_gauge is not None:
-                depth_gauge.set(depth)
-            if arrival_spacing is not None:
-                await checked_sleep(arrival_spacing)
-        for _ in range(concurrency):
-            await queue.put(None)
+    async def pipeline() -> None:
+        loop = asyncio.get_running_loop()
+        queue: asyncio.Queue = asyncio.Queue(maxsize=queue_capacity)
 
-    async def worker() -> None:
-        while True:
-            item = await queue.get()
-            if item is None:
-                return
-            i, enqueued_at = item
-            if wait_histogram is not None and i % wait_stride == 0:
-                wait_histogram.observe(loop.time() - enqueued_at)
-            request = RequestMessage(operation=operation, arguments=(i,))
-            report = await middleware.call_detailed(
-                request, reference_answer=i, demand_index=i
-            )
-            if report.response.is_fault:
-                state["faults"] += 1
-            reducer.add(report.summary)
+        async def producer() -> None:
+            for i in range(requests):
+                await queue.put((i, loop.time()))
+                depth = queue.qsize()
+                if depth > state["peak_depth"]:
+                    state["peak_depth"] = depth
+                if depth_gauge is not None:
+                    depth_gauge.set(depth)
+            for _ in range(concurrency):
+                await queue.put(None)
+
+        async def worker() -> None:
+            while True:
+                item = await queue.get()
+                if item is None:
+                    return
+                i, enqueued_at = item
+                if wait_histogram is not None and i % wait_stride == 0:
+                    wait_histogram.observe(loop.time() - enqueued_at)
+                report = await middleware.call(
+                    RequestMessage(operation="operation1", arguments=(i,)),
+                    demand_index=i,
+                    reference_answer=i,
+                )
+                if report.response.is_fault:
+                    state["faults"] += 1
+                reducer.add(report.summary)
+
+        await asyncio.gather(
+            producer(), *(worker() for _ in range(concurrency))
+        )
 
     started = time.perf_counter()
-    await asyncio.gather(
-        producer(), *(worker() for _ in range(concurrency))
-    )
+    run_virtual(pipeline())
     wall_seconds = time.perf_counter() - started
     metrics = reducer.finish()
     throughput = (
@@ -223,7 +222,6 @@ async def drive_load(
         requests=requests,
         wall_seconds=wall_seconds,
         throughput=throughput,
-        clock="running-loop",
         concurrency=concurrency,
         queue_capacity=queue_capacity,
         peak_queue_depth=state["peak_depth"],
@@ -232,50 +230,8 @@ async def drive_load(
     )
 
 
-def run_load(
-    middleware: AsyncUpgradeMiddleware,
-    requests: int,
-    *,
-    concurrency: int = 16,
-    queue_capacity: int = 64,
-    clock: str = "virtual",
-    arrival_spacing: Optional[float] = None,
-    operation: str = "operation1",
-    registry: Optional[MetricsRegistry] = None,
-) -> LoadResult:
-    """Run the load pipeline on a fresh loop and return its result.
-
-    ``clock="virtual"`` (the default) runs on the deterministic
-    virtual-clock loop — simulated seconds are free, results are
-    bit-identical across repetitions and concurrency limits (scripted
-    middleware), and ``wall_seconds``/``throughput`` measure pure
-    processing cost (no real sleeping); those are the numbers quoted
-    in ``BENCH_engine.json``.  ``clock="wall"`` runs on a real loop —
-    sleeps take real seconds and the interleaving is not
-    deterministic — for demos and latency-realistic soak runs.
-    """
-    if clock not in CLOCKS:
-        raise ConfigurationError(f"clock must be one of {CLOCKS}: {clock!r}")
-    runner = run_virtual if clock == "virtual" else run_wall
-    result = runner(
-        drive_load(
-            middleware,
-            requests,
-            concurrency=concurrency,
-            queue_capacity=queue_capacity,
-            arrival_spacing=arrival_spacing,
-            operation=operation,
-            registry=registry,
-        )
-    )
-    result.clock = clock
-    return result
-
-
 __all__ = [
-    "CLOCKS",
     "LoadResult",
     "StreamingReducer",
-    "drive_load",
     "run_load",
 ]

@@ -25,8 +25,7 @@ async middleware moves every random draw *out of execution order*:
   draw on disagreeing valid results;
 * collection is decided by pure duration arithmetic (``d < budget``,
   strict — the kernel's timeout-wins tie rule) rather than by observing
-  the clock, so the decision is identical under any concurrency limit
-  and on either clock.
+  the clock, so the decision is identical under any concurrency limit.
 
 The one knowing deviation from the kernel: a shared adjudication stream
 would re-introduce completion-order coupling, so tie-break draws come
@@ -38,17 +37,15 @@ service_load experiment's cross-check encodes exactly this tolerance.
 """
 
 import asyncio
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, ValidationError
+from repro.common.errors import ConfigurationError
 from repro.common.seeding import SeedSequenceFactory
 from repro.core.adjudicators import (
     Adjudication,
-    Adjudicator,
     CollectedResponse,
     PaperRuleAdjudicator,
 )
@@ -59,8 +56,6 @@ from repro.runtime.sampling import DemandScript
 from repro.services.aio.clock import checked_sleep
 from repro.services.aio.endpoint import AsyncEndpoint
 from repro.services.message import RequestMessage, ResponseMessage
-from repro.simulation.correlation import JointOutcomeModel
-from repro.simulation.distributions import Deterministic, Distribution
 from repro.simulation.outcomes import OUTCOME_ORDER, Outcome
 from repro.simulation.timing import SystemTimingPolicy
 
@@ -117,15 +112,10 @@ class DemandSummary:
 
 @dataclass(frozen=True)
 class AsyncDemandReport:
-    """Everything the middleware decided about one demand."""
+    """The response one demand delivered and its observation row."""
 
     response: ResponseMessage
-    collected: List[CollectedResponse]
-    adjudication: Adjudication
-    system_time: float
     summary: DemandSummary
-    demand_index: int
-    invoked_names: Optional[List[str]] = None
 
 
 class AsyncUpgradeMiddleware:
@@ -141,19 +131,11 @@ class AsyncUpgradeMiddleware:
     adjudication_seed:
         Root of the per-demand tie-break streams (see module docstring).
     script:
-        Optional pre-drawn randomness.  With a script the middleware is
-        deterministic under any concurrency; without one it needs *rng*
-        and draws per demand in completion order (wall-clock load runs).
-    budgets:
-        Optional per-release collection windows (name -> seconds)
-        overriding the TimeOut for individual releases — the knob the
-        upgrade manager uses to shorten the window of a release under
-        suspicion.  Collection still never extends past the TimeOut.
-    max_inflight:
-        Optional cap on concurrently served demands (an
-        ``asyncio.Semaphore``); arrivals beyond it wait their turn.
-        This is the middleware's own backpressure, inside whatever
-        queueing the load harness adds.
+        The pre-drawn randomness, with an outcome matrix: release *k*
+        reads ``t2[k]`` and ``outcome_codes[:, k]``.
+    mode / monitor:
+        Operating mode (max-reliability by default) and an optional
+        monitoring subsystem that records every demand.
     """
 
     def __init__(
@@ -162,120 +144,59 @@ class AsyncUpgradeMiddleware:
         timing: SystemTimingPolicy,
         *,
         adjudication_seed: int,
-        adjudicator: Optional[Adjudicator] = None,
+        script: DemandScript,
         mode: Optional[ModeConfig] = None,
         monitor: Optional[MonitoringSubsystem] = None,
-        rng: Optional[np.random.Generator] = None,
-        demand_difficulty: Optional[Distribution] = None,
-        joint_outcome_model: Optional[JointOutcomeModel] = None,
-        script: Optional[DemandScript] = None,
-        budgets: Optional[Dict[str, float]] = None,
-        max_inflight: Optional[int] = None,
     ):
         if not endpoints:
             raise ConfigurationError("middleware needs at least one release")
+        codes = script.outcome_codes
+        if codes is None or len(script.t2) != len(endpoints) or (
+            codes.shape[1] != len(endpoints)
+        ):
+            raise ConfigurationError(
+                f"the demand script needs an outcome matrix and one "
+                f"column per release ({len(endpoints)})"
+            )
         self.endpoints: List[AsyncEndpoint] = list(endpoints)
         self.timing = timing
-        self.adjudicator = adjudicator or PaperRuleAdjudicator()
+        self.adjudicator = PaperRuleAdjudicator()
         self.mode = mode or ModeConfig.max_reliability()
         self.monitor = monitor
-        self.joint_outcome_model = joint_outcome_model
-        self.demand_difficulty = (
-            demand_difficulty
-            if demand_difficulty is not None
-            else Deterministic(0.0)
-        )
-        self._rng = rng
         self.script = script
-        self.budgets = dict(budgets) if budgets else {}
         self._seed_factory = SeedSequenceFactory(adjudication_seed)
-        self._semaphore = (
-            asyncio.Semaphore(max_inflight)
-            if max_inflight is not None
+        self.demands = 0
+        # Fixed-order sequential demands read each release's next
+        # unconsumed T2 row, not row ``index`` (see _sequential_rows).
+        self._t2_rows: Optional[List[np.ndarray]] = (
+            self._sequential_rows()
+            if self.mode.mode is OperatingMode.SEQUENTIAL
+            and self.mode.sequential_order is SequentialOrder.FIXED
             else None
         )
-        self.demands = 0
-        self._live_index = itertools.count()
-        self._seq_rows_cache: Optional[tuple] = None
-        # Script columns are positional: release k reads t2[k] /
-        # outcome_codes[:, k].  Frozen at construction — a scripted
-        # middleware cannot be reconfigured mid-run (the script has no
-        # column for a release it never knew).
-        self._script_columns: Dict[str, int] = {
-            endpoint.name: k for k, endpoint in enumerate(self.endpoints)
-        }
-
-    # ------------------------------------------------------------------
-    # reconfiguration (driven by the management subsystem)
-    # ------------------------------------------------------------------
 
     def release_names(self) -> List[str]:
         return [endpoint.name for endpoint in self.endpoints]
-
-    def add_endpoint(self, endpoint: AsyncEndpoint) -> None:
-        """Deploy an additional release behind the interface."""
-        if self.script is not None:
-            raise ConfigurationError(
-                "a scripted middleware cannot be reconfigured: the "
-                "demand script has no column for a new release"
-            )
-        if endpoint.name in self.release_names():
-            raise ConfigurationError(
-                f"release {endpoint.name!r} is already deployed"
-            )
-        self.endpoints.append(endpoint)
-
-    def remove_endpoint(self, name: str) -> AsyncEndpoint:
-        """Phase a release out; raises if it is the last one."""
-        if len(self.endpoints) == 1:
-            raise ConfigurationError("cannot remove the last release")
-        for i, endpoint in enumerate(self.endpoints):
-            if endpoint.name == name:
-                return self.endpoints.pop(i)
-        raise ConfigurationError(f"no deployed release named {name!r}")
-
-    def set_mode(self, mode: ModeConfig) -> None:
-        """Switch operating mode (takes effect on the next demand)."""
-        self.mode = mode
-
-    def set_budget(self, name: str, window: Optional[float]) -> None:
-        """Set (or clear, with None) one release's collection window."""
-        if window is None:
-            self.budgets.pop(name, None)
-        else:
-            self.budgets[name] = window
-
-    # ------------------------------------------------------------------
-    # the async port protocol
-    # ------------------------------------------------------------------
 
     async def call(
         self,
         request: RequestMessage,
         *,
+        demand_index: int,
         reference_answer: object = None,
-        demand_index: Optional[int] = None,
-    ) -> ResponseMessage:
-        """Serve one demand; resolves to exactly one response."""
-        report = await self.call_detailed(
-            request,
-            reference_answer=reference_answer,
-            demand_index=demand_index,
-        )
-        return report.response
-
-    async def call_detailed(
-        self,
-        request: RequestMessage,
-        *,
-        reference_answer: object = None,
-        demand_index: Optional[int] = None,
     ) -> AsyncDemandReport:
-        """Serve one demand and return the full observation report."""
-        if self._semaphore is None:
-            return await self._serve(request, reference_answer, demand_index)
-        async with self._semaphore:
-            return await self._serve(request, reference_answer, demand_index)
+        """Serve demand *demand_index* (script row) and report it.
+
+        Resolves to exactly one response, at the demand's close.
+        """
+        self.demands += 1
+        if self.mode.mode is OperatingMode.SEQUENTIAL:
+            return await self._serve_sequential(
+                request, reference_answer, demand_index
+            )
+        return await self._serve_parallel(
+            request, reference_answer, demand_index
+        )
 
     # ------------------------------------------------------------------
     # demand machinery
@@ -286,64 +207,7 @@ class AsyncUpgradeMiddleware:
             lambda: self._seed_factory.generator(f"demand/{index}")
         )
 
-    def _require_rng(self) -> np.random.Generator:
-        if self._rng is None:
-            raise ConfigurationError(
-                "unscripted middleware needs an rng for per-demand draws"
-            )
-        return self._rng
-
-    def _demand_inputs(
-        self, index: int, active: List[AsyncEndpoint]
-    ) -> Tuple[float, Dict[str, float], Dict[str, Outcome]]:
-        """(T1, per-release T2, per-release forced outcome) for demand
-        *index* — from the script when there is one, live draws
-        otherwise (live T2/outcomes are left to the endpoints)."""
-        if self.script is not None:
-            difficulty = float(self.script.t1[index])
-            t2s: Dict[str, float] = {}
-            forced: Dict[str, Outcome] = {}
-            codes = self.script.outcome_codes
-            for endpoint in active:
-                k = self._script_columns[endpoint.name]
-                t2s[endpoint.name] = float(self.script.t2[k][index])
-                if codes is not None:
-                    forced[endpoint.name] = OUTCOME_ORDER[
-                        int(codes[index, k])
-                    ]
-            return difficulty, t2s, forced
-        # Live draws: a degenerate difficulty law needs no generator, so
-        # an unscripted middleware whose endpoints own all randomness
-        # (the common test/demo shape) works without one.
-        if isinstance(self.demand_difficulty, Deterministic):
-            difficulty = self.demand_difficulty.mean
-        else:
-            difficulty = float(
-                self.demand_difficulty.sample(self._require_rng())
-            )
-        forced = {}
-        if self.joint_outcome_model is not None and len(active) >= 2:
-            try:
-                outcomes = self.joint_outcome_model.sample_tuple(
-                    self._require_rng(), len(active)
-                )
-            except ValidationError:
-                # The model cannot correlate this many releases:
-                # endpoints fall back to their own marginals.
-                outcomes = None
-            if outcomes is not None:
-                forced = {
-                    endpoint.name: outcome
-                    for endpoint, outcome in zip(active, outcomes)
-                }
-        return difficulty, {}, forced
-
-    def _budget(self, name: str, timeout: float) -> float:
-        return min(timeout, self.budgets.get(name, timeout))
-
-    def _sequential_consumption(
-        self, timeout: float
-    ) -> Optional[List[np.ndarray]]:
+    def _sequential_rows(self) -> List[np.ndarray]:
         """Per-release script-row indices for fixed-order sequential mode.
 
         The kernel's scripted latency distributions are consumed *per
@@ -351,100 +215,71 @@ class AsyncUpgradeMiddleware:
         only when the demand escalates to it, so demand *i* reads row
         ``j = #(earlier demands that invoked release k)`` — not row
         *i*.  Each escalation decision is a pure function of the
-        script, so the whole mapping is one vectorized prefix scan,
-        computed once and cached.  Returns None when the script has no
-        outcome matrix (escalations then depend on live draws and the
-        mapping is unknowable ahead of time).
+        script, so the whole mapping is one vectorized prefix scan.
+        Demands that never reach release k keep row *i*.
         """
         script = self.script
-        assert script is not None
         codes = script.outcome_codes
-        if codes is None:
-            return None
-        key = (timeout, tuple(sorted(self.budgets.items())))
-        if self._seq_rows_cache is not None:
-            cached_key, cached_rows = self._seq_rows_cache
-            if cached_key == key:
-                return cached_rows
+        assert codes is not None
+        timeout = self.timing.timeout
         evident = OUTCOME_ORDER.index(Outcome.EVIDENT_FAILURE)
-        requests = len(script.t1)
         t1 = script.t1
+        demands = np.arange(len(t1))
         rows: List[np.ndarray] = []
-        invoked = np.ones(requests, dtype=bool)
-        cumulative = np.zeros(requests, dtype=np.float64)
-        for k, endpoint in enumerate(self.endpoints):
+        invoked = np.ones(len(t1), dtype=bool)
+        cumulative = np.zeros(len(t1), dtype=np.float64)
+        for k in range(len(self.endpoints)):
             j = np.cumsum(invoked) - invoked  # exclusive prefix count
-            rows.append(np.where(invoked, j, -1))
+            rows.append(np.where(invoked, j, demands))
             t2 = script.t2[k][np.where(invoked, j, 0)]
             d = t1 + t2
             arrival = cumulative + d
-            # Collected iff it lands strictly inside both the demand's
-            # remaining TimeOut window and the release's own budget.
-            budget = self._budget(endpoint.name, timeout)
-            collected = invoked & (arrival < timeout) & (d < budget)
+            # Collected iff it lands strictly inside the demand's
+            # remaining TimeOut window.
+            collected = invoked & (arrival < timeout)
             escalates = collected & (codes[:, k] == evident)
             cumulative = np.where(escalates, arrival, cumulative)
             invoked = escalates
-        self._seq_rows_cache = (key, rows)
         return rows
 
-    async def _serve(
-        self,
-        request: RequestMessage,
-        reference_answer: object,
-        demand_index: Optional[int],
-    ) -> AsyncDemandReport:
-        index = (
-            demand_index
-            if demand_index is not None
-            else next(self._live_index)
-        )
-        self.demands += 1
-        # Snapshot the configuration: a demand keeps the semantics it
-        # started with even if management reconfigures mid-flight.
-        active = list(self.endpoints)
-        mode = self.mode
-        timing = self.timing
-        if mode.mode is OperatingMode.SEQUENTIAL:
-            return await self._serve_sequential(
-                request, reference_answer, index, active, mode, timing
-            )
-        return await self._serve_parallel(
-            request, reference_answer, index, active, mode, timing
-        )
+    def _demand_inputs(
+        self, index: int
+    ) -> Tuple[float, List[float], List[Outcome]]:
+        """(T1, per-release T2, per-release forced outcome) for demand
+        *index*, read from the script."""
+        script = self.script
+        codes = script.outcome_codes
+        assert codes is not None
+        rows = self._t2_rows
+        t2s = [
+            float(t2[index if rows is None else rows[k][index]])
+            for k, t2 in enumerate(script.t2)
+        ]
+        forced = [OUTCOME_ORDER[int(code)] for code in codes[index]]
+        return float(script.t1[index]), t2s, forced
 
     async def _serve_parallel(
         self,
         request: RequestMessage,
         reference_answer: object,
         index: int,
-        active: List[AsyncEndpoint],
-        mode: ModeConfig,
-        timing: SystemTimingPolicy,
     ) -> AsyncDemandReport:
         loop = asyncio.get_running_loop()
         start = loop.time()
-        timeout = timing.timeout
-        if not active:
-            return await self._close(
-                request, reference_answer, index, active, [], None,
-                decision_d=0.0, timing=timing, start=start, loop=loop,
+        timeout = self.timing.timeout
+        mode = self.mode
+        difficulty, t2s, forced = self._demand_inputs(index)
+        results = await asyncio.gather(*(
+            endpoint.invoke_within(
+                request,
+                timeout,
+                reference_answer=reference_answer,
+                forced_outcome=forced[k],
+                demand_difficulty=difficulty,
+                t2=t2s[k],
             )
-        difficulty, t2s, forced = self._demand_inputs(index, active)
-        tasks = [
-            asyncio.ensure_future(
-                endpoint.invoke_within(
-                    request,
-                    self._budget(endpoint.name, timeout),
-                    reference_answer=reference_answer,
-                    forced_outcome=forced.get(endpoint.name),
-                    demand_difficulty=difficulty,
-                    t2=t2s.get(endpoint.name),
-                )
-            )
-            for endpoint in active
-        ]
-        results = await asyncio.gather(*tasks)
+            for k, endpoint in enumerate(self.endpoints)
+        ))
         # Arrival order: by duration, ties by fan-out order — exactly
         # the kernel heap's FIFO dispatch of equal-time events.
         arrivals = sorted(
@@ -456,7 +291,7 @@ class AsyncUpgradeMiddleware:
             ),
             key=lambda arrival: (arrival[0], arrival[1]),
         )
-        all_arrived = len(arrivals) == len(active)
+        all_arrived = len(arrivals) == len(self.endpoints)
 
         delivered: Optional[Adjudication] = None
         delivered_d = 0.0
@@ -465,7 +300,7 @@ class AsyncUpgradeMiddleware:
             for d, k, response in arrivals:
                 if not response.is_fault:
                     delivered = Adjudication(
-                        "result", response, active[k].name
+                        "result", response, self.endpoints[k].name
                     )
                     delivered_d = d
                     break
@@ -473,7 +308,7 @@ class AsyncUpgradeMiddleware:
                 arrivals[-1][0] if (all_arrived and arrivals) else timeout
             )
         elif mode.mode is OperatingMode.PARALLEL_DYNAMIC:
-            threshold = min(mode.min_responses or 1, len(active))
+            threshold = min(mode.min_responses or 1, len(self.endpoints))
             if len(arrivals) >= threshold:
                 # Arrivals after the decision are dropped, exactly as the
                 # kernel drops post-close arrivals.
@@ -490,13 +325,15 @@ class AsyncUpgradeMiddleware:
 
         items = [
             CollectedResponse(
-                release=active[k].name, response=response, execution_time=d
+                release=self.endpoints[k].name,
+                response=response,
+                execution_time=d,
             )
             for d, k, response in collected
         ]
         return await self._close(
-            request, reference_answer, index, active, items, delivered,
-            decision_d=decision_d, timing=timing, start=start, loop=loop,
+            request, reference_answer, index, items, delivered,
+            decision_d=decision_d, start=start, loop=loop,
             delivered_d=delivered_d,
         )
 
@@ -505,36 +342,13 @@ class AsyncUpgradeMiddleware:
         request: RequestMessage,
         reference_answer: object,
         index: int,
-        active: List[AsyncEndpoint],
-        mode: ModeConfig,
-        timing: SystemTimingPolicy,
     ) -> AsyncDemandReport:
         loop = asyncio.get_running_loop()
         start = loop.time()
-        timeout = timing.timeout
-        if not active:
-            return await self._close(
-                request, reference_answer, index, active, [], None,
-                decision_d=0.0, timing=timing, start=start, loop=loop,
-                invoked_names=[],
-            )
-        difficulty, t2s, forced = self._demand_inputs(index, active)
-        if (
-            self.script is not None
-            and mode.sequential_order is SequentialOrder.FIXED
-        ):
-            # Kernel parity: scripted T2 rows are consumed per
-            # *invocation*, so this demand reads each release's next
-            # unconsumed row, not row ``index`` (see
-            # :meth:`_sequential_consumption`).
-            consumption = self._sequential_consumption(timeout)
-            if consumption is not None:
-                for k, endpoint in enumerate(active):
-                    row = int(consumption[k][index])
-                    if row >= 0:
-                        t2s[endpoint.name] = float(self.script.t2[k][row])
-        order = list(range(len(active)))
-        if mode.sequential_order is SequentialOrder.RANDOM:
+        timeout = self.timing.timeout
+        difficulty, t2s, forced = self._demand_inputs(index)
+        order = list(range(len(self.endpoints)))
+        if self.mode.sequential_order is SequentialOrder.RANDOM:
             # Per-demand stream, so the order is a function of the demand
             # index alone.  NOTE: this is *distributionally* equivalent
             # to the kernel's shared-rng shuffle but not bit-identical to
@@ -544,26 +358,22 @@ class AsyncUpgradeMiddleware:
                 int(i)
                 for i in self._seed_factory.generator(
                     f"order/{index}"
-                ).permutation(len(active))
+                ).permutation(len(self.endpoints))
             ]
         items: List[CollectedResponse] = []
         cumulative = 0.0
         decision_d: Optional[float] = None
         invoked = 0
         for k in order:
-            endpoint = active[k]
+            endpoint = self.endpoints[k]
             invoked += 1
-            remaining = min(
-                timeout - cumulative,
-                self._budget(endpoint.name, timeout),
-            )
             result = await endpoint.invoke_within(
                 request,
-                remaining,
+                timeout - cumulative,
                 reference_answer=reference_answer,
-                forced_outcome=forced.get(endpoint.name),
+                forced_outcome=forced[k],
                 demand_difficulty=difficulty,
-                t2=t2s.get(endpoint.name),
+                t2=t2s[k],
             )
             if result is None:
                 # Silent within the window: the demand's TimeOut fires.
@@ -585,10 +395,10 @@ class AsyncUpgradeMiddleware:
             cumulative = arrival
         if decision_d is None:
             decision_d = cumulative
-        invoked_names = [active[k].name for k in order[:invoked]]
+        invoked_names = [self.endpoints[k].name for k in order[:invoked]]
         return await self._close(
-            request, reference_answer, index, active, items, None,
-            decision_d=decision_d, timing=timing, start=start, loop=loop,
+            request, reference_answer, index, items, None,
+            decision_d=decision_d, start=start, loop=loop,
             invoked_names=invoked_names,
         )
 
@@ -597,17 +407,16 @@ class AsyncUpgradeMiddleware:
         request: RequestMessage,
         reference_answer: object,
         index: int,
-        active: List[AsyncEndpoint],
         items: List[CollectedResponse],
         delivered: Optional[Adjudication],
         *,
         decision_d: float,
-        timing: SystemTimingPolicy,
         start: float,
         loop: asyncio.AbstractEventLoop,
         invoked_names: Optional[List[str]] = None,
         delivered_d: float = 0.0,
     ) -> AsyncDemandReport:
+        timing = self.timing
         if delivered is not None:
             adjudication = delivered
             system_time = delivered_d + timing.adjudication_delay
@@ -622,14 +431,14 @@ class AsyncUpgradeMiddleware:
             request, adjudication
         )
         summary = self._summarize(
-            index, active, items, adjudication, system_time,
-            reference_answer, invoked_names,
+            index, items, adjudication, system_time, reference_answer,
+            invoked_names,
         )
         if self.monitor is not None:
             self.monitor.record_demand(
                 request_id=request.message_id,
                 timestamp=start,
-                active_releases=[endpoint.name for endpoint in active],
+                active_releases=self.release_names(),
                 collected=items,
                 adjudication=adjudication,
                 system_time=system_time,
@@ -645,20 +454,11 @@ class AsyncUpgradeMiddleware:
         await checked_sleep(
             max(0.0, system_time - (loop.time() - start))
         )
-        return AsyncDemandReport(
-            response=response,
-            collected=items,
-            adjudication=adjudication,
-            system_time=system_time,
-            summary=summary,
-            demand_index=index,
-            invoked_names=invoked_names,
-        )
+        return AsyncDemandReport(response=response, summary=summary)
 
     def _summarize(
         self,
         index: int,
-        active: List[AsyncEndpoint],
         items: List[CollectedResponse],
         adjudication: Adjudication,
         system_time: float,
@@ -669,10 +469,10 @@ class AsyncUpgradeMiddleware:
         invoked = (
             set(invoked_names)
             if invoked_names is not None
-            else {endpoint.name for endpoint in active}
+            else set(self.release_names())
         )
         releases = []
-        for endpoint in active:
+        for endpoint in self.endpoints:
             item = by_release.get(endpoint.name)
             if item is not None:
                 releases.append(

@@ -56,7 +56,6 @@ from repro.store.snapshot import (
     decode_result,
     encode_result,
 )
-from repro.store.tracer import StreamTracer
 
 __all__ = [
     "BUILTIN_PROJECTIONS",
@@ -69,7 +68,6 @@ __all__ = [
     "Projection",
     "RunStore",
     "SCHEMA_VERSION",
-    "StreamTracer",
     "TableRowsProjection",
     "UPCASTERS",
     "canonical_stream_key",

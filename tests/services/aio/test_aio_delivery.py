@@ -1,35 +1,32 @@
-"""Delivery-guarantee and liveness properties of the async ports.
+"""Delivery-guarantee and liveness properties of the async substrate.
 
-The contract under test: every ``call`` resolves to exactly one
-non-None response — under loss, timeouts, retry and cancellation — and
-a resolved call leaves no live tasks behind (the async twin of the
-retry timer-leak bugfix).
+The contract under test: every call resolves to exactly one non-None
+response — or, for a bare endpoint with no deadline, fails loudly on
+the virtual clock — and a resolved call leaves no live tasks behind.
+The load harness accounts for every demand it delivers.
 """
 
 import asyncio
+import math
 
+import numpy as np
 import pytest
 
 from repro.common.seeding import spawn_generator
+from repro.obs.metrics import MetricsRegistry
+from repro.runtime.sampling import DemandScript
 from repro.services.aio import (
-    AsyncConsumer,
     AsyncEndpoint,
-    AsyncRetryingPort,
-    AsyncTransport,
     AsyncUpgradeMiddleware,
+    VirtualTimeDeadlock,
+    run_load,
     run_virtual,
 )
-from repro.services.aio.clock import checked_sleep, forever
-from repro.services.message import (
-    RequestMessage,
-    fault_response,
-    result_response,
-)
-from repro.services.retry import RetryPolicy
+from repro.services.message import RequestMessage
 from repro.services.wsdl import default_wsdl
 from repro.simulation.correlation import OutcomeDistribution
 from repro.simulation.distributions import Deterministic
-from repro.simulation.outcomes import Outcome
+from repro.simulation.outcomes import OUTCOME_ORDER, Outcome
 from repro.simulation.release_model import ReleaseBehaviour
 from repro.simulation.timing import SystemTimingPolicy
 
@@ -50,22 +47,28 @@ def _endpoint(latency=0.5, release="1.0"):
     )
 
 
-class ScriptedAsyncPort:
-    """Responds per attempt: ("ok", d) / ("fault", d) / ("silent",)."""
+def _script(requests, latencies, evident_every=0):
+    """Constant latencies; every release correct except that demands
+    0, k, 2k, ... fail evidently on all releases (k = *evident_every*)."""
+    codes = np.zeros((requests, len(latencies)), dtype=np.int64)
+    if evident_every:
+        codes[::evident_every] = OUTCOME_ORDER.index(Outcome.EVIDENT_FAILURE)
+    return DemandScript(
+        requests=requests,
+        t1=np.zeros(requests),
+        t2=[np.full(requests, latency) for latency in latencies],
+        outcome_codes=codes,
+    )
 
-    def __init__(self, script):
-        self.script = list(script)
-        self.calls = 0
 
-    async def call(self, request, *, reference_answer=None, demand_index=None):
-        action = self.script[min(self.calls, len(self.script) - 1)]
-        self.calls += 1
-        if action[0] == "silent":
-            await forever()
-        await checked_sleep(action[1])
-        if action[0] == "ok":
-            return result_response(request, "value", "port")
-        return fault_response(request, "boom", "port")
+def _middleware(endpoints, script, mode=None):
+    return AsyncUpgradeMiddleware(
+        endpoints,
+        SystemTimingPolicy(timeout=2.0, adjudication_delay=0.1),
+        adjudication_seed=7,
+        script=script,
+        mode=mode,
+    )
 
 
 def _other_tasks():
@@ -73,99 +76,48 @@ def _other_tasks():
     return [task for task in asyncio.all_tasks() if task is not current]
 
 
-def test_late_valid_response_wins_and_leaves_no_tasks():
-    """Attempt 1 responds valid at t=5 after its own t=3 timeout;
-    attempt 2 is silent.  The late response settles the demand and the
-    silent attempt's task is cancelled before call() returns."""
-
+def test_online_endpoint_call_resolves_after_its_latency():
     async def main():
-        port = ScriptedAsyncPort([("ok", 5.0), ("silent",)])
-        retrying = AsyncRetryingPort(
-            port,
-            RetryPolicy(max_attempts=2, backoff=0.0, attempt_timeout=3.0),
+        endpoint = _endpoint(latency=0.5)
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        response = await endpoint.call(
+            RequestMessage(operation="operation1"), reference_answer=3
         )
-        response = await retrying.call(RequestMessage(operation="op"))
-        assert response.result == "value"
-        assert retrying.late_accepted == 1
-        assert _other_tasks() == []
+        assert response.result == 3
+        assert loop.time() - start == 0.5
+        assert (endpoint.invocations, endpoint.responses) == (1, 1)
 
     run_virtual(main())
 
 
-def test_exhausted_attempts_fault_and_leave_no_tasks():
-    async def main():
-        port = ScriptedAsyncPort([("silent",), ("silent",)])
-        retrying = AsyncRetryingPort(
-            port,
-            RetryPolicy(max_attempts=2, backoff=0.0, attempt_timeout=1.0),
-        )
-        response = await retrying.call(RequestMessage(operation="op"))
-        assert response.is_fault
-        assert "no response after 2 attempts" in response.fault
-        assert _other_tasks() == []
-
-    run_virtual(main())
-
-
-def test_retry_recovers_from_transient_fault():
-    async def main():
-        port = ScriptedAsyncPort([("fault", 0.2), ("ok", 0.2)])
-        retrying = AsyncRetryingPort(
-            port, RetryPolicy(max_attempts=3, backoff=0.5)
-        )
-        response = await retrying.call(RequestMessage(operation="op"))
-        assert response.result == "value"
-        assert retrying.retries == 1
-        assert _other_tasks() == []
-
-    run_virtual(main())
-
-
-def test_lossy_transport_with_retry_delivers_exactly_once():
-    """Every demand over a 30%-lossy transport resolves to exactly one
-    response when a per-attempt deadline guards the wait."""
+def test_offline_endpoint_call_times_out_and_leaves_no_tasks():
+    """A caller's deadline cancels the call to a silent release; the
+    silence becomes a timeout, not a deadlock or a leaked task."""
 
     async def main():
-        transport = AsyncTransport(
-            _endpoint(latency=0.1),
-            latency=Deterministic(0.05),
-            loss_probability=0.3,
-            rng=spawn_generator(42),
-        )
-        retrying = AsyncRetryingPort(
-            transport,
-            RetryPolicy(max_attempts=8, backoff=0.0, attempt_timeout=1.0),
-        )
-        responses = []
-        for i in range(50):
-            response = await retrying.call(
-                RequestMessage(operation="operation1"), reference_answer=i
+        endpoint = _endpoint()
+        endpoint.take_offline()
+        loop = asyncio.get_running_loop()
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(
+                endpoint.call(RequestMessage(operation="operation1")),
+                timeout=2.0,
             )
-            responses.append(response)
-            assert _other_tasks() == []
-        assert len(responses) == 50
-        assert all(response is not None for response in responses)
-        assert transport.lost > 0  # loss actually happened
-
-    run_virtual(main())
-
-
-def test_consumer_cancellation_leaves_no_tasks():
-    """A client-side timeout cancels the in-flight call; silence becomes
-    a counted timeout, not a deadlock or a leak."""
-
-    async def main():
-        offline = _endpoint(latency=0.5)
-        offline.take_offline()
-        consumer = AsyncConsumer("c1", offline, timeout=2.0)
-        response = await consumer.issue(RequestMessage(operation="operation1"))
-        assert response is None
-        assert consumer.stats.timeouts == 1
+        assert loop.time() == 2.0
         # wait_for cancellation needs a cycle to finalize the inner task.
         await asyncio.sleep(0)
         assert _other_tasks() == []
+        assert endpoint.responses == 0
 
     run_virtual(main())
+
+
+def test_offline_endpoint_call_without_deadline_deadlocks_loudly():
+    endpoint = _endpoint()
+    endpoint.take_offline()
+    with pytest.raises(VirtualTimeDeadlock):
+        run_virtual(endpoint.call(RequestMessage(operation="operation1")))
 
 
 def test_middleware_delivers_fault_when_all_releases_silent():
@@ -176,16 +128,14 @@ def test_middleware_delivers_fault_when_all_releases_silent():
         endpoints = [_endpoint(0.5, "1.0"), _endpoint(0.7, "1.1")]
         for endpoint in endpoints:
             endpoint.take_offline()
-        middleware = AsyncUpgradeMiddleware(
-            endpoints,
-            SystemTimingPolicy(timeout=2.0, adjudication_delay=0.1),
-            adjudication_seed=7,
-        )
+        middleware = _middleware(endpoints, _script(1, [0.5, 0.7]))
         loop = asyncio.get_running_loop()
         start = loop.time()
-        response = await middleware.call(RequestMessage(operation="operation1"))
-        assert response.is_fault
-        assert "unavailable" in response.fault
+        report = await middleware.call(
+            RequestMessage(operation="operation1"), demand_index=0
+        )
+        assert report.response.is_fault
+        assert "unavailable" in report.response.fault
         assert loop.time() - start == pytest.approx(2.1)
         assert _other_tasks() == []
 
@@ -194,23 +144,44 @@ def test_middleware_delivers_fault_when_all_releases_silent():
 
 def test_middleware_resolves_once_per_demand_under_concurrency():
     async def main():
-        middleware = AsyncUpgradeMiddleware(
+        middleware = _middleware(
             [_endpoint(0.5, "1.0"), _endpoint(0.7, "1.1")],
-            SystemTimingPolicy(timeout=2.0, adjudication_delay=0.1),
-            adjudication_seed=7,
-            max_inflight=4,
+            _script(20, [0.5, 0.7]),
         )
-        responses = await asyncio.gather(*(
+        reports = await asyncio.gather(*(
             middleware.call(
                 RequestMessage(operation="operation1", arguments=(i,)),
-                reference_answer=i,
                 demand_index=i,
+                reference_answer=i,
             )
             for i in range(20)
         ))
-        assert len(responses) == 20
-        assert all(not response.is_fault for response in responses)
+        assert len(reports) == 20
+        assert all(not report.response.is_fault for report in reports)
         assert middleware.demands == 20
         assert _other_tasks() == []
 
     run_virtual(main())
+
+
+def test_load_run_reports_to_an_attached_registry():
+    # Above 20k demands the harness samples every second queue wait.
+    requests, queue_capacity = 20_001, 16
+    registry = MetricsRegistry()
+    load = run_load(
+        _middleware([_endpoint()], _script(requests, [0.5], evident_every=7)),
+        requests,
+        concurrency=8,
+        queue_capacity=queue_capacity,
+        registry=registry,
+    )
+    snapshot = registry.as_dict()
+    stride = max(1, requests // 10_000)
+    assert stride == 2
+    assert snapshot["counters"]["aio.demands"] == requests
+    assert load.faults == math.ceil(requests / 7)
+    assert snapshot["counters"]["aio.faults"] == load.faults
+    assert snapshot["histograms"]["aio.queue_wait_seconds"]["count"] == (
+        math.ceil(requests / stride)
+    )
+    assert 0 < snapshot["gauges"]["aio.queue_depth"] <= queue_capacity

@@ -72,7 +72,6 @@ def _fingerprint(mode: ModeConfig, concurrency: int, queue: int) -> str:
         REQUESTS,
         concurrency=concurrency,
         queue_capacity=queue,
-        clock="virtual",
     )
     return json.dumps(load.metrics.all_rows(), sort_keys=True)
 
@@ -102,9 +101,7 @@ def test_streaming_reduction_matches_log_reduction():
     and ``metrics_from_log`` must agree exactly."""
     monitor = MonitoringSubsystem(rng=spawn_generator(99))
     middleware = _middleware(ModeConfig.max_reliability(), monitor=monitor)
-    load = run_load(
-        middleware, REQUESTS, concurrency=1, queue_capacity=4, clock="virtual"
-    )
+    load = run_load(middleware, REQUESTS, concurrency=1, queue_capacity=4)
     from_log = metrics_from_log(monitor.log, middleware.release_names())
     assert json.dumps(load.metrics.all_rows(), sort_keys=True) == json.dumps(
         from_log.all_rows(), sort_keys=True

@@ -6,11 +6,15 @@ tolerance envelope documented in
 fact be *exact*, which is a stronger property than ``ok`` asserts.
 """
 
+import re
+
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.experiments.service_load import (
     MODE_NAMES,
     _tie_capable,
+    mode_config,
     run_service_load_cell,
 )
 
@@ -64,3 +68,12 @@ def test_throughput_figures_are_recorded():
     assert result.wall_seconds > 0.0
     assert result.throughput > 0.0
     assert result.peak_reorder_buffer >= 1
+
+
+@pytest.mark.parametrize(
+    "name", ["dynamic-x", "dynamic-", "dynamic-0", "dynamic", "bogus"]
+)
+def test_malformed_mode_name_is_a_configuration_error(name):
+    for parse in (mode_config, _tie_capable):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(name))):
+            parse(name)

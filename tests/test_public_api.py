@@ -18,6 +18,11 @@ PACKAGES = [
     "repro.core",
     "repro.experiments",
     "repro.analysis",
+    "repro.services.aio",
+    "repro.store",
+    "repro.obs",
+    "repro.runtime",
+    "repro.pipeline",
 ]
 
 
