@@ -31,6 +31,9 @@ Measures the numbers the runtime work is accountable for —
   assessor construction and one checkpoint evaluation as median and
   IQR of repeated runs, plus one Table 2 grid at 3,000 demands per cell
   across every CPU),
+* process start-up (``startup`` — ``import repro.pipeline`` and
+  ``discover()`` in fresh interpreters as median and IQR, and the wall
+  time of ``cli all --fast --no-cache``),
 
 plus the ``--jobs`` scaling of a small Table-5 grid, the wall-time of
 the ``repro.lint`` determinism linter over ``src/`` and of its
@@ -54,6 +57,7 @@ import gc
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -73,7 +77,7 @@ from repro.experiments.event_sim import (
 from repro.experiments.scenarios import scenario_1
 from repro.experiments.table5 import run_table5
 from repro.runtime.parallel import _batch_chunk_limit, run_cells
-from repro.lint import run_lint, run_program_lint
+from repro.lint.engine import run_lint, run_program_lint
 from repro.pipeline import (
     ExperimentOptions,
     discover,
@@ -405,6 +409,64 @@ def bench_bayes() -> dict:
     }
 
 
+#: Fresh interpreters timed for the start-up figures, and end-to-end
+#: runs of ``cli all --fast``.
+STARTUP_INTERPRETERS = 10
+CLI_ALL_REPEATS = 3
+
+#: What a fresh interpreter times: the pipeline import, then
+#: ``discover()`` (which imports every experiment module).
+STARTUP_PROBE = """
+import json, time
+began = time.perf_counter()
+import repro.pipeline
+imported = time.perf_counter()
+repro.pipeline.discover()
+print(json.dumps([imported - began, time.perf_counter() - imported]))
+"""
+
+
+def bench_startup(src_dir: Path) -> dict:
+    """What every process pays before its first cell, and a whole CLI run.
+
+    ``import`` and ``discover`` are median and IQR over
+    :data:`STARTUP_INTERPRETERS` fresh interpreters, each timing
+    ``import repro.pipeline`` and then ``discover()``.  ``cli_all_fast``
+    is the median wall time of :data:`CLI_ALL_REPEATS` runs of
+    ``python -m repro.experiments.cli all --fast --no-cache``,
+    interpreter start included.
+    """
+    path = [str(src_dir), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    imports, discovers = [], []
+    for _ in range(STARTUP_INTERPRETERS):
+        probe = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        imported, discovered = json.loads(probe.stdout)
+        imports.append(imported)
+        discovers.append(discovered)
+    walls = []
+    for _ in range(CLI_ALL_REPEATS):
+        started = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "repro.experiments.cli", "all", "--fast",
+             "--no-cache"],
+            env=env, stdout=subprocess.DEVNULL, check=True,
+        )
+        walls.append(time.perf_counter() - started)
+    return {
+        "interpreters": STARTUP_INTERPRETERS,
+        "import": _quartiles(imports),
+        "discover": _quartiles(discovers),
+        "cli_all_fast": {
+            "repeats": CLI_ALL_REPEATS,
+            "median_seconds": round(float(np.median(walls)), 3),
+        },
+    }
+
+
 def bench_grid(requests: int, jobs: int) -> float:
     """Wall-time of the full 12-cell Table-5 grid (best of two runs)."""
     best = float("inf")
@@ -715,7 +777,9 @@ def main(argv=None) -> int:
         21 if args.quick else 84, 200
     )
     bayes = bench_bayes()
-    lint = bench_lint(Path(__file__).resolve().parents[1] / "src")
+    src_dir = Path(__file__).resolve().parents[1] / "src"
+    startup = bench_startup(src_dir)
+    lint = bench_lint(src_dir)
     tracing = bench_tracing_overhead(requests)
     pipeline = bench_pipeline_overhead(requests)
     grid_metrics = grid_metrics_snapshot(requests, jobs=args.jobs)
@@ -756,6 +820,7 @@ def main(argv=None) -> int:
         },
         "campaign": campaign,
         "bayes": bayes,
+        "startup": startup,
         "lint": lint,
         "pipeline": pipeline,
         "obs": {

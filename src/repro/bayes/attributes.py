@@ -15,13 +15,16 @@ two assessors with the same Bayesian machinery:
 * :class:`ResponsivenessAssessor` — per *collected* response, either it
   met a deadline or not; same conjugate treatment over
   ``P(response time <= deadline)``, plus empirical latency quantiles.
+
+The posterior tail areas are the :mod:`scipy.special` ufuncs ``betaincc``
+(survival function) and ``betaincinv`` (inverse cdf), imported on first
+use as in :mod:`repro.bayes.beta`.
 """
 
 import bisect
 from typing import List, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.common.errors import InferenceError
 from repro.common.validation import check_in_range, check_positive
@@ -65,21 +68,26 @@ class AvailabilityAssessor:
         self.responded += int(responded)
         self.missed += int(missed)
 
-    def _posterior(self):
-        return stats.beta(
+    def _posterior(self) -> Tuple[float, float]:
+        """Beta posterior (alpha, beta) over the availability."""
+        return (
             self.prior_alpha + self.responded,
             self.prior_beta + self.missed,
         )
 
     def confidence(self, target_availability: float) -> float:
         """P(availability >= target | observations)."""
+        from scipy.special import betaincc
+
         check_in_range(target_availability, 0.0, 1.0, "target_availability")
-        return float(self._posterior().sf(target_availability))
+        return float(betaincc(*self._posterior(), target_availability))
 
     def lower_bound(self, confidence_level: float) -> float:
         """Availability bound L with P(availability >= L) = level."""
+        from scipy.special import betaincinv
+
         check_in_range(confidence_level, 0.0, 1.0, "confidence_level")
-        return float(self._posterior().ppf(1.0 - confidence_level))
+        return float(betaincinv(*self._posterior(), 1.0 - confidence_level))
 
     def _trajectory_params(
         self, responded
@@ -110,10 +118,12 @@ class AvailabilityAssessor:
         to observing one at a time and calling :meth:`confidence` — and
         the assessor itself is not mutated.
         """
+        from scipy.special import betaincc
+
         check_in_range(target_availability, 0.0, 1.0, "target_availability")
         alphas, betas = self._trajectory_params(responded)
         return np.asarray(
-            stats.beta.sf(target_availability, alphas, betas), dtype=float
+            betaincc(alphas, betas, target_availability), dtype=float
         )
 
     def lower_bound_trajectory(
@@ -122,16 +132,18 @@ class AvailabilityAssessor:
         """Availability bound trajectory: one batched ``ppf`` evaluation
         over the checkpoint grid (same contract as
         :meth:`confidence_trajectory`)."""
+        from scipy.special import betaincinv
+
         check_in_range(confidence_level, 0.0, 1.0, "confidence_level")
         alphas, betas = self._trajectory_params(responded)
         return np.asarray(
-            stats.beta.ppf(1.0 - confidence_level, alphas, betas),
-            dtype=float,
+            betaincinv(alphas, betas, 1.0 - confidence_level), dtype=float
         )
 
     def posterior_mean(self) -> float:
         """Posterior expectation of the availability."""
-        return float(self._posterior().mean())
+        alpha, beta = self._posterior()
+        return alpha / (alpha + beta)
 
     def __repr__(self) -> str:
         return (
@@ -185,15 +197,18 @@ class ResponsivenessAssessor:
             self.late += 1
         bisect.insort(self._latencies, float(execution_time))
 
-    def _posterior(self):
-        return stats.beta(
+    def _posterior(self) -> Tuple[float, float]:
+        """Beta posterior (alpha, beta) over P(response <= deadline)."""
+        return (
             self.prior_alpha + self.on_time, self.prior_beta + self.late
         )
 
     def confidence(self, target_fraction: float) -> float:
         """P(P(response <= deadline) >= target | observations)."""
+        from scipy.special import betaincc
+
         check_in_range(target_fraction, 0.0, 1.0, "target_fraction")
-        return float(self._posterior().sf(target_fraction))
+        return float(betaincc(*self._posterior(), target_fraction))
 
     def confidence_trajectory(
         self, execution_times, target_fraction: float
@@ -207,6 +222,8 @@ class ResponsivenessAssessor:
         and calling :meth:`confidence`.  The assessor is not mutated
         (and no latencies are recorded for quantile reporting).
         """
+        from scipy.special import betaincc
+
         check_in_range(target_fraction, 0.0, 1.0, "target_fraction")
         times = np.asarray(execution_times, dtype=float).ravel()
         if times.size and not bool(np.all(times >= 0.0)):
@@ -216,17 +233,18 @@ class ResponsivenessAssessor:
         on_time = np.cumsum(times <= self.deadline, dtype=np.int64)
         totals = np.arange(1, times.size + 1, dtype=np.int64)
         return np.asarray(
-            stats.beta.sf(
-                target_fraction,
+            betaincc(
                 self.prior_alpha + self.on_time + on_time,
                 self.prior_beta + self.late + (totals - on_time),
+                target_fraction,
             ),
             dtype=float,
         )
 
     def posterior_mean(self) -> float:
         """Posterior E[P(response <= deadline)]."""
-        return float(self._posterior().mean())
+        alpha, beta = self._posterior()
+        return alpha / (alpha + beta)
 
     def empirical_quantile(self, q: float) -> float:
         """Empirical latency quantile (e.g. ``0.95`` for p95)."""

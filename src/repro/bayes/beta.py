@@ -3,15 +3,22 @@
 The paper defines its pfd priors as Beta distributions *"defined in the
 range [0, 0.002]"* (Scenario 1) or *"[0, 0.01]"* (Scenario 2): a standard
 Beta on [0, 1] linearly rescaled onto ``[lower, upper]``.  This module
-wraps scipy's Beta with that affine change of variable and exposes exactly
-the operations the assessors need: pdf on a grid, cdf, inverse cdf, mean
-and sampling.
+applies that affine change of variable to the regularized incomplete beta
+function and its inverse, and exposes exactly the operations the assessors
+need: cdf (and prior mass on a grid), inverse cdf, mean, variance and
+sampling.
+
+The Beta law is evaluated with the public :mod:`scipy.special` ufuncs
+``betainc`` and ``betaincinv``, which return the same IEEE doubles as
+``scipy.stats.beta``'s cdf and ppf (pinned by
+``tests/bayes/test_beta_oracle.py``).  :mod:`scipy.special` is imported
+on first use, so a process that never evaluates a Beta law — a
+simulation sweep, a cache replay — never loads scipy at all.
 """
 
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.common.errors import ValidationError
 from repro.common.validation import check_positive
@@ -46,7 +53,6 @@ class TruncatedBeta:
         self.lower = float(lower)
         self.upper = float(upper)
         self._width = self.upper - self.lower
-        self._dist = stats.beta(self.alpha, self.beta)
 
     @property
     def mean(self) -> float:
@@ -59,33 +65,18 @@ class TruncatedBeta:
         unit_var = a * b / ((a + b) ** 2 * (a + b + 1.0))
         return self._width ** 2 * unit_var
 
-    def _to_unit(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.lower) / self._width
-
-    def pdf(self, x) -> np.ndarray:
-        """Density at *x* (zero outside the support)."""
-        unit = self._to_unit(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dens = self._dist.pdf(unit) / self._width
-        return np.where((unit >= 0.0) & (unit <= 1.0), dens, 0.0)
-
-    def logpdf(self, x) -> np.ndarray:
-        """Log-density at *x* (-inf outside the support)."""
-        unit = self._to_unit(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logdens = self._dist.logpdf(unit) - np.log(self._width)
-        return np.where(
-            (unit >= 0.0) & (unit <= 1.0), logdens, -np.inf
-        )
-
     def cdf(self, x) -> np.ndarray:
         """P(X <= x)."""
-        unit = np.clip(self._to_unit(x), 0.0, 1.0)
-        return self._dist.cdf(unit)
+        from scipy.special import betainc
+
+        unit = (np.asarray(x, dtype=float) - self.lower) / self._width
+        return betainc(self.alpha, self.beta, np.clip(unit, 0.0, 1.0))
 
     def ppf(self, q) -> np.ndarray:
         """Inverse cdf: the paper's percentiles (e.g. ``ppf(0.99)``)."""
-        return self.lower + self._width * self._dist.ppf(q)
+        from scipy.special import betaincinv
+
+        return self.lower + self._width * betaincinv(self.alpha, self.beta, q)
 
     def sample(
         self, rng: np.random.Generator, size: Optional[int] = None
@@ -94,11 +85,15 @@ class TruncatedBeta:
         draws = rng.beta(self.alpha, self.beta, size=size)
         return self.lower + self._width * draws
 
-    def grid(self, points: int) -> np.ndarray:
-        """Cell-midpoint grid over the support, for quadrature."""
+    def _edges(self, points: int) -> np.ndarray:
+        """The ``points + 1`` edges of equal-width cells over the support."""
         if points <= 0:
             raise ValidationError(f"points must be > 0: {points!r}")
-        edges = np.linspace(self.lower, self.upper, points + 1)
+        return np.linspace(self.lower, self.upper, points + 1)
+
+    def grid(self, points: int) -> np.ndarray:
+        """Cell-midpoint grid over the support, for quadrature."""
+        edges = self._edges(points)
         return 0.5 * (edges[:-1] + edges[1:])
 
     def grid_weights(self, points: int) -> np.ndarray:
@@ -107,8 +102,7 @@ class TruncatedBeta:
         Computed from cdf differences rather than pdf × width so that very
         peaked priors (e.g. Beta(20, 20)) lose no mass to discretisation.
         """
-        edges = np.linspace(self.lower, self.upper, points + 1)
-        mass = np.diff(self.cdf(edges))
+        mass = np.diff(self.cdf(self._edges(points)))
         total = mass.sum()
         if total <= 0.0:
             raise ValidationError("prior mass vanished on the grid")

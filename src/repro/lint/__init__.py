@@ -41,34 +41,11 @@ whole-program rules with ``python -m repro.lint --program src/repro``;
 suppress a deliberate exception with a line comment
 ``# repro-lint: disable=REPROxxx``, or ratchet pre-existing program
 findings with ``--write-baseline`` / ``--baseline``.
+
+The package re-exports nothing: import from the submodules
+(:mod:`repro.lint.engine` for ``run_lint`` / ``run_program_lint`` /
+``lint_paths``, :mod:`repro.lint.rules`, :mod:`repro.lint.program`,
+:mod:`repro.lint.config`).  Every result-cache key reads
+:data:`repro.lint.version.LINT_VERSION`, so importing this package must
+stay free of the analysis machinery.
 """
-
-from repro.lint.config import DEFAULT_CONFIG, LintConfig
-from repro.lint.engine import (
-    LintRun,
-    ModuleInfo,
-    lint_module,
-    lint_paths,
-    run_lint,
-    run_program_lint,
-)
-from repro.lint.findings import Finding
-from repro.lint.program import ProgramModel, all_program_rules
-from repro.lint.rules import all_rules
-from repro.lint.version import LINT_VERSION
-
-__all__ = [
-    "DEFAULT_CONFIG",
-    "Finding",
-    "LintConfig",
-    "LintRun",
-    "LINT_VERSION",
-    "ModuleInfo",
-    "ProgramModel",
-    "all_program_rules",
-    "all_rules",
-    "lint_module",
-    "lint_paths",
-    "run_lint",
-    "run_program_lint",
-]

@@ -1,6 +1,5 @@
 """Unit tests for the truncated Beta distribution."""
 
-import numpy as np
 import pytest
 
 from repro.bayes.beta import TruncatedBeta
@@ -26,30 +25,6 @@ class TestConstruction:
     def test_rejects_non_positive_shape(self):
         with pytest.raises(ValidationError):
             TruncatedBeta(0, 1, upper=1.0)
-
-
-class TestDensity:
-    def test_pdf_zero_outside_support(self):
-        prior = TruncatedBeta(2, 3, upper=0.002)
-        assert prior.pdf(0.003) == 0.0
-        assert prior.pdf(-0.001) == 0.0
-
-    def test_pdf_integrates_to_one(self):
-        prior = TruncatedBeta(2, 3, upper=0.002)
-        xs = np.linspace(0, 0.002, 20_001)
-        # numpy 2 renamed trapz to trapezoid.
-        trapezoid = getattr(np, "trapezoid", None) or np.trapz
-        integral = trapezoid(prior.pdf(xs), xs)
-        assert integral == pytest.approx(1.0, abs=1e-6)
-
-    def test_logpdf_matches_pdf(self):
-        prior = TruncatedBeta(2, 3, upper=0.002)
-        x = np.array([0.0005, 0.001])
-        assert np.allclose(np.exp(prior.logpdf(x)), prior.pdf(x))
-
-    def test_logpdf_minus_inf_outside(self):
-        prior = TruncatedBeta(2, 3, upper=0.002)
-        assert prior.logpdf(0.01) == -np.inf
 
 
 class TestCdfPpf:
@@ -96,6 +71,12 @@ class TestGrid:
     def test_grid_rejects_non_positive(self):
         with pytest.raises(ValidationError):
             TruncatedBeta(1, 1, upper=1.0).grid(0)
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_grid_weights_rejects_non_positive(self, points):
+        prior = TruncatedBeta(20, 20, upper=0.002)
+        with pytest.raises(ValidationError, match="points must be > 0"):
+            prior.grid_weights(points)
 
 
 class TestSampling:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_paths
+from repro.lint.engine import lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

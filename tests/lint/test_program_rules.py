@@ -14,13 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    DEFAULT_CONFIG,
-    LINT_VERSION,
-    all_program_rules,
-    all_rules,
-    run_program_lint,
-)
+from repro.lint.config import DEFAULT_CONFIG
+from repro.lint.engine import run_program_lint
+from repro.lint.program import all_program_rules
+from repro.lint.rules import all_rules
+from repro.lint.version import LINT_VERSION
 
 PROGRAMS = Path(__file__).parent / "fixtures" / "program"
 
