@@ -61,6 +61,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -326,10 +327,28 @@ def bench_store_catchup(events: int) -> dict:
     }
 
 
-#: Repeats of each white-box micro-benchmark (median and IQR), and of
-#: the Table 2 grid timing.
+#: Repeats of each white-box micro-benchmark (median and IQR), of the
+#: Table 2 grid timing, and fresh interpreters timing their first grid.
 BAYES_REPEATS = 15
 BAYES_GRID_REPEATS = 3
+BAYES_FIRST_GRID_INTERPRETERS = 3
+
+#: What a fresh interpreter times: its first Table 2 grid (the
+#: ``bayes.table2`` configuration), after ``discover()``.  Here the
+#: grid pays every first-use cost a long-lived process pays once, such
+#: as the Bayes layer's ``scipy.special`` import — in the parent, or in
+#: each forked pool worker if the parent has not loaded it.
+FIRST_GRID_PROBE = """
+import json, os, time
+from repro.pipeline import ExperimentOptions, discover, get_spec, run_experiment
+discover()
+began = time.perf_counter()
+run_experiment(
+    get_spec("table2"),
+    ExperimentOptions(seed=1, requests=3_000, jobs=os.cpu_count() or 1),
+)
+print(json.dumps(time.perf_counter() - began))
+"""
 
 
 def _quartiles(samples: list) -> dict:
@@ -358,7 +377,7 @@ def _timed_repeats(fn, repeats: int) -> list:
     return samples
 
 
-def bench_bayes() -> dict:
+def bench_bayes(src_dir: Path) -> dict:
     """The white-box posterior at the paper's 160x160x64 grid.
 
     ``construct`` builds a :class:`WhiteBoxAssessor` (its five
@@ -368,7 +387,12 @@ def bench_bayes() -> dict:
     :data:`BAYES_REPEATS` runs with the collector paused.  ``table2``
     runs the ``assessment`` workload's grid (Table 2, 3,000 demands per
     cell, no cache) with one worker per CPU, median of
-    :data:`BAYES_GRID_REPEATS` runs.
+    :data:`BAYES_GRID_REPEATS` runs; one more, untimed run with a
+    metrics registry records the workers the pool used and their
+    utilization (``pool.jobs``, ``pool.utilization``), and
+    ``first_grid`` is the median over
+    :data:`BAYES_FIRST_GRID_INTERPRETERS` fresh interpreters of the same
+    grid run first (:data:`FIRST_GRID_PROBE`).
     """
     prior = scenario_1().prior
     grid = GridSpec()
@@ -391,6 +415,13 @@ def bench_bayes() -> dict:
     grids = _timed_repeats(
         lambda: run_experiment(spec, options), BAYES_GRID_REPEATS
     )
+    registry = MetricsRegistry()
+    run_experiment(spec, replace(options, metrics=registry))
+    gauges = registry.as_dict()["gauges"]
+    first_grids = [
+        _in_fresh_interpreter(src_dir, FIRST_GRID_PROBE)
+        for _ in range(BAYES_FIRST_GRID_INTERPRETERS)
+    ]
     cells = len(spec.build_cells(options, spec.sizes(options)))
     grid_seconds = float(np.median(grids))
     return {
@@ -405,6 +436,12 @@ def bench_bayes() -> dict:
             "repeats": BAYES_GRID_REPEATS,
             "seconds": round(grid_seconds, 4),
             "cells_per_sec": round(cells / grid_seconds, 2),
+            "pool_jobs": gauges["pool.jobs"],
+            "pool_utilization": round(gauges["pool.utilization"], 3),
+            "first_grid": {
+                "interpreters": BAYES_FIRST_GRID_INTERPRETERS,
+                "median_seconds": round(float(np.median(first_grids)), 4),
+            },
         },
     }
 
@@ -426,6 +463,21 @@ print(json.dumps([imported - began, time.perf_counter() - imported]))
 """
 
 
+def _src_env(src_dir: Path) -> dict:
+    """Environment of a child interpreter importing from *src_dir*."""
+    path = [str(src_dir), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def _in_fresh_interpreter(src_dir: Path, code: str):
+    """Run *code* in a new interpreter; return the JSON value it prints."""
+    probe = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_src_env(src_dir), capture_output=True, text=True, check=True,
+    )
+    return json.loads(probe.stdout)
+
+
 def bench_startup(src_dir: Path) -> dict:
     """What every process pays before its first cell, and a whole CLI run.
 
@@ -436,15 +488,9 @@ def bench_startup(src_dir: Path) -> dict:
     ``python -m repro.experiments.cli all --fast --no-cache``,
     interpreter start included.
     """
-    path = [str(src_dir), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     imports, discovers = [], []
     for _ in range(STARTUP_INTERPRETERS):
-        probe = subprocess.run(
-            [sys.executable, "-c", STARTUP_PROBE],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        imported, discovered = json.loads(probe.stdout)
+        imported, discovered = _in_fresh_interpreter(src_dir, STARTUP_PROBE)
         imports.append(imported)
         discovers.append(discovered)
     walls = []
@@ -453,7 +499,7 @@ def bench_startup(src_dir: Path) -> dict:
         subprocess.run(
             [sys.executable, "-m", "repro.experiments.cli", "all", "--fast",
              "--no-cache"],
-            env=env, stdout=subprocess.DEVNULL, check=True,
+            env=_src_env(src_dir), stdout=subprocess.DEVNULL, check=True,
         )
         walls.append(time.perf_counter() - started)
     return {
@@ -482,12 +528,12 @@ def bench_grid_backends(requests: int, jobs: int) -> dict:
 
     Times the identical grid two ways — event kernel and the fused
     batched columnar path — best-of-N with the garbage collector
-    paused, both at ``jobs`` workers so the pool's inline-probe gate is
-    part of what is measured.  A separate (untimed) metrics run of the
-    batched grid records the fused-cell count
-    (``backend.batched_cells``) and the gate's decision
-    (``pool.inline_cells``): the batched pass bypasses the pool
-    entirely.
+    paused, both at ``jobs`` workers: the event cells fan across the
+    process pool, while the batched pass runs in the parent and never
+    reaches it.  A separate (untimed) metrics run of the batched grid
+    records the fused-cell count (``backend.batched_cells``) and the
+    cells the single-CPU gate diverted inline (``pool.inline_cells``),
+    0 when every cell was fused.
     """
     configs = (
         ("event", "event", 2),
@@ -776,8 +822,8 @@ def main(argv=None) -> int:
     campaign = bench_campaign(
         21 if args.quick else 84, 200
     )
-    bayes = bench_bayes()
     src_dir = Path(__file__).resolve().parents[1] / "src"
+    bayes = bench_bayes(src_dir)
     startup = bench_startup(src_dir)
     lint = bench_lint(src_dir)
     tracing = bench_tracing_overhead(requests)

@@ -26,6 +26,17 @@ class SimulationError(ReproError):
     """
 
 
+class WorkerCrashError(ReproError):
+    """A process-pool worker died before the grid's cells finished.
+
+    Raised by :func:`~repro.runtime.parallel.run_cells` with the
+    executor's ``BrokenProcessPool`` as its cause; the message names
+    every cell whose result was not collected.  Results collected before
+    the crash stay committed, so re-running the grid with the same cache
+    or run store executes only the cells named.
+    """
+
+
 class InferenceError(ReproError):
     """A Bayesian assessment could not be carried out.
 

@@ -56,6 +56,7 @@ from typing import List, Optional
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import merge_traces
 
+from repro.common.errors import ConfigurationError
 from repro.experiments.paper_params import DEFAULT_SEED
 from repro.pipeline import (
     ExperimentOptions,
@@ -64,6 +65,7 @@ from repro.pipeline import (
     run_experiment,
 )
 from repro.runtime.cache import ResultCache, default_cache_dir
+from repro.runtime.parallel import resolve_jobs
 from repro.store.log import RunStore
 
 discover()
@@ -222,6 +224,10 @@ def _options(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        resolve_jobs(args.jobs)
+    except ConfigurationError as error:
+        parser.error(str(error))
     if args.clear_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
         removed = cache.clear()

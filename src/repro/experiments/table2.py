@@ -159,7 +159,11 @@ def assessment_cells(
     labels trace files and cells; the cache namespace is always
     :data:`ASSESSMENT_NAMESPACE`, so table2 / fig7 / fig8 / robustness
     share cached cells.  Traced cells bypass the cache (``key=None``).
+    Each cell's ``cost`` is its number of posterior checkpoints, so a
+    process pool starts the longest assessments first.
     """
+    import scipy.special  # noqa: F401  (forked pool workers inherit it)
+
     prefix = trace_prefix if trace_prefix is not None else experiment
     cells = []
     for scenario in scenarios:
@@ -195,6 +199,7 @@ def assessment_cells(
                         demands=demands,
                         every=every,
                     ),
+                    cost=demands // every,
                 )
             )
     return cells

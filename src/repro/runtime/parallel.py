@@ -3,15 +3,17 @@
 An experiment grid (Tables 5-6, the calibration sweep, the Fig-7/8
 assessment trajectories, ...) is a list of *cells*: pure functions of
 their parameters, independent of one another.  :func:`run_cells` executes
-such a list either inline (``jobs=1``) or fanned across a process pool,
-with three guarantees:
+such a list either inline (``jobs=1``) or fanned across a process pool
+— whenever ``jobs > 1``, more than one cell is pending and the host has
+more than one CPU — with these guarantees:
 
 * **determinism** — every cell derives its randomness from an explicit
   seed in its kwargs (derived per cell via
   :meth:`~repro.common.seeding.SeedSequenceFactory.child_seed`), so
   results are bit-identical for any ``jobs`` value;
-* **ordering** — results come back in cell order regardless of worker
-  completion order;
+* **ordering** — results come back in cell order regardless of the
+  order cells are dispatched in (longest first, by each cell's
+  :attr:`CellSpec.cost` hint) or complete in;
 * **caching** — cells carrying a key are looked up in / written back to
   a :class:`~repro.runtime.cache.ResultCache` when one is supplied;
 * **resumability** — with a :class:`~repro.store.RunStore` attached,
@@ -19,23 +21,30 @@ with three guarantees:
   finishes* (not at batch end), and cells whose stream is already
   complete are discovered and skipped (``store.resume_skipped_cells``)
   — so a grid interrupted after k cells resumes from the log and
-  finishes bit-identical to an uninterrupted run.
+  finishes bit-identical to an uninterrupted run;
+* **named faults** — an exception raised by a cell keeps its type and
+  carries a note naming the cell (Python 3.11+); a pool worker that
+  dies raises :class:`~repro.common.errors.WorkerCrashError` naming
+  every cell left unfinished.
 
 Cell functions must be module-level (picklable) and their kwargs and
 results picklable; everything in the experiment layer already is.
 """
 
+import math
 import multiprocessing
 import os
+import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, WorkerCrashError
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.cache import ResultCache
 from repro.store.log import RunStore
@@ -81,6 +90,12 @@ class CellSpec:
         Optional :class:`BatchSpec` declaring the cell fusable into a
         batched group execution; ``None`` keeps the cell on the
         per-cell path.
+    cost:
+        Relative estimate of the cell's work, known before it runs (a
+        non-negative finite number; only its order among a grid's cells
+        matters).  The pool dispatches costlier cells first, so a long
+        cell never starts last.  It is not part of the cache key and
+        never reaches *fn*.
     """
 
     experiment: str
@@ -88,8 +103,13 @@ class CellSpec:
     kwargs: Dict[str, Any] = field(default_factory=dict)
     key: Optional[Mapping[str, Any]] = None
     batch: Optional[BatchSpec] = None
+    cost: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.cost) and self.cost >= 0):
+            raise ConfigurationError(
+                f"cell cost must be a finite number >= 0, got {self.cost!r}"
+            )
         # A live Generator in cell kwargs would be consumed in whatever
         # order the pool schedules cells — the exact stream-sharing bug
         # REPRO202 flags statically.  Cells must take an integer seed
@@ -104,17 +124,17 @@ class CellSpec:
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalise a ``--jobs`` value; ``None``/``0`` means all CPUs."""
-    if jobs is None or jobs <= 0:
+    """Normalise a ``--jobs`` value; ``None``/``0`` means all CPUs.
+
+    A negative value is a :class:`ConfigurationError`.
+    """
+    if jobs is not None and jobs < 0:
+        raise ConfigurationError(
+            f"jobs must be >= 0 (0 = all CPUs), got {jobs}"
+        )
+    if not jobs:
         return os.cpu_count() or 1
     return int(jobs)
-
-
-#: Per-cell cost (seconds) below which pool dispatch is a net loss: a
-#: fork plus two pickle round-trips per cell costs on this order, so
-#: cheaper cells run inline even when ``jobs > 1``.  Columnar-backend
-#: cells sit well under this; event-kernel cells sit well over it.
-INLINE_CELL_THRESHOLD_SECONDS = 0.05
 
 #: Ceiling on cells fused into one batched execution (and hence one
 #: store commit).  Bounds both the script arena (a chunk of C cells
@@ -170,6 +190,57 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
     )
+
+
+def _describe(spec: CellSpec, index: int) -> str:
+    return f"cell {index} of {spec.experiment!r} (key {spec.key!r})"
+
+
+def _name_cell(error: BaseException, spec: CellSpec, index: int) -> None:
+    """Note on *error* which cell raised it (notes need Python 3.11+)."""
+    if sys.version_info >= (3, 11):
+        error.add_note(f"raised in {_describe(spec, index)}")
+
+
+def _collect(
+    futures: Dict[Future[Any], int],
+    cells: Sequence[CellSpec],
+    unpack: Callable[[int, Any], None],
+) -> None:
+    """Hand every pooled result to *unpack* as it completes.
+
+    A cell exception is re-raised with a note naming the cell.  A dead
+    worker breaks the whole pool: the results that did come back are
+    still handed over, then :class:`WorkerCrashError` names every other
+    cell.  Whatever ends the collection early (a fault, an interrupt)
+    cancels the cells not yet started, so the pool's shutdown waits only
+    for the running ones.
+    """
+    pending = dict(futures)
+    try:
+        for future in as_completed(futures):
+            index = pending.pop(future)
+            try:
+                outcome = future.result()
+            except BrokenProcessPool as error:
+                lost = [index]
+                for other, other_index in pending.items():
+                    if other.exception() is None:
+                        unpack(other_index, other.result())
+                    else:
+                        lost.append(other_index)
+                raise WorkerCrashError(
+                    f"a pool worker died before {len(lost)} cell(s) "
+                    "finished: "
+                    + "; ".join(_describe(cells[i], i) for i in sorted(lost))
+                ) from error
+            except Exception as error:
+                _name_cell(error, cells[index], index)
+                raise
+            unpack(index, outcome)
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def _run_batched(
@@ -259,33 +330,38 @@ def run_cells(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     metrics: Optional[MetricsRegistry] = None,
-    inline_threshold: Optional[float] = None,
     store: Optional[RunStore] = None,
 ) -> List[Any]:
     """Execute *cells*, returning their results in cell order.
 
-    ``jobs <= 1`` runs inline, with no pool and no pickling; ``jobs > 1``
-    first probes the batch by running one cell inline — if it completes
-    under :data:`INLINE_CELL_THRESHOLD_SECONDS` the remaining cells also
-    run inline (pool dispatch would cost more than the cells themselves;
-    ``pool.inline_cells`` counts the cells so diverted), otherwise the
-    rest fan across a process pool.  A single-CPU host short-circuits
-    the probe: with no second core the pool can only add fork + pickle
-    tax, so the whole batch runs inline (and is counted).  All paths produce bit-identical
+    ``jobs <= 1``, or a single pending cell, runs inline in grid order,
+    with no pool and no pickling.  Otherwise the pending cells fan across
+    one process pool of ``min(jobs, pending)`` workers, submitted longest
+    first — in descending :attr:`CellSpec.cost`, ties in grid order — so
+    that a long cell never starts last while the other workers idle.  A
+    single-CPU host runs the batch inline instead: with no second core
+    the pool can only add fork + pickle tax (``pool.inline_cells``
+    counts the cells so diverted).  All paths produce bit-identical
     results because each cell is a pure function of its kwargs.  If the
     platform cannot provide a process pool the call degrades to inline
-    execution with a warning rather than failing.  *inline_threshold*
-    overrides the probe threshold (``0.0`` forces the pool; ``inf``
-    forces inline).
+    execution with a warning rather than failing.
+
+    A cell that raises propagates its own exception, with a note naming
+    the cell's experiment, index and key.  A worker that dies (killed,
+    out of memory) raises :class:`~repro.common.errors.WorkerCrashError`
+    naming every unfinished cell, chained to the executor's
+    ``BrokenProcessPool``.  Either way, the results collected before the
+    fault stay committed to cache and store, so re-running the grid
+    executes only the cells that were not.
 
     With a :class:`~repro.obs.metrics.MetricsRegistry` attached, each
     executed cell records its wall time (``pool.cell_seconds``) and
-    queue wait (``pool.queue_wait_seconds``), and the batch records the
-    worker count the executor actually used (``pool.jobs`` — 1 on the
-    inline path, ``min(jobs, cells-to-run)`` on the pool path) and
-    worker utilization (``pool.utilization`` — busy worker-seconds over
-    used workers x batch span).  The timed path pickles a couple of
-    extra floats per cell; results are unaffected.
+    queue wait from the start of the call (``pool.queue_wait_seconds``),
+    and the batch records the worker count the executor actually used
+    (``pool.jobs`` — 1 on the inline path, ``min(jobs, cells-to-run)``
+    on the pool path) and worker utilization (``pool.utilization`` —
+    busy worker-seconds over used workers x batch span).  The timed path
+    pickles a couple of extra floats per cell; results are unaffected.
 
     With a :class:`~repro.store.log.RunStore` attached, the pre-scan
     also consults the log: a cell whose stream was already committed
@@ -294,7 +370,7 @@ def run_cells(
     is attached — the cache is a materialized view of the log).  Every
     freshly executed cell is committed to cache *and* store the moment
     its result lands, not at batch end, so interrupting the batch after
-    k cells loses at most the in-flight cell.
+    k cells loses at most the in-flight cells.
 
     Cells carrying a :class:`BatchSpec` are fused into grouped
     executions first — one batched call per ``(fn, group)`` chunk of at
@@ -362,62 +438,51 @@ def run_cells(
             if store is not None:
                 store.commit_result(spec.experiment, spec.key, value)
 
+    def run_inline(indices: Sequence[int]) -> None:
+        for index in indices:
+            try:
+                outcome = execute(cells[index])
+            except Exception as error:
+                _name_cell(error, cells[index], index)
+                raise
+            unpack(index, outcome)
+
     workers_used = 1
     if jobs <= 1 or len(todo) <= 1:
-        for index in todo:
-            unpack(index, execute(cells[index]))
-    elif inline_threshold is None and (os.cpu_count() or 1) <= 1:
+        run_inline(todo)
+    elif (os.cpu_count() or 1) <= 1:
         # One CPU cannot run workers concurrently, so the pool would
         # only add fork + pickle tax to every cell regardless of cost.
         if metrics is not None:
             metrics.counter("pool.inline_cells").inc(len(todo))
-        for index in todo:
-            unpack(index, execute(cells[index]))
+        run_inline(todo)
     else:
-        # Probe: run the first pending cell inline and time it.  When the
-        # selected backend makes per-cell cost smaller than pool dispatch
-        # overhead (a fork plus two pickle round-trips), paying the pool
-        # tax inverts the speedup — grid scaling drops below 1 — so the
-        # whole batch runs inline instead.
-        probe_index = todo[0]
-        probe_started = time.perf_counter()
-        probe_outcome = execute(cells[probe_index])
-        probe_elapsed = time.perf_counter() - probe_started
-        unpack(probe_index, probe_outcome)
-        remaining = todo[1:]
-        threshold = (
-            INLINE_CELL_THRESHOLD_SECONDS
-            if inline_threshold is None
-            else inline_threshold
+        workers_used = min(jobs, len(todo))
+        # Longest first, so no long cell starts last while the other
+        # workers idle; the sort is stable, so equal costs keep grid order.
+        order = sorted(
+            todo, key=lambda index: cells[index].cost, reverse=True
         )
-        if probe_elapsed < threshold:
-            if metrics is not None:
-                metrics.counter("pool.inline_cells").inc(len(todo))
-            for index in remaining:
-                unpack(index, execute(cells[index]))
+        try:
+            pool = ProcessPoolExecutor(
+                max_workers=workers_used, mp_context=_pool_context()
+            )
+        except OSError as error:
+            warnings.warn(
+                f"process pool unavailable ({error!r}); "
+                f"running {len(todo)} cells inline",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            workers_used = 1
+            run_inline(todo)
         else:
-            try:
-                workers_used = min(jobs, len(remaining))
-                with ProcessPoolExecutor(
-                    max_workers=workers_used,
-                    mp_context=_pool_context(),
-                ) as pool:
-                    futures = {
-                        index: pool.submit(execute, cells[index])
-                        for index in remaining
-                    }
-                    for index, future in futures.items():
-                        unpack(index, future.result())
-            except (OSError, PermissionError) as error:
-                warnings.warn(
-                    f"process pool unavailable ({error!r}); "
-                    f"running {len(remaining)} cells inline",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                workers_used = 1
-                for index in remaining:
-                    unpack(index, execute(cells[index]))
+            with pool:
+                futures = {
+                    pool.submit(execute, cells[index]): index
+                    for index in order
+                }
+                _collect(futures, cells, unpack)
 
     if metrics is not None and timings:
         span = max(

@@ -12,6 +12,7 @@ from repro.common.errors import (
     SimulationError,
     UnknownOperationError,
     ValidationError,
+    WorkerCrashError,
 )
 
 
@@ -25,6 +26,7 @@ def test_all_derive_from_repro_error():
         ServiceUnavailableError,
         EvidentFailureError,
         UnknownOperationError,
+        WorkerCrashError,
     ):
         assert issubclass(exc, ReproError)
 

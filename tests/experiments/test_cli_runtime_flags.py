@@ -14,6 +14,12 @@ class TestParsing:
         assert build_parser().parse_args(["table5", "--jobs", "4"]).jobs == 4
         assert build_parser().parse_args(["table5", "-j", "0"]).jobs == 0
 
+    def test_negative_jobs_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["table5", "--fast", "--no-cache", "-j", "-2"])
+        assert info.value.code == 2
+        assert "jobs must be >= 0" in capsys.readouterr().err
+
     def test_cache_flags(self):
         args = build_parser().parse_args(
             ["table5", "--no-cache", "--cache-dir", "/tmp/x"]

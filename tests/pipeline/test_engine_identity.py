@@ -11,10 +11,12 @@ Sizes are shrunk via the uniform ``requests`` override, so these run at
 smoke scale.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import (
     ExperimentOptions,
     discover,
@@ -58,12 +60,22 @@ class TestEveryGridSpec:
         assert set(GRID_SPECS) <= set(SMOKE_REQUESTS)
 
     @pytest.mark.parametrize("name", GRID_SPECS)
-    def test_jobs_bit_identical(self, name):
+    def test_jobs_bit_identical(self, name, monkeypatch):
+        # Two CPUs as far as the runtime can tell, so jobs=2 runs the
+        # per-cell cells through the process pool even on a 1-CPU host.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = registered_specs()[name]
         sequential = run_experiment(spec, _options(name, jobs=1))
-        parallel = run_experiment(spec, _options(name, jobs=2))
+        registry = MetricsRegistry()
+        parallel = run_experiment(
+            spec, _options(name, jobs=2, metrics=registry)
+        )
         assert sequential.text == parallel.text
         assert sequential.cells == parallel.cells > 0
+        snapshot = registry.as_dict()
+        if snapshot["counters"].get("pool.cells_executed"):
+            # Cells that took the per-cell path really ran in the pool.
+            assert snapshot["gauges"]["pool.jobs"] == 2.0
 
     @pytest.mark.parametrize("name", GRID_SPECS)
     def test_cached_replay_equals_uncached(self, name, tmp_path):

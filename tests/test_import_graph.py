@@ -78,3 +78,21 @@ def test_table2_cell_loads_scipy_special_not_stats():
     )
     assert "scipy.special" in modules
     assert "scipy.stats" not in modules
+
+
+def test_building_table2_cells_preloads_scipy_special():
+    # Pool workers are forked from the process that builds the cells and
+    # inherit its modules, so building the cells imports the Bayes
+    # layer's scipy.special once instead of every worker per grid.
+    # (discover() itself still loads no scipy: the first test above.)
+    built = modules_after(
+        """
+        from repro.pipeline import ExperimentOptions, discover, get_spec
+        discover()
+        spec = get_spec("table2")
+        options = ExperimentOptions(seed=1, fast=True)
+        spec.build_cells(options, spec.sizes(options))
+        """
+    )
+    assert "scipy.special" in built
+    assert "scipy.stats" not in built
