@@ -19,10 +19,12 @@ Measures the numbers the runtime work is accountable for —
   cross-checked against the columnar simulation, plus per-mode
   throughput),
 * the 12-cell grid per demand-resolution strategy (``grid.backends`` —
-  event vs the fused batched columnar path, with the pool's
-  inline-gate decision recorded) and a ≥1000-cell campaign sweep down
-  the batched path (``campaign`` — cells/sec, deterministic chunk
-  sizes, fallback ratio),
+  event vs the fused batched columnar path as median and IQR, with the
+  pool's inline-gate decision recorded), a ≥1000-cell campaign sweep
+  down the batched path (``campaign`` — median and IQR, cells/sec,
+  deterministic chunk sizes, scripts drawn, fallback ratio) and the
+  fused path's script-arena draw for one full-size Table 5 group
+  (``arena_draw`` — median and IQR, cells, scripts and rows drawn),
 * the event-store write path at both durability grains
   (``store.append_events_per_sec`` per-event vs
   ``store.batch_append_events_per_sec`` for envelope-slab appends with
@@ -69,9 +71,12 @@ import numpy as np
 from repro.bayes.counts import JointCounts
 from repro.bayes.priors import GridSpec
 from repro.bayes.whitebox import WhiteBoxAssessor
+from repro.common.seeding import SeedSequenceFactory
 from repro.core.modes import ModeConfig, SequentialOrder
 from repro.experiments import paper_params as P
 from repro.experiments.event_sim import (
+    draw_release_pair_arena,
+    paper_profile,
     release_pair_cells,
     run_release_pair_simulation,
 )
@@ -523,41 +528,43 @@ def bench_grid(requests: int, jobs: int) -> float:
     return best
 
 
+#: Timed runs per grid strategy (after one warm run), of the campaign
+#: sweep, and of the arena draw.
+GRID_REPEATS = {"event": 3, "batched": 11}
+CAMPAIGN_REPEATS = 5
+ARENA_REPEATS = 21
+
+
 def bench_grid_backends(requests: int, jobs: int) -> dict:
     """The 12-cell Table-5 grid per demand-resolution strategy.
 
     Times the identical grid two ways — event kernel and the fused
-    batched columnar path — best-of-N with the garbage collector
-    paused, both at ``jobs`` workers: the event cells fan across the
-    process pool, while the batched pass runs in the parent and never
-    reaches it.  A separate (untimed) metrics run of the batched grid
-    records the fused-cell count (``backend.batched_cells``) and the
+    batched columnar path — as median and IQR of
+    :data:`GRID_REPEATS` runs with the garbage collector paused, both
+    at ``jobs`` workers: the event cells fan across the process pool,
+    while the batched pass runs in the parent and never reaches it.  A
+    separate (untimed) metrics run of the batched grid records the
+    fused-cell count (``backend.batched_cells``), the scripts its
+    arena drew (``backend.batched_scripts``, one per run) and the
     cells the single-CPU gate diverted inline (``pool.inline_cells``),
     0 when every cell was fused.
     """
     configs = (
-        ("event", "event", 2),
-        ("batched", "columnar", 3),
+        ("event", "event"),
+        ("batched", "columnar"),
     )
     out = {}
-    for label, backend, repeats in configs:
-        run_table5(seed=3, requests=200, jobs=jobs, backend=backend)  # warm
-        best = float("inf")
-        reenable = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(repeats):
-                started = time.perf_counter()
-                run_table5(
-                    seed=3, requests=requests, jobs=jobs, backend=backend
-                )
-                best = min(best, time.perf_counter() - started)
-        finally:
-            if reenable:
-                gc.enable()
+    for label, backend in configs:
+        samples = _timed_repeats(
+            lambda backend=backend: run_table5(
+                seed=3, requests=requests, jobs=jobs, backend=backend
+            ),
+            GRID_REPEATS[label],
+        )
         entry = {
-            "seconds": round(best, 4),
-            "cells_per_sec": round(12 / best, 1),
+            "repeats": GRID_REPEATS[label],
+            **_quartiles(samples),
+            "cells_per_sec": round(12 / float(np.median(samples)), 1),
         }
         if label != "event":
             registry = MetricsRegistry()
@@ -572,6 +579,9 @@ def bench_grid_backends(requests: int, jobs: int) -> dict:
             entry["batched_cells"] = int(
                 counters.get("backend.batched_cells", 0)
             )
+            entry["batched_scripts"] = int(
+                counters.get("backend.batched_scripts", 0)
+            )
         out[label] = entry
     return {
         "cells": 12,
@@ -579,7 +589,8 @@ def bench_grid_backends(requests: int, jobs: int) -> dict:
         "jobs": jobs,
         "backends": out,
         "speedup_batched_vs_event": round(
-            out["event"]["seconds"] / out["batched"]["seconds"], 2
+            out["event"]["median_seconds"]
+            / out["batched"]["median_seconds"], 2
         ),
     }
 
@@ -589,10 +600,12 @@ def bench_campaign(grids: int, requests: int) -> dict:
 
     Builds *grids* independent 12-cell Table-5 grids (distinct root
     seeds — a parameter-sweep campaign over one workload shape), runs
-    all of them as one cell list with batching on, and reports
-    cells/sec, the deterministic chunk sizes the batched pass used, and
-    the fallback ratio (which must be 0.0: every cell of this campaign
-    is inside the columnar envelope).
+    all of them as one cell list with batching on — median and IQR of
+    :data:`CAMPAIGN_REPEATS` runs, GC paused — and reports cells/sec,
+    the deterministic chunk sizes the batched pass used, the scripts
+    drawn (a run split across two chunks is drawn in each), and the
+    fallback ratio (which must be 0.0: every cell of this campaign is
+    inside the columnar envelope).
     """
     cells = []
     for index in range(grids):
@@ -600,18 +613,16 @@ def bench_campaign(grids: int, requests: int) -> dict:
             "table5", "correlated", seed=1_000 + index,
             requests=requests, backend="columnar",
         ))
-    registry = MetricsRegistry()
-    reenable = gc.isenabled()
-    gc.disable()
-    try:
-        started = time.perf_counter()
+    last = {}
+
+    def run() -> None:
+        registry = MetricsRegistry()
         results = run_cells(cells, jobs=1, metrics=registry)
-        elapsed = time.perf_counter() - started
-    finally:
-        if reenable:
-            gc.enable()
-    assert all(result is not None for result in results)
-    counters = registry.as_dict()["counters"]
+        assert all(result is not None for result in results)
+        last["counters"] = registry.as_dict()["counters"]
+
+    samples = _timed_repeats(run, CAMPAIGN_REPEATS)
+    counters = last["counters"]
     batched = int(counters.get("backend.batched_cells", 0))
     fallback = int(counters.get("backend.batched_fallback_cells", 0))
     total = batched + fallback
@@ -626,14 +637,52 @@ def bench_campaign(grids: int, requests: int) -> dict:
         "grids": grids,
         "cells": len(cells),
         "requests_per_cell": requests,
-        "seconds": round(elapsed, 4),
-        "cells_per_sec": round(len(cells) / elapsed, 1),
+        "repeats": CAMPAIGN_REPEATS,
+        **_quartiles(samples),
+        "cells_per_sec": round(len(cells) / float(np.median(samples)), 1),
         "batch_size_limit": limit,
         "batch_chunks": len(chunks),
         "batch_sizes": {"max": max(chunks), "min": min(chunks)},
         "batched_cells": batched,
+        "batched_scripts": int(counters.get("backend.batched_scripts", 0)),
         "fallback_cells": fallback,
         "fallback_ratio": round(fallback / total, 4) if total else 0.0,
+    }
+
+
+def bench_arena_draw() -> dict:
+    """The script-arena draw of one full-size 12-cell Table 5 group.
+
+    Draws the group's arena through the fused path's own
+    :func:`~repro.experiments.event_sim.draw_release_pair_arena` — one
+    row per run, shared by its three TimeOut cells, so 12 cells draw 4
+    scripts of :data:`~repro.experiments.paper_params.REQUESTS_PER_RUN`
+    rows — as median and IQR of :data:`ARENA_REPEATS` draws with the
+    collector paused.
+    """
+    kwargs_list = [
+        cell.kwargs for cell in release_pair_cells(
+            "table5", "correlated", seed=3, requests=P.REQUESTS_PER_RUN,
+            backend="columnar",
+        )
+    ]
+    profile = paper_profile()
+
+    def draw():
+        return draw_release_pair_arena(
+            kwargs_list, profile,
+            [SeedSequenceFactory(kw["seed"]) for kw in kwargs_list],
+        )
+
+    samples = _timed_repeats(draw, ARENA_REPEATS)
+    arena = draw()
+    return {
+        "requests_per_cell": P.REQUESTS_PER_RUN,
+        "cells": arena.cells,
+        "scripts": arena.scripts,
+        "rows_drawn": arena.scripts * arena.rows,
+        "repeats": ARENA_REPEATS,
+        **_quartiles(samples),
     }
 
 
@@ -822,6 +871,7 @@ def main(argv=None) -> int:
     campaign = bench_campaign(
         21 if args.quick else 84, 200
     )
+    arena_draw = bench_arena_draw()
     src_dir = Path(__file__).resolve().parents[1] / "src"
     bayes = bench_bayes(src_dir)
     startup = bench_startup(src_dir)
@@ -865,6 +915,7 @@ def main(argv=None) -> int:
             ],
         },
         "campaign": campaign,
+        "arena_draw": arena_draw,
         "bayes": bayes,
         "startup": startup,
         "lint": lint,

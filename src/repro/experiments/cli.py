@@ -64,6 +64,7 @@ from repro.pipeline import (
     registered_specs,
     run_experiment,
 )
+from repro.pipeline.spec import check_requests
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.parallel import resolve_jobs
 from repro.store.log import RunStore
@@ -226,6 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         resolve_jobs(args.jobs)
+        check_requests(args.requests)
     except ConfigurationError as error:
         parser.error(str(error))
     if args.clear_cache:

@@ -30,6 +30,7 @@ from repro.runtime import columnar
 from repro.runtime.parallel import BatchSpec, CellSpec
 from repro.runtime.sampling import (
     DemandScript,
+    ScriptArena,
     build_demand_script,
     build_demand_script_arena,
 )
@@ -554,6 +555,28 @@ def _batch_fallback(
     return None
 
 
+def draw_release_pair_arena(
+    kwargs_list: Sequence[Dict[str, Any]],
+    profile: LatencyProfile,
+    seeds: Sequence[SeedSequenceFactory],
+) -> ScriptArena:
+    """A fused group's script arena, one row per distinct script.
+
+    The group key fixes profile, requests and backend, so cells with
+    equal ``(seed, joint, run)`` kwargs — the TimeOut cells of one
+    run — observe one workload and share one row.  ``seeds`` holds each
+    cell's factory.
+    """
+    return build_demand_script_arena(
+        [joint_model(kw["joint"], kw["run"]) for kw in kwargs_list],
+        profile.demand_difficulty,
+        profile.release_latencies,
+        int(kwargs_list[0]["requests"]),
+        seeds,
+        [(kw["seed"], kw["joint"], kw["run"]) for kw in kwargs_list],
+    )
+
+
 def run_release_pair_batch(
     kwargs_list: List[Dict[str, Any]],
     metrics: Optional[MetricsRegistry] = None,
@@ -569,13 +592,16 @@ def run_release_pair_batch(
     cells fall back to the ordinary per-cell path, whose own ``auto``
     logic then handles them correctly.
 
-    On the fused path: one shared demand-script arena is drawn (per-cell
-    named streams, sliced as views), one call to
+    On the fused path: one shared demand-script arena is drawn by
+    :func:`draw_release_pair_arena`, one row per distinct script (a
+    12-cell Table 5/6 group draws 4), one call to
     :func:`repro.runtime.columnar.resolve_cell_batch` reduces every cell
     to its Table-5/6 rows, and the caller commits the whole chunk to
-    cache and store in one batch.  Results are bit-identical to the
-    per-cell columnar path because each cell's script rows and RNG
-    spawns are drawn exactly as the standalone path draws them.
+    cache and store in one batch.  ``backend.batched_scripts`` counts
+    the scripts drawn.  Results are bit-identical to the per-cell
+    columnar path because each script is drawn from its cell's own
+    named streams exactly as the standalone path draws it, and every
+    cell keeps its own middleware generator.
     """
     if not kwargs_list:
         return []
@@ -597,15 +623,8 @@ def run_release_pair_batch(
         # A lone release samples its own marginal, not scripted outcome
         # codes: the per-cell path pre-draws that marginal.
         return _batch_fallback(metrics, count, "no-outcome-codes")
-    joints = [joint_model(kw["joint"], kw["run"]) for kw in kwargs_list]
     seeds = [SeedSequenceFactory(kw["seed"]) for kw in kwargs_list]
-    arena = build_demand_script_arena(
-        joints,
-        profile.demand_difficulty,
-        profile.release_latencies,
-        requests,
-        seeds,
-    )
+    arena = draw_release_pair_arena(kwargs_list, profile, seeds)
     timeouts = [float(kw["timeout"]) for kw in kwargs_list]
     rows = columnar.resolve_cell_batch(
         arena,
@@ -627,6 +646,7 @@ def run_release_pair_batch(
         # them (and gives the CI fallback budget its denominator).
         metrics.counter("backend.columnar_cells").inc(count)
         metrics.counter("backend.batched_cells").inc(count)
+        metrics.counter("backend.batched_scripts").inc(arena.scripts)
     return [
         SimulationRunResult(kw["run"], kw["timeout"], row)
         for kw, row in zip(kwargs_list, rows)

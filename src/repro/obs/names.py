@@ -29,6 +29,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "aio.throughput",
     "backend.batched_cells",
     "backend.batched_fallback_cells",
+    "backend.batched_scripts",
     "backend.columnar_cells",
     "backend.fallback_cells",
     "cache.corrupt",

@@ -48,6 +48,20 @@ from repro.runtime.parallel import CellSpec
 from repro.store.log import RunStore
 
 
+def check_requests(requests: Optional[int]) -> None:
+    """Reject a ``--requests`` override below one request.
+
+    ``None`` keeps each spec's own size.  A value below 1 is a
+    :class:`ConfigurationError` naming ``requests``, raised before any
+    cell is built or drawn.
+    """
+    if requests is not None and requests < 1:
+        raise ConfigurationError(
+            f"requests must be >= 1 (or unset for the spec's size), "
+            f"got {requests!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentOptions:
     """Uniform run options, shared by every experiment.
@@ -55,7 +69,8 @@ class ExperimentOptions:
     One instance carries everything the CLI flags express: the root
     seed, the ``--fast`` switch, the latency-profile name, the worker
     count, the result cache (``None`` = disabled), the uniform
-    workload override (``--requests``), the per-cell trace directory,
+    workload override (``--requests``; at least 1 when given, see
+    :func:`check_requests`), the per-cell trace directory,
     the metrics registry, the report output path and the
     demand-resolution backend (``--backend``: ``event`` threads every
     demand through the event kernel, ``columnar`` resolves whole cells
@@ -89,6 +104,9 @@ class ExperimentOptions:
     output: Optional[str] = None
     backend: str = "auto"
     store: Optional[RunStore] = None
+
+    def __post_init__(self) -> None:
+        check_requests(self.requests)
 
     def trace_path(self, filename: str) -> Optional[str]:
         """Per-cell trace file path, or ``None`` when tracing is off."""

@@ -54,13 +54,18 @@ arithmetic, in order:
 
 Layout.  The three parallel modes share one kernel that is
 *release-major*: it holds one contiguous ``(cells, n)`` array per
-release (arrival times, within-cutoff masks, outcome codes read as
-views of the script's int64 block) and combines releases with ``k − 1``
-elementwise ops — no sort, no reduction along a short release axis.
-:func:`resolve_cell` runs it on a one-cell view of its script;
-:func:`resolve_cell_batch` runs it over blocks of whole cells of at
-most :data:`KERNEL_BLOCK_ROWS` demand rows, which keeps every
-temporary in cache.  Sequential and retry cells are replayed per cell.
+release (arrival times, within-cutoff masks, outcome codes) and
+combines releases with ``k − 1`` elementwise ops — no sort, no
+reduction along a short release axis.  :func:`resolve_cell` runs it on
+a one-cell view of its script; :func:`resolve_cell_batch` runs it over
+blocks of whole cells of at most :data:`KERNEL_BLOCK_ROWS` demand rows,
+which keeps every temporary in cache.  The batch's
+:class:`~repro.runtime.sampling.ScriptArena` holds one ``(scripts,
+rows)`` slab per leg with one row per *distinct* script (the TimeOut
+cells of one Table 5/6 run share a row), so a block gathers its cells'
+rows through the arena's row index — a one-cell block slices its row
+as a view instead.  Sequential and retry cells are replayed per cell,
+reading their rows through the same index.
 
 The *envelope* in which this equivalence is proven is wide but not
 universal: a script with outcome codes, the paper-rule adjudicator, no
@@ -81,6 +86,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -211,6 +217,7 @@ def resolve_cell(
         requests=script.requests,
         t1=np.asarray(script.t1, dtype=np.float64)[None],
         t2=[np.asarray(t2, dtype=np.float64)[None] for t2 in script.t2],
+        row_index=np.zeros(1, dtype=np.intp),
         outcome_codes=(
             None if codes is None else np.asarray(codes, dtype=np.int64)[None]
         ),
@@ -237,8 +244,11 @@ def resolve_cell_batch(
     """Resolve a whole batch of cells over their shared script arena.
 
     Cell *c* of the batch reads its script rows from ``arena.script(c)``
-    and its scalar parameters from ``timeouts[c]`` / ``spacings[c]`` /
-    ``middleware_rngs[c]``; the returned list is in cell order, and each
+    (slab row ``arena.row_index[c]``, which cells observing one
+    workload share) and its scalar parameters from ``timeouts[c]`` /
+    ``spacings[c]`` / ``middleware_rngs[c]`` — every cell keeps its own
+    middleware and adjudication generators, because each consumes its
+    own tie-break draws.  The returned list is in cell order, and each
     entry is bit-identical to :func:`resolve_cell` run on that cell alone
     (asserted, not assumed, by the batched equivalence suite).  All
     cells in a batch share one (mode, release count, retry policy)
@@ -285,17 +295,21 @@ def _resolve_group(
         )
     codes = np.asarray(arena.outcome_codes, dtype=np.int64)
     # The kernel reads code columns j < k only: a wider block would be
-    # truncated silently, so its shape is checked here, once.
+    # truncated silently, so its shape is checked here, once.  Slabs
+    # hold one row per distinct script, not per cell.
+    scripts = arena.scripts
     if (
         len(arena.t2) != k
+        or any(slab.shape[0] != scripts for slab in arena.t2)
         or codes.ndim != 3
-        or codes.shape[0] != cells
+        or codes.shape[0] != scripts
         or codes.shape[2] != k
     ):
         raise ConfigurationError(
-            f"script shape mismatch: {cells} cells of {k} releases, but "
-            f"{len(arena.t2)} latency streams and an outcome code block "
-            f"shaped {codes.shape} (expected ({cells}, rows, {k}))"
+            f"script shape mismatch: {scripts} scripts of {k} releases, "
+            f"but {len(arena.t2)} latency streams shaped "
+            f"{[slab.shape for slab in arena.t2]} and an outcome code "
+            f"block shaped {codes.shape} (expected ({scripts}, rows, {k}))"
         )
     covered = min(
         arena.rows, codes.shape[1], *(slab.shape[1] for slab in arena.t2)
@@ -319,10 +333,11 @@ def _resolve_group(
         for rng in middleware_rngs
     ]
     if retry is not None:
+        row_index = arena.row_index
         return [
             _resolve_retry(
-                arena.script(c), names, codes[c], float(timeouts[c]),
-                adjudication_delay, float(spacings[c]),
+                arena.script(c), names, codes[row_index[c]],
+                float(timeouts[c]), adjudication_delay, float(spacings[c]),
                 adjudication_rngs[c], n, retry,
             )
             for c in range(cells)
@@ -403,10 +418,17 @@ def _resolve_parallel(
     results: List[SystemMetrics] = []
     for lo in range(0, arena.cells, step):
         block = slice(lo, lo + step)
+        rows = arena.row_index[block]
+        # Gather the block's script rows (cells sharing a script each
+        # get their own copy).  A one-cell block, as at 10,000 requests,
+        # slices a view instead: gathering it cost ~15% of the resolver.
+        pick: Union[slice, np.ndarray] = rows
+        if rows.size == 1:
+            pick = slice(int(rows[0]), int(rows[0]) + 1)
         results.extend(_parallel_kernel(
-            arena.t1[block, :n],
-            [slab[block, :n] for slab in arena.t2],
-            [codes[block, :n, j] for j in range(len(names))],
+            arena.t1[pick, :n],
+            [slab[pick, :n] for slab in arena.t2],
+            [codes[pick, :n, j] for j in range(len(names))],
             timeout_col[block], spacing_col[block], adjudication_delay,
             adjudication_rngs[block], names, config,
         ))
@@ -746,9 +768,10 @@ def _resolve_sequential_cells(
     config: ModeConfig,
 ) -> List[SystemMetrics]:
     """Sequential mode: each cell replays its own escalation chains."""
+    row_index = arena.row_index
     return [
         _resolve_sequential(
-            arena.script(c), names, codes[c], float(timeouts[c]),
+            arena.script(c), names, codes[row_index[c]], float(timeouts[c]),
             adjudication_delay, float(spacings[c]), adjudication_rngs[c],
             middleware_rngs[c], n, config,
         )

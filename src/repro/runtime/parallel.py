@@ -138,8 +138,9 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 #: Ceiling on cells fused into one batched execution (and hence one
 #: store commit).  Bounds both the script arena (a chunk of C cells
-#: holds C×rows×(2×releases+1) float64/int64 values: T1, one T2 slab
-#: per release and the outcome-code block) and the resume grain: a
+#: holds at most C×rows×(2×releases+1) float64/int64 values: T1, one
+#: T2 slab per release and the outcome-code block, one row per
+#: distinct script) and the resume grain: a
 #: killed run loses at most one chunk's worth of work.  The resolver's
 #: temporaries do not grow with C: the release-major parallel kernel
 #: walks the chunk in blocks of whole cells of at most

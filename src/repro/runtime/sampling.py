@@ -24,7 +24,7 @@ Streams are derived per leg from the cell's
 """
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -267,31 +267,56 @@ class DemandScript:
 class ScriptArena:
     """Shared demand-script storage for a batch of cells.
 
-    One contiguous ``(cells, rows)`` slab per randomness leg — shared T1,
-    one T2 slab per release, and a ``(cells, rows, releases)`` outcome
-    code block — instead of one set of per-cell arrays.  Each cell's
-    draws come from its *own* :class:`SeedSequenceFactory` streams in
-    exactly :func:`build_demand_script`'s order, so :meth:`script` is a
+    One ``(scripts, rows)`` slab per randomness leg — shared T1, one T2
+    slab per release, and a ``(scripts, rows, releases)`` outcome code
+    block — holding each *distinct* script once, and a per-cell
+    ``row_index``: cell *c* reads slab row ``row_index[c]``.  Cells
+    that observe one workload (the three TimeOut cells of a Table 5/6
+    run) share a row.  Each row is drawn from its first cell's own
+    :class:`SeedSequenceFactory` streams in exactly
+    :func:`build_demand_script`'s order, so :meth:`script` is a
     zero-copy view that is bit-identical to the script that cell would
     have built alone (asserted by the batched equivalence suite).
 
-    ``rows`` is the per-cell script length — ``requests``, or the
+    ``cells`` counts cells, ``scripts`` the slab rows actually drawn,
+    and ``rows`` is the per-script length — ``requests``, or the
     over-provisioned ``draws`` count for retry cells.
     """
 
     requests: int
     t1: np.ndarray
     t2: List[np.ndarray]
+    row_index: np.ndarray
     outcome_codes: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        index = np.asarray(self.row_index, dtype=np.intp)
+        scripts = int(self.t1.shape[0])
+        if (
+            index.ndim != 1
+            or not index.size
+            or int(index.min()) < 0
+            or int(index.max()) >= scripts
+        ):
+            raise ValidationError(
+                f"row index must map every cell to one of {scripts} "
+                f"script rows: {index.tolist()!r}"
+            )
+        self.row_index = index
 
     @property
     def cells(self) -> int:
-        """Number of cells stacked in the arena."""
+        """Number of cells the arena serves."""
+        return int(self.row_index.shape[0])
+
+    @property
+    def scripts(self) -> int:
+        """Number of distinct scripts (slab rows) drawn."""
         return int(self.t1.shape[0])
 
     @property
     def rows(self) -> int:
-        """Scripted rows per cell."""
+        """Scripted rows per script."""
         return int(self.t1.shape[1])
 
     def script(self, index: int) -> DemandScript:
@@ -300,13 +325,14 @@ class ScriptArena:
             raise ValidationError(
                 f"arena holds {self.cells} cells, no index {index!r}"
             )
+        row = int(self.row_index[index])
         return DemandScript(
             requests=self.rows,
-            t1=self.t1[index],
-            t2=[slab[index] for slab in self.t2],
+            t1=self.t1[row],
+            t2=[slab[row] for slab in self.t2],
             outcome_codes=(
                 None if self.outcome_codes is None
-                else self.outcome_codes[index]
+                else self.outcome_codes[row]
             ),
         )
 
@@ -317,6 +343,7 @@ def build_demand_script_arena(
     release_latencies: Sequence[Distribution],
     requests: int,
     seeds: Sequence[SeedSequenceFactory],
+    script_keys: Sequence[Hashable],
     draws: Optional[int] = None,
 ) -> ScriptArena:
     """Pre-draw a whole batch of cells into one shared script arena.
@@ -324,12 +351,19 @@ def build_demand_script_arena(
     ``joint_models[c]`` and ``seeds[c]`` belong to cell *c*; the shared
     *demand_difficulty* / *release_latencies* distributions are the
     group's common workload shape (cells differing there cannot share an
-    arena).  Per cell, the draw order and named streams are exactly
+    arena).  ``script_keys[c]`` names cell *c*'s script: cells with
+    equal keys share one slab row, drawn once from the first such
+    cell's factory and joint model, so the caller must give equal keys
+    only to cells whose scripts are equal (same root seed, same joint
+    model), such as the TimeOut cells of one Table 5/6 run.  Per row,
+    the draw order and named streams are exactly
     :func:`build_demand_script`'s (``script/outcomes``, ``script/t1``,
-    ``script/t2/<k>``), and each ``sample_many`` block lands in the
-    cell's slab row unchanged — so ``arena.script(c)`` is bit-identical
-    to the standalone script.  *draws* over-provisions every cell's rows
-    exactly as in :func:`build_demand_script`.
+    ``script/t2/<k>``), and each ``sample_many`` block lands in the slab
+    row unchanged — so ``arena.script(c)`` is bit-identical to the
+    standalone script.  *draws* over-provisions every row exactly as in
+    :func:`build_demand_script`.  The slabs are read-only once drawn: a
+    resolver writing into a shared row raises instead of corrupting the
+    cells that share it.
     """
     if requests <= 0:
         raise ValidationError(f"requests must be > 0: {requests!r}")
@@ -347,33 +381,54 @@ def build_demand_script_arena(
         raise ValidationError(
             f"{len(joint_models)} joint models for {cells} cells"
         )
+    if len(script_keys) != cells:
+        raise ValidationError(
+            f"{len(script_keys)} script keys for {cells} cells"
+        )
     with_joint = [model is not None for model in joint_models]
     if any(with_joint) and not all(with_joint):
         raise ValidationError(
             "arena cells must all have a joint model or all have none"
         )
+    row_of: Dict[Hashable, int] = {}
+    firsts: List[int] = []
+    row_index = np.empty(cells, dtype=np.intp)
+    for c, key in enumerate(script_keys):
+        if key not in row_of:
+            row_of[key] = len(firsts)
+            firsts.append(c)
+        row_index[c] = row_of[key]
+    scripts = len(firsts)
     releases = len(release_latencies)
-    t1 = np.empty((cells, rows), dtype=np.float64)
-    t2 = [np.empty((cells, rows), dtype=np.float64) for _ in range(releases)]
+    t1 = np.empty((scripts, rows), dtype=np.float64)
+    t2 = [np.empty((scripts, rows), dtype=np.float64) for _ in range(releases)]
     codes = (
-        np.empty((cells, rows, releases), dtype=np.int64)
+        np.empty((scripts, rows, releases), dtype=np.int64)
         if all(with_joint) else None
     )
-    for c, factory in enumerate(seeds):
+    for row, c in enumerate(firsts):
+        factory = seeds[c]
         if codes is not None:
             model = joint_models[c]
             assert model is not None
-            codes[c] = _outcome_matrix(
+            codes[row] = _outcome_matrix(
                 model, factory.generator("script/outcomes"), rows, releases,
             )
-        t1[c] = demand_difficulty.sample_many(
+        t1[row] = demand_difficulty.sample_many(
             factory.generator("script/t1"), rows
         )
         for j, latency in enumerate(release_latencies):
-            t2[j][c] = latency.sample_many(
+            t2[j][row] = latency.sample_many(
                 factory.generator(f"script/t2/{j}"), rows
             )
-    return ScriptArena(requests=rows, t1=t1, t2=t2, outcome_codes=codes)
+    for array in (t1, *t2, row_index):
+        array.flags.writeable = False
+    if codes is not None:
+        codes.flags.writeable = False
+    return ScriptArena(
+        requests=rows, t1=t1, t2=t2, row_index=row_index,
+        outcome_codes=codes,
+    )
 
 
 def _outcome_matrix(

@@ -20,6 +20,24 @@ class TestParsing:
         assert info.value.code == 2
         assert "jobs must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["table5", "--fast", "--requests", "0"],  # fused grid
+        ["table5", "--fast", "--requests", "-5"],
+        ["fidelity", "--requests", "-1"],
+        ["multirelease", "--fast", "--requests", "0"],  # per-cell grid
+    ])
+    def test_requests_below_one_is_a_usage_error(
+        self, argv, capsys, tmp_path
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--cache-dir", str(tmp_path / "cache")])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "requests must be >= 1" in captured.err
+        # Rejected before any grid ran: nothing printed, nothing cached.
+        assert captured.out == ""
+        assert not (tmp_path / "cache").exists()
+
     def test_cache_flags(self):
         args = build_parser().parse_args(
             ["table5", "--no-cache", "--cache-dir", "/tmp/x"]

@@ -97,6 +97,17 @@ class TestSizeResolution:
         assert sizes == {"samples": 3}
 
 
+class TestOptionsValidation:
+    @pytest.mark.parametrize("requests", [0, -1, -5])
+    def test_requests_below_one_rejected(self, requests):
+        with pytest.raises(ConfigurationError, match="requests"):
+            ExperimentOptions(seed=1, requests=requests)
+
+    def test_requests_of_one_or_unset_accepted(self):
+        assert ExperimentOptions(seed=1, requests=1).requests == 1
+        assert ExperimentOptions(seed=1).requests is None
+
+
 class TestRegistry:
     def test_discover_finds_every_experiment(self):
         discover()

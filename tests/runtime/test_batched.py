@@ -11,7 +11,9 @@ rows as IEEE bit patterns), chunks the parallel kernel splits at its
 row budget, the orchestration (fused ``run_cells`` vs the same cells
 with their ``BatchSpec`` stripped) end to end, the mixed-envelope group
 fallback, and cache-key invariance in both directions (a batched run's
-cache serves a per-cell run and vice versa).
+cache serves a per-cell run and vice versa).  The arena, resolver and
+kernel-block tests also run on the real grids' shape — three TimeOut
+cells sharing one arena row per script — duplicates included.
 """
 
 import dataclasses
@@ -23,9 +25,15 @@ from repro.common.errors import ConfigurationError
 from repro.common.seeding import SeedSequenceFactory
 from repro.core.modes import ModeConfig, SequentialOrder
 from repro.experiments import paper_params as P
-from repro.experiments.event_sim import LatencyProfile, release_pair_cells
+from repro.experiments.event_sim import (
+    LatencyProfile,
+    release_pair_cells,
+    run_joint_model_cell,
+    run_release_pair_batch,
+)
 from repro.experiments.multi_release import chained_model
 from repro.obs.metrics import MetricsRegistry
+from repro.pipeline import ExperimentOptions, get_spec, run_experiment
 from repro.runtime import columnar
 from repro.runtime.cache import ResultCache
 from repro.runtime.parallel import run_cells
@@ -52,6 +60,16 @@ ALL_MODES = [
 RELEASE_COUNTS = (1, 2, 3, 5)
 
 
+def with_shared(values):
+    """``(value, shared)`` params: each value alone, then Table 5/6-shaped.
+
+    The unshared cases keep the plain value as their id.
+    """
+    return [pytest.param(value, False, id=str(value)) for value in values] + [
+        pytest.param(value, True, id=f"{value}-shared") for value in values
+    ]
+
+
 def rows_as_bits(metrics):
     """all_rows() with every float canonicalised to its IEEE bit pattern."""
     def canon(value):
@@ -65,31 +83,45 @@ def rows_as_bits(metrics):
     }
 
 
-def cell_params(n_releases, seeds):
-    """A heterogeneous batch: per-cell (model, seed, timeout) triples."""
+def cell_params(n_releases, seeds, shared=False):
+    """A batch's per-cell (model, seed, timeout) triples and script keys.
+
+    Seed *i* runs outcome model ``1 + i % 2``.  By default every cell
+    has its own script and the TimeOut cycles over the cells.  *shared*
+    gives the real grids' shape instead: each (seed, run) script under
+    all three TimeOuts, so a seed listed twice in a row is one seed
+    under two joint models — two scripts.
+    """
     timeouts = (1.5, 2.0, 3.0)
-    params = []
+    params, keys = [], []
     for i, seed in enumerate(seeds):
         run = 1 + (i % 2)
         model = (
             P.correlated_model(run) if n_releases == 2
             else chained_model(run)
         )
-        params.append((model, seed, timeouts[i % len(timeouts)]))
-    return params
+        for timeout in timeouts if shared else (timeouts[i % 3],):
+            params.append((model, seed, timeout))
+            keys.append((seed, run) if shared else len(keys))
+    return params, keys
 
 
 def resolve_both_ways(
-    n_releases, mode=None, retry=None, seeds=(3, 9, 17), requests=220
+    n_releases, mode=None, retry=None, seeds=(3, 9, 17), requests=220,
+    shared=False,
 ):
-    """The same batch through resolve_cell per cell and resolve_cell_batch."""
+    """The same batch through resolve_cell per cell and resolve_cell_batch.
+
+    *shared* builds the batch in the real grids' shape (see
+    :func:`cell_params`): one arena row per script.
+    """
     demand_difficulty = Exponential(P.T1_MEAN)
     latencies = [Exponential(P.T2_MEAN)] * n_releases
     names = [f"Web-Service 1.{index}" for index in range(n_releases)]
     draws = (
         requests * (1 + retry.max_attempts) if retry is not None else None
     )
-    params = cell_params(n_releases, seeds)
+    params, keys = cell_params(n_releases, seeds, shared)
 
     percell = []
     for model, seed, timeout in params:
@@ -113,8 +145,10 @@ def resolve_both_ways(
     factories = [SeedSequenceFactory(seed) for _, seed, _ in params]
     arena = build_demand_script_arena(
         [model for model, _, _ in params],
-        demand_difficulty, latencies, requests, factories, draws=draws,
+        demand_difficulty, latencies, requests, factories, keys,
+        draws=draws,
     )
+    assert arena.scripts == len(set(keys))
     batched = columnar.resolve_cell_batch(
         arena,
         release_names=names,
@@ -135,17 +169,24 @@ def resolve_both_ways(
 
 
 class TestScriptArena:
-    @pytest.mark.parametrize("n_releases", RELEASE_COUNTS)
-    def test_arena_slabs_bytes_equal_standalone_scripts(self, n_releases):
+    @pytest.mark.parametrize(
+        "n_releases, shared", with_shared(RELEASE_COUNTS)
+    )
+    def test_arena_slabs_bytes_equal_standalone_scripts(
+        self, n_releases, shared
+    ):
         demand_difficulty = Exponential(P.T1_MEAN)
         latencies = [Exponential(P.T2_MEAN)] * n_releases
-        params = cell_params(n_releases, seeds=(3, 9, 17, 23))
+        # Shared, seed 9 runs under two joint models: two scripts.
+        seeds = (3, 9, 9, 23) if shared else (3, 9, 17, 23)
+        params, keys = cell_params(n_releases, seeds, shared)
         models = [model for model, _, _ in params]
         arena = build_demand_script_arena(
             models, demand_difficulty, latencies, 150,
-            [SeedSequenceFactory(seed) for _, seed, _ in params],
+            [SeedSequenceFactory(seed) for _, seed, _ in params], keys,
         )
-        assert arena.cells == len(params)
+        assert arena.cells == len(params) == (12 if shared else 4)
+        assert arena.scripts == 4
         for index, (model, seed, _) in enumerate(params):
             script = build_demand_script(
                 model, demand_difficulty, latencies, 150,
@@ -162,11 +203,38 @@ class TestScriptArena:
                 == script.outcome_codes.tobytes()
             )
 
+    def shared_arena(self):
+        params, keys = cell_params(2, seeds=(3, 9, 9, 23), shared=True)
+        return build_demand_script_arena(
+            [model for model, _, _ in params], Exponential(P.T1_MEAN),
+            [Exponential(P.T2_MEAN)] * 2, 150,
+            [SeedSequenceFactory(seed) for _, seed, _ in params], keys,
+        )
+
+    def test_one_row_per_distinct_script(self):
+        arena = self.shared_arena()
+        assert (arena.cells, arena.scripts, arena.rows) == (12, 4, 150)
+        assert arena.row_index.tolist() == [
+            0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3,
+        ]
+        assert arena.t1.shape == (4, 150)
+        assert arena.outcome_codes.shape == (4, 150, 2)
+
+    def test_drawn_slabs_are_read_only(self):
+        # A resolver writing into a shared row would corrupt the cells
+        # sharing it: the write raises instead.
+        arena = self.shared_arena()
+        for slab in (arena.t1, *arena.t2, arena.outcome_codes):
+            with pytest.raises(ValueError, match="read-only"):
+                slab[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            arena.script(4).t1[0] = 0.0
+
     def test_arena_overprovisions_draws_like_retry_scripts(self):
         arena = build_demand_script_arena(
             [P.correlated_model(1)], Exponential(P.T1_MEAN),
             [Exponential(P.T2_MEAN)] * 2, 100,
-            [SeedSequenceFactory(5)], draws=300,
+            [SeedSequenceFactory(5)], [0], draws=300,
         )
         assert arena.rows == 300
         script = build_demand_script(
@@ -179,24 +247,29 @@ class TestScriptArena:
 
 class TestResolverEquivalence:
     @pytest.mark.parametrize("mode", ALL_MODES)
-    @pytest.mark.parametrize("n_releases", RELEASE_COUNTS)
+    @pytest.mark.parametrize(
+        "n_releases, shared", with_shared(RELEASE_COUNTS)
+    )
     def test_rows_bit_identical_every_mode_and_release_count(
-        self, n_releases, mode
+        self, n_releases, mode, shared
     ):
         if mode.min_responses is not None and (
             mode.min_responses > n_releases
         ):
             pytest.skip("dynamic k exceeds the release count")
-        percell, batched = resolve_both_ways(n_releases, mode=mode)
-        assert len(batched) == len(percell)
+        percell, batched = resolve_both_ways(
+            n_releases, mode=mode, shared=shared
+        )
+        assert len(batched) == len(percell) == (9 if shared else 3)
         for expected, got in zip(percell, batched):
             assert rows_as_bits(expected) == rows_as_bits(got)
 
     @pytest.mark.parametrize("seeds", [(3, 9, 17), (21, 42, 63, 84)])
-    @pytest.mark.parametrize("max_attempts", [2, 3])
-    def test_retry_rows_bit_identical(self, max_attempts, seeds):
+    @pytest.mark.parametrize("max_attempts, shared", with_shared([2, 3]))
+    def test_retry_rows_bit_identical(self, max_attempts, shared, seeds):
         percell, batched = resolve_both_ways(
-            2, retry=RetryPolicy(max_attempts=max_attempts), seeds=seeds
+            2, retry=RetryPolicy(max_attempts=max_attempts), seeds=seeds,
+            shared=shared,
         )
         for expected, got in zip(percell, batched):
             assert rows_as_bits(expected) == rows_as_bits(got)
@@ -224,16 +297,20 @@ class TestKernelBlocks:
     """Chunks the parallel kernel splits at its row budget."""
 
     @pytest.mark.parametrize("mode", PARALLEL_MODES)
-    @pytest.mark.parametrize("n_releases", (2, 3))
-    def test_chunk_spanning_several_blocks(self, n_releases, mode):
+    @pytest.mark.parametrize("n_releases, shared", with_shared((2, 3)))
+    def test_chunk_spanning_several_blocks(self, n_releases, shared, mode):
         requests = columnar.KERNEL_BLOCK_ROWS // 2
         seeds = (3, 9, 17)
         # Two cells fit a block, so the chunk runs as blocks of 2 + 1.
+        # Shared, blocks of 2 + 2 + 2 + 2 gather rows (0, 0), (0, 1),
+        # (1, 1) and (2, 2) — repeated rows, straddled scripts — and the
+        # last one-cell block slices row 2.
         assert columnar.KERNEL_BLOCK_ROWS // requests == 2
         percell, batched = resolve_both_ways(
-            n_releases, mode=mode, seeds=seeds, requests=requests
+            n_releases, mode=mode, seeds=seeds, requests=requests,
+            shared=shared,
         )
-        assert len(batched) == len(seeds)
+        assert len(batched) == len(seeds) * (3 if shared else 1)
         for expected, got in zip(percell, batched):
             assert rows_as_bits(expected) == rows_as_bits(got)
 
@@ -252,7 +329,7 @@ class TestShapeGuard:
         arena = build_demand_script_arena(
             [chained_model(1)] * 2, Exponential(P.T1_MEAN),
             [Exponential(P.T2_MEAN)] * 3, 50,
-            [SeedSequenceFactory(seed) for seed in (1, 2)],
+            [SeedSequenceFactory(seed) for seed in (1, 2)], [1, 2],
         )
         assert arena.outcome_codes is not None
         # Two latency slabs, as for two releases, but a 3-column code
@@ -260,7 +337,7 @@ class TestShapeGuard:
         # guard the third column would be dropped silently.
         two_release = ScriptArena(
             requests=arena.requests, t1=arena.t1, t2=arena.t2[:2],
-            outcome_codes=arena.outcome_codes,
+            row_index=arena.row_index, outcome_codes=arena.outcome_codes,
         )
         with pytest.raises(ConfigurationError, match="outcome code block"):
             columnar.resolve_cell_batch(
@@ -303,11 +380,58 @@ class TestOrchestration:
         for left, right in zip(whole, chunked):
             assert rows_as_bits(left.metrics) == rows_as_bits(right.metrics)
 
+    def test_chunks_splitting_a_runs_timeouts_render_identical_tables(
+        self, monkeypatch
+    ):
+        # Chunks of 5, 5 and 2 cells split runs 2 and 4 across chunk
+        # boundaries, so each chunk draws its own copy of their scripts:
+        # 2 + 3 + 1 = 6 draws instead of 4, and the same tables.
+        spec = get_spec("table5")
+
+        def render():
+            metrics = MetricsRegistry()
+            outcome = run_experiment(spec, ExperimentOptions(
+                seed=11, requests=180, metrics=metrics,
+            ))
+            counters = metrics.as_dict()["counters"]
+            return outcome.text, counters["backend.batched_scripts"]
+
+        whole, whole_scripts = render()
+        monkeypatch.setenv("REPRO_BATCH_MAX_CELLS", "5")
+        chunked, chunked_scripts = render()
+        assert chunked == whole
+        assert (whole_scripts, chunked_scripts) == (4, 6)
+
+    def test_batch_keys_scripts_on_seed_joint_and_run(self):
+        # One root seed under three (joint, run) outcome models: keying
+        # on the seed alone would hand every cell the first model's
+        # outcomes.
+        kwargs_list = [
+            dict(
+                joint=joint, run=run, timeout=timeout, requests=160,
+                seed=77, profile=None, backend="auto",
+            )
+            for joint, run in (
+                ("correlated", 1), ("correlated", 2), ("independent", 1)
+            )
+            for timeout in P.TIMEOUTS
+        ]
+        metrics = MetricsRegistry()
+        results = run_release_pair_batch(kwargs_list, metrics)
+        counters = metrics.as_dict()["counters"]
+        assert counters["backend.batched_cells"] == 9
+        assert counters["backend.batched_scripts"] == 3
+        for kw, got in zip(kwargs_list, results):
+            want = run_joint_model_cell(**kw)
+            assert (got.run, got.timeout) == (want.run, want.timeout)
+            assert rows_as_bits(got.metrics) == rows_as_bits(want.metrics)
+
     def test_batched_counters(self):
         metrics = MetricsRegistry()
         run_cells(self.grid(metrics), metrics=metrics)
         counters = metrics.as_dict()["counters"]
         assert counters["backend.batched_cells"] == 12
+        assert counters["backend.batched_scripts"] == 4
         assert counters["backend.columnar_cells"] == 12
         assert "backend.batched_fallback_cells" not in counters
 
