@@ -4,13 +4,12 @@ Measures the numbers the runtime work is accountable for —
 
 * kernel event throughput (events/sec),
 * middleware demand throughput (demands/sec),
-* Table-5 cell wall-time on the event kernel,
-* the same cell on the columnar array backend
-  (``cell.columnar_seconds`` / ``cell.speedup_vs_event`` — the
-  bit-identical batch path must beat the vectorized event path ≥5x),
-* one cell per newly vectorized operating mode / retry
-  (``modes.<mode>.columnar_<mode>_seconds`` and its
-  ``speedup_vs_event`` — each must be ≥10x),
+* Table-5 cell wall-time on the event kernel and on the columnar array
+  backend (``cell.event`` / ``cell.columnar`` as median and IQR, and
+  ``cell.speedup_vs_event`` — the bit-identical array path must beat
+  the vectorized event path ≥5x),
+* the same pair for one cell per other operating mode the columnar
+  backend resolves (``modes.<mode>`` — each speedup must be ≥10x),
 * the registry-wide ``auto`` fallback ratio (columnar vs fallback
   cells across every backend-aware registered spec),
 * the asyncio service substrate under load
@@ -72,7 +71,7 @@ from repro.bayes.counts import JointCounts
 from repro.bayes.priors import GridSpec
 from repro.bayes.whitebox import WhiteBoxAssessor
 from repro.common.seeding import SeedSequenceFactory
-from repro.core.modes import ModeConfig, SequentialOrder
+from repro.core.modes import ModeConfig
 from repro.experiments import paper_params as P
 from repro.experiments.event_sim import (
     draw_release_pair_arena,
@@ -97,7 +96,6 @@ from repro.experiments.service_load import (
 )
 from repro.lint.version import LINT_VERSION
 from repro.obs.metrics import MetricsRegistry
-from repro.services.retry import RetryPolicy
 from repro.simulation.engine import Simulator
 from repro.store.log import EventStream
 from repro.store.projections import MetricsRollupProjection, catch_up
@@ -120,65 +118,56 @@ def bench_kernel_events(events: int = 50_000) -> float:
     return events / elapsed
 
 
-def bench_cell(requests: int, backend: str = "event", **overrides) -> float:
+#: Timed runs of each benchmark cell, after one warm run.
+CELL_REPEATS = 7
+
+
+def bench_cell(requests: int, backend: str = "event", **overrides) -> dict:
     """Wall-time of one Table-5 cell (run 1, TimeOut 1.5 s).
 
-    Best of three runs with the garbage collector paused (as ``timeit``
-    does): the cells are deterministic, so the minimum is the cost of
-    the computation and the spread is scheduler/GC noise.
+    Median and IQR of :data:`CELL_REPEATS` runs with the garbage
+    collector paused.
     """
-    # Warm the code paths so the measured runs are steady-state.
-    run_release_pair_simulation(
-        P.correlated_model(1), timeout=1.5, requests=200, seed=3,
-        backend=backend, **overrides,
-    )
-    best = float("inf")
-    reenable = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(3):
-            started = time.perf_counter()
-            metrics = run_release_pair_simulation(
-                P.correlated_model(1), timeout=1.5, requests=requests,
-                seed=3, backend=backend, **overrides,
-            )
-            best = min(best, time.perf_counter() - started)
-    finally:
-        if reenable:
-            gc.enable()
-    # Retry cells record one row per *attempt*, so the total is a floor.
-    assert metrics.system.total_requests >= requests
-    return best
+    def run() -> None:
+        metrics = run_release_pair_simulation(
+            P.correlated_model(1), timeout=1.5, requests=requests,
+            seed=3, backend=backend, **overrides,
+        )
+        assert metrics.system.total_requests == requests
+
+    return _quartiles(_timed_repeats(run, CELL_REPEATS))
 
 
-#: The operating-mode / retry cells benchmarked per backend.  Each
-#: label lands in the JSON as ``modes.<label>`` with a
-#: ``columnar_<label>_seconds`` timing and its ``speedup_vs_event``.
+def _cell_pair(requests: int, **overrides) -> dict:
+    """One cell on the event kernel and on the columnar backend."""
+    event = bench_cell(requests, **overrides)
+    columnar = bench_cell(requests, backend="columnar", **overrides)
+    return {
+        "requests": requests,
+        "repeats": CELL_REPEATS,
+        "event": event,
+        "columnar": columnar,
+        "speedup_vs_event": round(
+            event["median_seconds"] / columnar["median_seconds"], 2
+        ),
+    }
+
+
+#: The other operating modes the columnar backend resolves, benchmarked
+#: per backend.  Each label lands in the JSON as ``modes.<label>``.
 MODE_BENCHES = (
     ("responsiveness", {"mode": ModeConfig.max_responsiveness()}),
     ("dynamic_k1", {"mode": ModeConfig.dynamic(1)}),
     ("sequential_fixed", {"mode": ModeConfig.sequential()}),
-    (
-        "sequential_random",
-        {"mode": ModeConfig.sequential(SequentialOrder.RANDOM)},
-    ),
-    ("retry", {"retry": RetryPolicy(max_attempts=2)}),
 )
 
 
 def bench_modes(requests: int) -> dict:
-    """Event vs columnar cell wall-time per newly vectorized mode."""
-    out = {}
-    for label, overrides in MODE_BENCHES:
-        event = bench_cell(requests, **overrides)
-        columnar = bench_cell(requests, backend="columnar", **overrides)
-        out[label] = {
-            "requests": requests,
-            "event_seconds": round(event, 4),
-            f"columnar_{label}_seconds": round(columnar, 4),
-            "speedup_vs_event": round(event / columnar, 2),
-        }
-    return out
+    """Event vs columnar cell wall-time per operating mode."""
+    return {
+        label: _cell_pair(requests, **overrides)
+        for label, overrides in MODE_BENCHES
+    }
 
 
 def bench_registry_fallback(requests: int) -> dict:
@@ -691,7 +680,9 @@ def bench_tracing_overhead(requests: int) -> dict:
 
     The untraced number here is the honest baseline for the
     zero-overhead-when-disabled claim: both cells run the instrumented
-    kernel, one with a JSONL tracer attached and one with none.
+    kernel, one with a JSONL tracer attached and one with none.  The
+    untraced side is :func:`bench_cell`'s median and IQR; the traced
+    side is one run.
     """
     untraced = bench_cell(requests)
     with tempfile.TemporaryDirectory() as tmp:
@@ -706,9 +697,9 @@ def bench_tracing_overhead(requests: int) -> dict:
         events = sum(1 for _ in open(trace_path))
     return {
         "requests": requests,
-        "untraced_seconds": round(untraced, 4),
+        "untraced": untraced,
         "traced_seconds": round(traced, 4),
-        "overhead_ratio": round(traced / untraced, 3),
+        "overhead_ratio": round(traced / untraced["median_seconds"], 3),
         "events": events,
     }
 
@@ -855,8 +846,7 @@ def main(argv=None) -> int:
     requests = 1_000 if args.quick else args.requests
 
     events_per_sec = bench_kernel_events()
-    event = bench_cell(requests)
-    columnar = bench_cell(requests, backend="columnar")
+    cell = _cell_pair(requests)
     modes = bench_modes(requests)
     registry_fallback = bench_registry_fallback(
         300 if args.quick else 500
@@ -891,12 +881,13 @@ def main(argv=None) -> int:
         },
         "kernel": {"events_per_sec": round(events_per_sec)},
         "cell": {
-            "requests": requests,
-            "vectorized_seconds": round(event, 4),
-            "demands_per_sec": round(requests / event),
-            "columnar_seconds": round(columnar, 4),
-            "speedup_vs_event": round(event / columnar, 2),
-            "columnar_demands_per_sec": round(requests / columnar),
+            **cell,
+            "demands_per_sec": round(
+                requests / cell["event"]["median_seconds"]
+            ),
+            "columnar_demands_per_sec": round(
+                requests / cell["columnar"]["median_seconds"]
+            ),
         },
         "modes": modes,
         "registry_fallback": registry_fallback,

@@ -184,10 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
             "demand-resolution backend for the simulation grids: "
             "'event' threads every demand through the event kernel, "
             "'columnar' resolves whole cells as numpy array programs — "
-            "bit-identical across all four operating modes, any number "
-            "of releases and retry — 'auto' (default) picks columnar "
-            "everywhere except the genuinely event-only cases "
-            "(tracing, non-paper adjudicators)"
+            "bit-identical across the parallel operating modes and "
+            "fixed-order sequential mode, any number of releases — "
+            "'auto' (default) picks columnar everywhere except the "
+            "event-only cases (tracing, non-paper adjudicators, retry, "
+            "random-order sequential mode)"
         ),
     )
     return parser

@@ -57,11 +57,11 @@ from repro.simulation.workload import StreamingArrivalSource
 #: Demand-resolution backends.  ``event`` threads every demand through
 #: the discrete-event kernel (the reference semantics); ``columnar``
 #: resolves the whole cell as numpy array operations over the demand
-#: script (bit-identical within its proven envelope — all four §4.2
-#: operating modes, N releases, retry — and ~an order of magnitude
-#: faster); ``auto`` picks columnar when
-#: :func:`repro.runtime.columnar.unsupported_reasons` is empty and falls
-#: back to the event kernel otherwise.
+#: script (bit-identical within its proven envelope — the parallel §4.2
+#: operating modes and fixed-order sequential mode over N releases, no
+#: retry — and two orders of magnitude faster); ``auto`` picks columnar
+#: when :func:`repro.runtime.columnar.unsupported_reasons` is empty and
+#: falls back to the event kernel otherwise.
 BACKENDS = ("event", "columnar", "auto")
 
 
@@ -150,11 +150,10 @@ def run_release_pair_simulation(
     *retry* optionally wraps the middleware in a
     :class:`~repro.services.retry.RetryingPort`, re-submitting demands
     whose adjudication was evidently erroneous; every attempt appears
-    as its own middleware demand in the reduced rows.  Retry cells
-    over-provision the demand script (one row per attempt, up to
-    ``requests * max_attempts``) so both backends replay the same
-    pre-drawn randomness; the columnar backend resolves retry under
-    max-reliability and defers to the event kernel for other modes.
+    as its own middleware demand in the reduced rows.  Retry cells run
+    on the event kernel only, and over-provision the demand script to
+    ``requests * (1 + max_attempts)`` rows, one consumed per attempt
+    (the scripted adapters tolerate leftover rows).
 
     Observability (all opt-in, see :mod:`repro.obs`): *trace_path*
     writes the cell's kernel + demand-span event stream as JSONL
@@ -169,9 +168,6 @@ def run_release_pair_simulation(
     profile = profile or paper_profile()
     seeds = SeedSequenceFactory(seed)
     releases = len(profile.release_latencies)
-    # Retry cells consume one script row per middleware attempt, so the
-    # script is over-provisioned; the scripted adapters tolerate
-    # leftover rows.
     script = build_demand_script(
         joint_model if releases >= 2 else None,
         profile.demand_difficulty,
@@ -228,12 +224,15 @@ def run_scripted_cell(
     *script* is the cell's pre-drawn randomness (drawn from *seeds*),
     *profile* its latency laws (one T2 per release) and *marginals* the
     outcome law each release samples when the middleware forces none.
+    The event kernel runs *requests* demands; a retry cell's script
+    holds ``requests * (1 + max_attempts)`` rows.  The columnar backend
+    resolves one demand per script row, which for every cell inside its
+    envelope (no retry) is *requests*.
 
     The middleware forces outcomes only on two or more active releases,
     so a lone release samples its own marginal on its endpoint stream
     (``ep0``), one draw per invocation.  The columnar backend pre-draws
-    that stream as the cell's outcome codes, one per script row — retry
-    cells over-provision both alike.
+    that stream as the cell's outcome codes, one per script row.
 
     ``backend="columnar"`` or ``"auto"`` first asks
     :func:`repro.runtime.columnar.unsupported_reasons` whether the cell
@@ -283,13 +282,10 @@ def run_scripted_cell(
                 adjudication_delay=P.ADJUDICATION_DELAY,
                 spacing=spacing,
                 # The resolver mirrors the middleware's construction
-                # draw (it spawns the adjudication generator from the
-                # "middleware" stream) and, in random-order sequential
-                # mode, the per-demand shuffles.
+                # draw: it spawns the adjudication generator from the
+                # "middleware" stream.
                 middleware_rng=seeds.generator("middleware"),
-                requests=requests,
                 mode=mode,
-                retry=retry,
                 outcome_codes=outcome_codes,
             )
         if backend == "columnar":
@@ -617,7 +613,6 @@ def run_release_pair_batch(
         ) != repr(first.get("profile")):
             return _batch_fallback(metrics, count, "heterogeneous")
     profile = first.get("profile") or paper_profile()
-    requests = int(first["requests"])
     releases = len(profile.release_latencies)
     if releases < 2:
         # A lone release samples its own marginal, not scripted outcome
@@ -639,7 +634,6 @@ def run_release_pair_batch(
         middleware_rngs=[
             factory.generator("middleware") for factory in seeds
         ],
-        requests=requests,
     )
     if metrics is not None:
         # Fused cells are columnar cells: the per-backend counter counts

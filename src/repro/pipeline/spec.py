@@ -74,11 +74,11 @@ class ExperimentOptions:
     the metrics registry, the report output path and the
     demand-resolution backend (``--backend``: ``event`` threads every
     demand through the event kernel, ``columnar`` resolves whole cells
-    as array programs — bit-identical across all four §4.2 operating
-    modes, any release count and retry — and ``auto``, the default,
-    picks columnar everywhere except the genuinely event-only cases:
-    tracing and non-paper adjudicators; see
-    :mod:`repro.runtime.columnar`).  Grids whose cells take a backend
+    as array programs — bit-identical across the parallel §4.2
+    operating modes and fixed-order sequential mode, any release count
+    — and ``auto``, the default, picks columnar everywhere except the
+    event-only cases: tracing, non-paper adjudicators, retry and
+    random-order sequential mode; see :mod:`repro.runtime.columnar`).  Grids whose cells take a backend
     carry it in their cache keys, so the two paths never alias.
 
     ``store`` attaches an event-sourced :class:`~repro.store.log.RunStore`

@@ -8,8 +8,8 @@ adjudicated before the next one starts, so the entire cell is a pure
 function of the pre-drawn :class:`~repro.runtime.sampling.DemandScript`.
 This module evaluates that function as numpy array operations,
 bit-identical to the event path (asserted by the cross-backend
-equivalence suite, not assumed), for all four §4.2 operating modes, N
-releases, and bounded retry.
+equivalence suite, not assumed), for the three parallel §4.2 operating
+modes and fixed-order sequential mode, over N releases.
 
 Bit-identity rests on reproducing the event kernel's exact float
 arithmetic, in order:
@@ -44,13 +44,8 @@ arithmetic, in order:
   order; bound-2 draws batch as ``rng.integers(2, size=m)`` (consumes
   the stream identically), other bounds stay scalar;
 * sequential mode chains invocations at the previous arrival
-  (``arr_{j+1} = fl(arr_j + fl(t1 + t2_{j+1}))``), consumes release
-  latency scripts only for releases actually invoked, and replays the
-  random-order variant's permutation draws from the middleware stream;
-* retry interleaves attempts of demand *i* with later demands, so the
-  retry resolver replays the kernel's global ``(time, sequence)`` heap
-  order exactly — including the attempt-supersession rule and the
-  sequence numbers of events that are scheduled but never matter.
+  (``arr_{j+1} = fl(arr_j + fl(t1 + t2_{j+1}))``) and consumes release
+  latency scripts only for releases actually invoked.
 
 Layout.  The three parallel modes share one kernel that is
 *release-major*: it holds one contiguous ``(cells, n)`` array per
@@ -64,47 +59,35 @@ which keeps every temporary in cache.  The batch's
 rows)`` slab per leg with one row per *distinct* script (the TimeOut
 cells of one Table 5/6 run share a row), so a block gathers its cells'
 rows through the arena's row index — a one-cell block slices its row
-as a view instead.  Sequential and retry cells are replayed per cell,
-reading their rows through the same index.
+as a view instead.  Sequential cells run a vectorised stage loop per
+cell, reading their rows through the same index.
 
-The *envelope* in which this equivalence is proven is wide but not
-universal: a script with outcome codes, the paper-rule adjudicator, no
-tracing (traces are an event-loop artifact), and retry only under
-max-reliability.  :func:`unsupported_reasons` is the single
-authority on that envelope — ``backend="auto"`` asks it whether
-columnar applies and falls back to the event kernel otherwise,
-counting each reason under ``backend.fallback_reason.<slug>``.
+The *envelope* in which this equivalence is proven: a script with
+outcome codes, the paper-rule adjudicator, no tracing (traces are an
+event-loop artifact), no retry policy and fixed-order sequential mode.
+Bounded retry (attempts interleave with later demands) and
+random-order sequential mode (per-demand shuffles of the middleware
+stream) run on the event kernel only: no registered grid uses either.
+:func:`unsupported_reasons` is the single authority on that envelope —
+``backend="auto"`` asks it whether columnar applies and falls back to
+the event kernel otherwise, counting each reason under
+``backend.fallback_reason.<slug>``.
 """
 
-import heapq
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError
 from repro.common.seeding import spawn_generator
+from repro.common.validation import check_positive
 from repro.core.adjudicators import Adjudicator, PaperRuleAdjudicator
 from repro.core.modes import ModeConfig, OperatingMode, SequentialOrder
 from repro.runtime.sampling import DemandScript, ScriptArena
 from repro.simulation.metrics import ReleaseMetrics, SystemMetrics
 from repro.simulation.outcomes import OUTCOME_ORDER, Outcome
 
-if TYPE_CHECKING:
-    from repro.services.retry import RetryPolicy
-
-CODE_CORRECT = OUTCOME_ORDER.index(Outcome.CORRECT)
 CODE_EVIDENT = OUTCOME_ORDER.index(Outcome.EVIDENT_FAILURE)
-CODE_NEF = OUTCOME_ORDER.index(Outcome.NON_EVIDENT_FAILURE)
 
 #: Demand rows per parallel-mode kernel block.  The kernel takes as many
 #: whole cells as fit in this budget (always at least one), so each
@@ -124,7 +107,8 @@ KERNEL_BLOCK_ROWS = 1 << 14
 FALLBACK_SLUGS: Tuple[str, ...] = (
     "adjudicator",
     "no-outcome-codes",
-    "retry-mode",
+    "random-order",
+    "retry",
     "tracing",
 )
 
@@ -167,17 +151,25 @@ def unsupported_reasons(
             )
         )
     if retry is not None:
-        effective = mode.mode if mode is not None else OperatingMode.PARALLEL_RELIABILITY
-        if effective is not OperatingMode.PARALLEL_RELIABILITY:
-            reasons.append(
-                (
-                    "retry-mode",
-                    f"retry under operating mode {effective.value!r} is only "
-                    "proven on the event path (columnar retry covers "
-                    "max-reliability)",
-                )
+        reasons.append(
+            ("retry", "a retry policy runs on the event kernel only")
+        )
+    if mode is not None and _random_order(mode):
+        reasons.append(
+            (
+                "random-order",
+                "random-order sequential mode runs on the event kernel only",
             )
+        )
     return reasons
+
+
+def _random_order(mode: ModeConfig) -> bool:
+    """Whether *mode* shuffles each demand's release order."""
+    return (
+        mode.mode is OperatingMode.SEQUENTIAL
+        and mode.sequential_order is SequentialOrder.RANDOM
+    )
 
 
 def resolve_cell(
@@ -188,33 +180,29 @@ def resolve_cell(
     spacing: float,
     middleware_rng: np.random.Generator,
     *,
-    requests: Optional[int] = None,
     mode: Optional[ModeConfig] = None,
-    retry: Optional["RetryPolicy"] = None,
     outcome_codes: Optional[np.ndarray] = None,
 ) -> SystemMetrics:
     """Resolve one cell's demands as array operations.
 
-    Consumes the same pre-drawn *script* the event path replays and
-    returns the same reduced :class:`SystemMetrics`, bit for bit.
-    *middleware_rng* must be in the same state as the generator handed
-    to :class:`~repro.core.middleware.UpgradeMiddleware` before its
-    construction: the first draw spawns the adjudication generator
-    (mirroring the middleware constructor) and, in random-order
-    sequential mode, subsequent draws replay the per-demand shuffles.
-
-    *requests* caps the demand count below ``script.requests`` (retry
-    cells over-provision the script rows); *outcome_codes* overrides
+    Consumes the same pre-drawn *script* the event path replays, one
+    demand per script row, and returns the same reduced
+    :class:`SystemMetrics`, bit for bit.  *middleware_rng* must be in
+    the same state as the generator handed to
+    :class:`~repro.core.middleware.UpgradeMiddleware` before its
+    construction: its first draw spawns the adjudication generator,
+    mirroring the middleware constructor.  *outcome_codes* overrides
     the script's outcome matrix for cells whose endpoints sample their
     own marginals (a single-release deployment).
 
-    The cell runs as a one-cell group: its script becomes zero-copy
+    The caller checks :func:`unsupported_reasons` first; a random-order
+    sequential *mode* or a non-positive *timeout* raises here.  The
+    cell runs as a one-cell group: its script becomes zero-copy
     ``(1, rows)`` views, resolved by the same code as
     :func:`resolve_cell_batch`.
     """
     codes = outcome_codes if outcome_codes is not None else script.outcome_codes
     arena = ScriptArena(
-        requests=script.requests,
         t1=np.asarray(script.t1, dtype=np.float64)[None],
         t2=[np.asarray(t2, dtype=np.float64)[None] for t2 in script.t2],
         row_index=np.zeros(1, dtype=np.intp),
@@ -222,10 +210,9 @@ def resolve_cell(
             None if codes is None else np.asarray(codes, dtype=np.int64)[None]
         ),
     )
-    n = int(requests) if requests is not None else script.requests
     return _resolve_group(
         arena, release_names, [timeout], adjudication_delay, [spacing],
-        [middleware_rng], n, mode, retry,
+        [middleware_rng], mode,
     )[0]
 
 
@@ -237,9 +224,7 @@ def resolve_cell_batch(
     spacings: Sequence[float],
     middleware_rngs: Sequence[np.random.Generator],
     *,
-    requests: Optional[int] = None,
     mode: Optional[ModeConfig] = None,
-    retry: Optional["RetryPolicy"] = None,
 ) -> List[SystemMetrics]:
     """Resolve a whole batch of cells over their shared script arena.
 
@@ -251,19 +236,19 @@ def resolve_cell_batch(
     own tie-break draws.  The returned list is in cell order, and each
     entry is bit-identical to :func:`resolve_cell` run on that cell alone
     (asserted, not assumed, by the batched equivalence suite).  All
-    cells in a batch share one (mode, release count, retry policy)
-    shape, mirroring how the batched grid path groups work.
+    cells in a batch share one (mode, release count) shape, mirroring
+    how the batched grid path groups work; as for :func:`resolve_cell`,
+    a random-order sequential *mode* or any non-positive timeout raises.
 
     Parallel modes run the release-major kernel over blocks of whole
     cells of at most :data:`KERNEL_BLOCK_ROWS` demand rows.  Sequential
-    and retry cells replay per cell over the shared arena — the win
-    there is the shared script drawing and the single batched store
-    commit, not the resolver arithmetic.
+    cells run per cell over the shared arena — the win there is the
+    shared script drawing and the single batched store commit, not the
+    resolver arithmetic.
     """
-    n = int(requests) if requests is not None else arena.requests
     return _resolve_group(
         arena, release_names, timeouts, adjudication_delay, spacings,
-        middleware_rngs, n, mode, retry,
+        middleware_rngs, mode,
     )
 
 
@@ -274,9 +259,7 @@ def _resolve_group(
     adjudication_delay: float,
     spacings: Sequence[float],
     middleware_rngs: Sequence[np.random.Generator],
-    n: int,
     mode: Optional[ModeConfig],
-    retry: Optional["RetryPolicy"],
 ) -> List[SystemMetrics]:
     """Validate a cell group once, then resolve it by operating mode."""
     cells = arena.cells
@@ -286,6 +269,9 @@ def _resolve_group(
             f"{len(timeouts)} timeouts, {len(spacings)} spacings, "
             f"{len(middleware_rngs)} middleware generators"
         )
+    # The event path refuses these in SystemTimingPolicy.
+    for timeout in timeouts:
+        check_positive(timeout, "timeout")
     k = len(release_names)
     if k < 1:
         raise ConfigurationError("columnar backend needs at least one release")
@@ -295,34 +281,25 @@ def _resolve_group(
         )
     codes = np.asarray(arena.outcome_codes, dtype=np.int64)
     # The kernel reads code columns j < k only: a wider block would be
-    # truncated silently, so its shape is checked here, once.  Slabs
-    # hold one row per distinct script, not per cell.
-    scripts = arena.scripts
+    # truncated silently, so every slab's shape is checked here, once.
+    # Slabs hold one row per distinct script, not per cell.
+    scripts, n = arena.scripts, arena.rows
     if (
         len(arena.t2) != k
-        or any(slab.shape[0] != scripts for slab in arena.t2)
-        or codes.ndim != 3
-        or codes.shape[0] != scripts
-        or codes.shape[2] != k
+        or any(slab.shape != (scripts, n) for slab in arena.t2)
+        or codes.shape != (scripts, n, k)
     ):
         raise ConfigurationError(
-            f"script shape mismatch: {scripts} scripts of {k} releases, "
-            f"but {len(arena.t2)} latency streams shaped "
+            f"script shape mismatch: {scripts} scripts of {n} demands and "
+            f"{k} releases, but {len(arena.t2)} latency streams shaped "
             f"{[slab.shape for slab in arena.t2]} and an outcome code "
-            f"block shaped {codes.shape} (expected ({scripts}, rows, {k}))"
-        )
-    covered = min(
-        arena.rows, codes.shape[1], *(slab.shape[1] for slab in arena.t2)
-    )
-    if covered < n:
-        raise ConfigurationError(
-            f"script covers {covered} demands, cells need {n}"
+            f"block shaped {codes.shape} (expected ({scripts}, {n}, {k}))"
         )
     config = mode if mode is not None else ModeConfig.max_reliability()
-    if retry is not None and config.mode is not OperatingMode.PARALLEL_RELIABILITY:
+    if _random_order(config):
+        # Without this check a direct caller would get fixed-order rows.
         raise ConfigurationError(
-            f"columnar retry is proven for max-reliability only, not "
-            f"operating mode {config.mode.value!r}"
+            "random-order sequential mode runs on the event kernel only"
         )
     names = list(release_names)
     # Mirror UpgradeMiddleware.__init__ per cell, in cell order: the
@@ -332,16 +309,6 @@ def _resolve_group(
         spawn_generator(int(rng.integers(2 ** 63)))
         for rng in middleware_rngs
     ]
-    if retry is not None:
-        row_index = arena.row_index
-        return [
-            _resolve_retry(
-                arena.script(c), names, codes[row_index[c]],
-                float(timeouts[c]), adjudication_delay, float(spacings[c]),
-                adjudication_rngs[c], n, retry,
-            )
-            for c in range(cells)
-        ]
     resolver = _MODE_RESOLVERS.get(config.mode)
     if resolver is None:  # pragma: no cover - REPRO203 keeps the table total
         raise ConfigurationError(
@@ -350,7 +317,7 @@ def _resolve_group(
         )
     return resolver(
         arena, names, codes, timeouts, adjudication_delay, spacings,
-        adjudication_rngs, middleware_rngs, n, config,
+        adjudication_rngs, config,
     )
 
 
@@ -400,21 +367,12 @@ def _resolve_parallel(
     adjudication_delay: float,
     spacings: Sequence[float],
     adjudication_rngs: List[np.random.Generator],
-    middleware_rngs: Sequence[np.random.Generator],
-    n: int,
     config: ModeConfig,
 ) -> List[SystemMetrics]:
-    """Parallel modes 1–3: the kernel over row-budget blocks of cells.
-
-    *middleware_rngs* are accepted for signature uniformity with the
-    :data:`_MODE_RESOLVERS` dispatch table but never drawn from: the
-    parallel modes consume no middleware draws after the construction
-    spawn (forced outcomes and difficulty are scripted).
-    """
-    del middleware_rngs
+    """Parallel modes 1–3: the kernel over row-budget blocks of cells."""
     timeout_col = np.asarray(timeouts, dtype=np.float64)[:, None]
     spacing_col = np.asarray(spacings, dtype=np.float64)[:, None]
-    step = max(1, KERNEL_BLOCK_ROWS // max(n, 1))
+    step = max(1, KERNEL_BLOCK_ROWS // max(arena.rows, 1))
     results: List[SystemMetrics] = []
     for lo in range(0, arena.cells, step):
         block = slice(lo, lo + step)
@@ -426,9 +384,9 @@ def _resolve_parallel(
         if rows.size == 1:
             pick = slice(int(rows[0]), int(rows[0]) + 1)
         results.extend(_parallel_kernel(
-            arena.t1[pick, :n],
-            [slab[pick, :n] for slab in arena.t2],
-            [codes[pick, :n, j] for j in range(len(names))],
+            arena.t1[pick],
+            [slab[pick] for slab in arena.t2],
+            [codes[pick, :, j] for j in range(len(names))],
             timeout_col[block], spacing_col[block], adjudication_delay,
             adjudication_rngs[block], names, config,
         ))
@@ -608,22 +566,15 @@ def _resolve_sequential(
     timeout: float,
     adjudication_delay: float,
     spacing: float,
-    adjudication_rng: np.random.Generator,
-    middleware_rng: Optional[np.random.Generator],
-    n: int,
-    config: ModeConfig,
 ) -> SystemMetrics:
-    """Sequential minimal-capacity mode: escalate on evident failure.
+    """Fixed-order sequential mode: escalate on evident failure.
 
-    Fixed order runs as a vectorised stage loop (stage *j* consumes the
-    next consecutive slice of release *j*'s latency script — exactly
-    the cursor order of the serialized event path).  Random order
-    replays the kernel's per-demand permutation draws from the
-    middleware stream and walks each chain in Python (latency cursors
-    advance per release, in invocation order).
+    A vectorised stage loop: stage *j* consumes the next consecutive
+    slice of release *j*'s latency script — exactly the cursor order of
+    the serialized event path.
     """
     k = len(names)
-    codes = codes[:n]
+    n = codes.shape[0]
     starts = np.arange(n, dtype=np.float64) * spacing
     cutoffs = starts + timeout
 
@@ -634,93 +585,40 @@ def _resolve_sequential(
     valid_code = np.full(n, -1, dtype=np.int64)
     any_collected = np.zeros(n, dtype=bool)
 
-    if config.sequential_order is SequentialOrder.RANDOM:
-        if middleware_rng is None:
-            raise ConfigurationError(
-                "sequential random order replays per-demand shuffles and "
-                "requires the middleware generator"
-            )
-        # Per-demand shuffles consume the middleware stream in demand
-        # order (forced outcomes and difficulty are scripted and draw
-        # nothing), so the permutations can be replayed up front.
-        # Generator.shuffle's draws depend only on the sequence length.
-        perms: List[List[int]] = []
-        for _ in range(n):
-            perm = list(range(k))
-            middleware_rng.shuffle(perm)
-            perms.append(perm)
-        t1_list = np.asarray(script.t1, dtype=np.float64)[:n].tolist()
-        t2_lists = [
-            np.asarray(script.t2[j], dtype=np.float64).tolist()
-            for j in range(k)
-        ]
-        codes_list = codes.tolist()
-        starts_list = starts.tolist()
-        cutoffs_list = cutoffs.tolist()
-        cursors = [0] * k
-        for i in range(n):
-            start = starts_list[i]
-            cutoff = cutoffs_list[i]
-            t1v = t1_list[i]
-            now = start
-            for p in range(k):
-                r = perms[i][p]
-                t2v = t2_lists[r][cursors[r]]
-                cursors[r] += 1
-                arr = now + (t1v + t2v)
-                invoked[i, r] = True
-                if not (arr < cutoff):  # NaN-safe: hang or too slow
-                    break
-                collected[i, r] = True
-                rec_time[i, r] = arr - start
-                any_collected[i] = True
-                code = int(codes_list[i][r])
-                if code != CODE_EVIDENT:
-                    close[i] = arr
-                    valid_code[i] = code
-                    break
-                if p == k - 1:
-                    # Chain exhausted on an evident response: the
-                    # escalation attempt finds no next release and the
-                    # demand closes at this arrival.
-                    close[i] = arr
-                    break
-                now = arr
-    else:
-        t1 = np.asarray(script.t1, dtype=np.float64)[:n]
-        t2 = [np.asarray(script.t2[j], dtype=np.float64) for j in range(k)]
-        alive = np.ones(n, dtype=bool)
-        prev = starts.copy()
-        for j in range(k):
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                break
-            # Demands are serialized, so the demands reaching stage j
-            # consume release j's script values consecutively, in
-            # demand order.
-            t2v = t2[j][: idx.size]
-            with np.errstate(invalid="ignore"):
-                arr = prev[idx] + (t1[idx] + t2v)
-                within = arr < cutoffs[idx]
-            invoked[idx, j] = True
-            sel = idx[within]
-            collected[sel, j] = True
-            rec_time[sel, j] = arr[within] - starts[sel]
-            any_collected[sel] = True
-            code = codes[idx, j]
-            valid = within & (code != CODE_EVIDENT)
-            vsel = idx[valid]
-            close[vsel] = arr[valid]
-            valid_code[vsel] = code[valid]
-            cont = within & ~valid
-            if j == k - 1:
-                csel = idx[cont]
-                close[csel] = arr[cont]
-            else:
-                new_alive = np.zeros(n, dtype=bool)
-                new_alive[idx[cont]] = True
-                prev[idx[cont]] = arr[cont]
-                alive = new_alive
+    t1 = np.asarray(script.t1, dtype=np.float64)
+    t2 = [np.asarray(script.t2[j], dtype=np.float64) for j in range(k)]
+    alive = np.ones(n, dtype=bool)
+    prev = starts.copy()
+    for j in range(k):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        # Demands are serialized, so the demands reaching stage j
+        # consume release j's script values consecutively, in demand
+        # order.
+        t2v = t2[j][: idx.size]
+        with np.errstate(invalid="ignore"):
+            arr = prev[idx] + (t1[idx] + t2v)
+            within = arr < cutoffs[idx]
+        invoked[idx, j] = True
+        sel = idx[within]
+        collected[sel, j] = True
+        rec_time[sel, j] = arr[within] - starts[sel]
+        any_collected[sel] = True
+        code = codes[idx, j]
+        valid = within & (code != CODE_EVIDENT)
+        vsel = idx[valid]
+        close[vsel] = arr[valid]
+        valid_code[vsel] = code[valid]
+        cont = within & ~valid
+        if j == k - 1:
+            csel = idx[cont]
+            close[csel] = arr[cont]
+        else:
+            new_alive = np.zeros(n, dtype=bool)
+            new_alive[idx[cont]] = True
+            prev[idx[cont]] = arr[cont]
+            alive = new_alive
 
     release_rows = []
     for j, name in enumerate(names):
@@ -763,17 +661,20 @@ def _resolve_sequential_cells(
     adjudication_delay: float,
     spacings: Sequence[float],
     adjudication_rngs: List[np.random.Generator],
-    middleware_rngs: Sequence[np.random.Generator],
-    n: int,
     config: ModeConfig,
 ) -> List[SystemMetrics]:
-    """Sequential mode: each cell replays its own escalation chains."""
+    """Sequential mode: each cell runs its own escalation chains.
+
+    *adjudication_rngs* go unused (a sequential demand never draws, see
+    :func:`_resolve_sequential`), and so does *config*: fixed order is
+    the only sequential order :func:`_resolve_group` admits.
+    """
+    del adjudication_rngs, config
     row_index = arena.row_index
     return [
         _resolve_sequential(
             arena.script(c), names, codes[row_index[c]], float(timeouts[c]),
-            adjudication_delay, float(spacings[c]), adjudication_rngs[c],
-            middleware_rngs[c], n, config,
+            adjudication_delay, float(spacings[c]),
         )
         for c in range(arena.cells)
     ]
@@ -785,275 +686,10 @@ def _resolve_sequential_cells(
 #: new mode without a resolver is a lint failure, not a runtime
 #: surprise.  All resolvers take a validated cell group and return one
 #: :class:`SystemMetrics` per cell: ``(arena, names, codes, timeouts,
-#: adjudication_delay, spacings, adjudication_rngs, middleware_rngs, n,
-#: config)``.
+#: adjudication_delay, spacings, adjudication_rngs, config)``.
 _MODE_RESOLVERS: Dict[OperatingMode, Callable[..., List[SystemMetrics]]] = {
     OperatingMode.PARALLEL_RELIABILITY: _resolve_parallel,
     OperatingMode.PARALLEL_RESPONSIVENESS: _resolve_parallel,
     OperatingMode.PARALLEL_DYNAMIC: _resolve_parallel,
     OperatingMode.SEQUENTIAL: _resolve_sequential_cells,
 }
-
-
-# Retry replay event kinds (heap entries are all-scalar tuples:
-# (time, sequence, kind, a, b, c) — the sequence is unique, so
-# comparison never reaches the payload).
-_EVT_ARRIVAL = 0
-_EVT_CLOSE = 1
-_EVT_DELIVERY = 2
-_EVT_ATTEMPT_TIMEOUT = 3
-_EVT_ATTEMPT_START = 4
-
-
-def _resolve_retry(
-    script: DemandScript,
-    names: List[str],
-    codes: np.ndarray,
-    timeout: float,
-    adjudication_delay: float,
-    spacing: float,
-    adjudication_rng: np.random.Generator,
-    n: int,
-    policy: "RetryPolicy",
-) -> SystemMetrics:
-    """Max-reliability with a retry port: replay the global event heap.
-
-    Retry attempts outlive the demand spacing (a retry launched at
-    delivery time ``start + TimeOut + dT`` overlaps the next arrival),
-    so unlike the other resolvers this one cannot treat demands as
-    serialized.  It replays the kernel's ``(time, sequence)`` dispatch
-    order exactly — allocating sequence numbers for every event the
-    kernel would schedule, including response events that never need
-    dispatching here — so script cursors, adjudication draws, and
-    record order all land bit-identically.  All arithmetic is Python
-    floats, matching the kernel's ``schedule(delay)`` =
-    ``schedule_at(fl(now + delay))`` chain.
-    """
-    k = len(names)
-    t1_arr = np.asarray(script.t1, dtype=np.float64)
-    t2_arrs = [
-        np.asarray(script.t2[j], dtype=np.float64) for j in range(k)
-    ]
-    rows_available = min(
-        t1_arr.shape[0], codes.shape[0],
-        *(column.shape[0] for column in t2_arrs),
-    )
-    # Per-row precomputation: fl(t1 + t2_j) matches the kernel's scalar
-    # sum bit for bit, so the replay loop below only pays list indexing.
-    exec_lists: List[List[float]] = []
-    fin_lists: List[List[bool]] = []
-    sched_counts = np.zeros(rows_available, dtype=np.int64)
-    for column in t2_arrs:
-        execs = t1_arr[:rows_available] + column[:rows_available]
-        finite = np.isfinite(execs)
-        sched_counts += finite
-        exec_lists.append(execs.tolist())
-        fin_lists.append(finite.tolist())
-    sched_list = sched_counts.tolist()
-    codes_list = codes.tolist()
-    max_attempts = int(policy.max_attempts)
-    backoff = float(policy.backoff)
-    attempt_timeout = policy.attempt_timeout
-
-    rel_codes: List[List[int]] = [[] for _ in range(k)]
-    rel_times: List[List[float]] = [[] for _ in range(k)]
-    rel_miss = [0] * k
-    sys_codes: List[int] = []
-    sys_times: List[float] = []
-    sys_miss = _replay_retry_general(
-        exec_lists, fin_lists, sched_list, codes_list,
-        rows_available, n, k, timeout, adjudication_delay, spacing,
-        backoff, max_attempts, attempt_timeout, adjudication_rng,
-        rel_codes, rel_times, rel_miss, sys_codes, sys_times,
-    )
-
-    release_rows = [
-        ReleaseMetrics.from_arrays(
-            name,
-            outcome_codes=np.asarray(rel_codes[j], dtype=np.int64),
-            recorded_times=np.asarray(rel_times[j], dtype=np.float64),
-            no_response=rel_miss[j],
-        )
-        for j, name in enumerate(names)
-    ]
-    system_row = ReleaseMetrics.from_arrays(
-        "System",
-        outcome_codes=np.asarray(sys_codes, dtype=np.int64),
-        recorded_times=np.asarray(sys_times, dtype=np.float64),
-        no_response=sys_miss,
-    )
-    metrics = SystemMetrics(releases=release_rows, system=system_row)
-    metrics.check_consistency()
-    return metrics
-
-
-def _replay_retry_general(
-    exec_lists: List[List[float]],
-    fin_lists: List[List[bool]],
-    sched_list: List[int],
-    codes_list: List[List[int]],
-    rows_available: int,
-    n: int,
-    k: int,
-    timeout: float,
-    adjudication_delay: float,
-    spacing: float,
-    backoff: float,
-    max_attempts: int,
-    attempt_timeout: Optional[float],
-    adjudication_rng: np.random.Generator,
-    rel_codes: List[List[int]],
-    rel_times: List[List[float]],
-    rel_miss: List[int],
-    sys_codes: List[int],
-    sys_times: List[float],
-) -> int:
-    """Replay the retry heap for any release count / policy shape.
-
-    Mutates the metric accumulators in place and returns the system
-    no-response count.
-    """
-    heap: List[Tuple[float, int, int, int, int, int]] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    alloc = 0
-
-    st_attempt = [0] * n
-    st_finished = [False] * n
-    cancelled_timeouts: Set[Tuple[int, int]] = set()
-    cursor = 0
-    # demand_idx -> (request, attempt_no, start, collected, script row);
-    # collected holds (arrival, sequence, release index) triples.
-    demands: List[Tuple[int, int, float, List[Tuple[float, int, int]], int]] = []
-    sys_miss = 0
-    release_range = range(k)
-
-    heappush(heap, (0.0 + 0 * spacing, alloc, _EVT_ARRIVAL, 0, 0, 0))
-    alloc += 1
-    while heap:
-        time, _seq, kind, a, b, c = heappop(heap)
-        if kind == _EVT_CLOSE:
-            request, attempt_no, start, coll, row = demands[a]
-            coll.sort()
-            codes_row = codes_list[row]
-            valid: List[Tuple[float, int, int]] = []
-            missing = k - len(coll)
-            for entry in coll:
-                j = entry[2]
-                rel_codes[j].append(codes_row[j])
-                rel_times[j].append(entry[0] - start)
-                if codes_row[j] != CODE_EVIDENT:
-                    valid.append(entry)
-            if missing:
-                collected_js = {entry[2] for entry in coll}
-                for j in release_range:
-                    if j not in collected_js:
-                        rel_miss[j] += 1
-            sys_times.append(min(time - start, timeout) + adjudication_delay)
-            if not coll:
-                sys_miss += 1
-                fault = 1
-            elif not valid:
-                sys_codes.append(CODE_EVIDENT)
-                fault = 1
-            else:
-                vcodes = [codes_row[entry[2]] for entry in valid]
-                if CODE_CORRECT in vcodes and CODE_NEF in vcodes:
-                    draw = int(adjudication_rng.integers(len(valid)))
-                    sys_codes.append(vcodes[draw])
-                else:
-                    sys_codes.append(vcodes[0])
-                fault = 0
-            heappush(heap, (
-                time + adjudication_delay, alloc, _EVT_DELIVERY,
-                request, attempt_no, fault,
-            ))
-            alloc += 1
-        elif kind == _EVT_DELIVERY:
-            request, attempt_no, fault = a, b, c
-            if st_finished[request]:
-                continue
-            if st_attempt[request] != attempt_no:
-                # Superseded attempt: a late valid response still
-                # settles the demand; a late fault is ignored (the
-                # retry it triggered is already running).
-                if not fault:
-                    st_finished[request] = True
-                continue
-            if attempt_timeout is not None:
-                cancelled_timeouts.add((request, attempt_no))
-            if fault and attempt_no < max_attempts:
-                heappush(heap, (
-                    time + backoff, alloc, _EVT_ATTEMPT_START,
-                    request, 0, 0,
-                ))
-                alloc += 1
-            else:
-                st_finished[request] = True
-        elif kind == _EVT_ATTEMPT_TIMEOUT:
-            request, attempt_no = a, b
-            if (request, attempt_no) in cancelled_timeouts:
-                continue  # tombstoned by the attempt's own delivery
-            if st_finished[request] or st_attempt[request] != attempt_no:
-                continue
-            if attempt_no < max_attempts:
-                heappush(heap, (
-                    time + backoff, alloc, _EVT_ATTEMPT_START,
-                    request, 0, 0,
-                ))
-                alloc += 1
-            else:
-                st_finished[request] = True
-        else:  # _EVT_ARRIVAL or _EVT_ATTEMPT_START
-            request = a
-            if kind == _EVT_ARRIVAL:
-                # The arrival source chains the next arrival before
-                # submitting (lower sequence), then the retry port
-                # starts attempt 1 inline.
-                if request + 1 < n:
-                    heappush(heap, (
-                        0.0 + (request + 1) * spacing, alloc,
-                        _EVT_ARRIVAL, request + 1, 0, 0,
-                    ))
-                    alloc += 1
-            # The kernel's attempt() has no finished-check: a
-            # backoff-scheduled attempt dispatches even if a late valid
-            # response settled the demand in between.
-            attempt_no = st_attempt[request] + 1
-            st_attempt[request] = attempt_no
-            row = cursor
-            cursor += 1
-            if row >= rows_available:
-                raise SimulationError(
-                    f"retry demand script exhausted: demand start {row} "
-                    f"of {rows_available} scripted rows"
-                )
-            # Sequence allocation mirrors the kernel's per-attempt
-            # schedule order: attempt timeout (if any), demand timeout,
-            # then one response per finite execution time, in release
-            # order.
-            if attempt_timeout is not None:
-                heappush(heap, (
-                    time + attempt_timeout, alloc, _EVT_ATTEMPT_TIMEOUT,
-                    request, attempt_no, 0,
-                ))
-                alloc += 1
-            timeout_seq = alloc
-            alloc += 1
-            cutoff = time + timeout
-            coll = []
-            for j in release_range:
-                if fin_lists[j][row]:
-                    arr = time + exec_lists[j][row]
-                    response_seq = alloc
-                    alloc += 1
-                    if arr < cutoff:
-                        coll.append((arr, response_seq, j))
-            if len(coll) == k and sched_list[row] == k:
-                close_time, close_seq, _j = max(coll)
-            else:
-                close_time, close_seq = cutoff, timeout_seq
-            demand_idx = len(demands)
-            demands.append((request, attempt_no, time, coll, row))
-            heappush(heap, (close_time, close_seq, _EVT_CLOSE, demand_idx, 0, 0))
-    return sys_miss

@@ -59,8 +59,8 @@ class BatchSpec:
     to decline the group, in which case every member falls back to the
     ordinary per-cell path.  Cells fuse only with cells sharing the same
     ``(fn, group)`` pair, so *group* must carry everything that must be
-    homogeneous across a fused batch (mode, release count, retry
-    policy, workload shape).
+    homogeneous across a fused batch (mode, release count, workload
+    shape).
     """
 
     fn: Callable[

@@ -279,11 +279,9 @@ class ScriptArena:
     have built alone (asserted by the batched equivalence suite).
 
     ``cells`` counts cells, ``scripts`` the slab rows actually drawn,
-    and ``rows`` is the per-script length — ``requests``, or the
-    over-provisioned ``draws`` count for retry cells.
+    and ``rows`` is the per-script length: each cell's demand count.
     """
 
-    requests: int
     t1: np.ndarray
     t2: List[np.ndarray]
     row_index: np.ndarray
@@ -344,7 +342,6 @@ def build_demand_script_arena(
     requests: int,
     seeds: Sequence[SeedSequenceFactory],
     script_keys: Sequence[Hashable],
-    draws: Optional[int] = None,
 ) -> ScriptArena:
     """Pre-draw a whole batch of cells into one shared script arena.
 
@@ -360,20 +357,12 @@ def build_demand_script_arena(
     :func:`build_demand_script`'s (``script/outcomes``, ``script/t1``,
     ``script/t2/<k>``), and each ``sample_many`` block lands in the slab
     row unchanged — so ``arena.script(c)`` is bit-identical to the
-    standalone script.  *draws* over-provisions every row exactly as in
-    :func:`build_demand_script`.  The slabs are read-only once drawn: a
-    resolver writing into a shared row raises instead of corrupting the
-    cells that share it.
+    standalone script.  The slabs are read-only once drawn: a resolver
+    writing into a shared row raises instead of corrupting the cells
+    that share it.
     """
     if requests <= 0:
         raise ValidationError(f"requests must be > 0: {requests!r}")
-    rows = requests
-    if draws is not None:
-        if draws < requests:
-            raise ValidationError(
-                f"draws must cover requests: {draws!r} < {requests!r}"
-            )
-        rows = int(draws)
     cells = len(seeds)
     if cells == 0:
         raise ValidationError("arena needs at least one cell")
@@ -400,10 +389,10 @@ def build_demand_script_arena(
         row_index[c] = row_of[key]
     scripts = len(firsts)
     releases = len(release_latencies)
-    t1 = np.empty((scripts, rows), dtype=np.float64)
-    t2 = [np.empty((scripts, rows), dtype=np.float64) for _ in range(releases)]
+    t1 = np.empty((scripts, requests), dtype=np.float64)
+    t2 = [np.empty((scripts, requests), dtype=np.float64) for _ in range(releases)]
     codes = (
-        np.empty((scripts, rows, releases), dtype=np.int64)
+        np.empty((scripts, requests, releases), dtype=np.int64)
         if all(with_joint) else None
     )
     for row, c in enumerate(firsts):
@@ -412,22 +401,21 @@ def build_demand_script_arena(
             model = joint_models[c]
             assert model is not None
             codes[row] = _outcome_matrix(
-                model, factory.generator("script/outcomes"), rows, releases,
+                model, factory.generator("script/outcomes"), requests, releases,
             )
         t1[row] = demand_difficulty.sample_many(
-            factory.generator("script/t1"), rows
+            factory.generator("script/t1"), requests
         )
         for j, latency in enumerate(release_latencies):
             t2[j][row] = latency.sample_many(
-                factory.generator(f"script/t2/{j}"), rows
+                factory.generator(f"script/t2/{j}"), requests
             )
     for array in (t1, *t2, row_index):
         array.flags.writeable = False
     if codes is not None:
         codes.flags.writeable = False
     return ScriptArena(
-        requests=rows, t1=t1, t2=t2, row_index=row_index,
-        outcome_codes=codes,
+        t1=t1, t2=t2, row_index=row_index, outcome_codes=codes,
     )
 
 

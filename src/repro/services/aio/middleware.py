@@ -3,7 +3,10 @@
 :class:`AsyncUpgradeMiddleware` serves the same four operating modes as
 :class:`~repro.core.middleware.UpgradeMiddleware` — parallel
 max-reliability, parallel max-responsiveness, parallel-dynamic and
-sequential — over coroutine endpoints instead of kernel callbacks.
+fixed-order sequential — over coroutine endpoints instead of kernel
+callbacks.  Random-order sequential mode runs on the event kernel only
+(the service_load experiment never asks for it), so the constructor
+refuses it.
 Message types, fault models, adjudication rules and the Table-5/6
 observation schema are shared with the sync substrate; only the
 execution machinery differs.
@@ -134,7 +137,8 @@ class AsyncUpgradeMiddleware:
         The pre-drawn randomness, with an outcome matrix: release *k*
         reads ``t2[k]`` and ``outcome_codes[:, k]``.
     mode / monitor:
-        Operating mode (max-reliability by default) and an optional
+        Operating mode (max-reliability by default; random-order
+        sequential raises :class:`ConfigurationError`) and an optional
         monitoring subsystem that records every demand.
     """
 
@@ -158,20 +162,28 @@ class AsyncUpgradeMiddleware:
                 f"the demand script needs an outcome matrix and one "
                 f"column per release ({len(endpoints)})"
             )
+        mode = mode or ModeConfig.max_reliability()
+        if (
+            mode.mode is OperatingMode.SEQUENTIAL
+            and mode.sequential_order is SequentialOrder.RANDOM
+        ):
+            raise ConfigurationError(
+                f"sequential order {mode.sequential_order.value!r} runs on "
+                f"the event kernel only"
+            )
         self.endpoints: List[AsyncEndpoint] = list(endpoints)
         self.timing = timing
         self.adjudicator = PaperRuleAdjudicator()
-        self.mode = mode or ModeConfig.max_reliability()
+        self.mode = mode
         self.monitor = monitor
         self.script = script
         self._seed_factory = SeedSequenceFactory(adjudication_seed)
         self.demands = 0
-        # Fixed-order sequential demands read each release's next
-        # unconsumed T2 row, not row ``index`` (see _sequential_rows).
+        # Sequential demands read each release's next unconsumed T2
+        # row, not row ``index`` (see _sequential_rows).
         self._t2_rows: Optional[List[np.ndarray]] = (
             self._sequential_rows()
             if self.mode.mode is OperatingMode.SEQUENTIAL
-            and self.mode.sequential_order is SequentialOrder.FIXED
             else None
         )
 
@@ -208,7 +220,7 @@ class AsyncUpgradeMiddleware:
         )
 
     def _sequential_rows(self) -> List[np.ndarray]:
-        """Per-release script-row indices for fixed-order sequential mode.
+        """Per-release script-row indices for sequential mode.
 
         The kernel's scripted latency distributions are consumed *per
         invocation*: in sequential mode release k's next T2 row is read
@@ -347,25 +359,11 @@ class AsyncUpgradeMiddleware:
         start = loop.time()
         timeout = self.timing.timeout
         difficulty, t2s, forced = self._demand_inputs(index)
-        order = list(range(len(self.endpoints)))
-        if self.mode.sequential_order is SequentialOrder.RANDOM:
-            # Per-demand stream, so the order is a function of the demand
-            # index alone.  NOTE: this is *distributionally* equivalent
-            # to the kernel's shared-rng shuffle but not bit-identical to
-            # it — random-order cells are excluded from exact
-            # cross-checks.
-            order = [
-                int(i)
-                for i in self._seed_factory.generator(
-                    f"order/{index}"
-                ).permutation(len(self.endpoints))
-            ]
         items: List[CollectedResponse] = []
         cumulative = 0.0
         decision_d: Optional[float] = None
         invoked = 0
-        for k in order:
-            endpoint = self.endpoints[k]
+        for k, endpoint in enumerate(self.endpoints):
             invoked += 1
             result = await endpoint.invoke_within(
                 request,
@@ -395,7 +393,9 @@ class AsyncUpgradeMiddleware:
             cumulative = arrival
         if decision_d is None:
             decision_d = cumulative
-        invoked_names = [self.endpoints[k].name for k in order[:invoked]]
+        invoked_names = [
+            endpoint.name for endpoint in self.endpoints[:invoked]
+        ]
         return await self._close(
             request, reference_answer, index, items, None,
             decision_d=decision_d, start=start, loop=loop,

@@ -6,11 +6,12 @@ of cells resolved in one call must reproduce, float by float, what each
 cell produces alone.  These tests pin that claim at every layer: the
 shared script arena against per-cell :func:`build_demand_script` (array
 bytes), the batched resolver against :func:`resolve_cell` for every
-operating mode x release count x retry policy x several seeds (reduced
-rows as IEEE bit patterns), chunks the parallel kernel splits at its
+columnar operating mode x release count x several seeds (reduced rows
+as IEEE bit patterns), chunks the parallel kernel splits at its
 row budget, the orchestration (fused ``run_cells`` vs the same cells
 with their ``BatchSpec`` stripped) end to end, the mixed-envelope group
-fallback, and cache-key invariance in both directions (a batched run's
+fallback, the guards direct callers meet (random-order mode, a bad
+TimeOut), and cache-key invariance in both directions (a batched run's
 cache serves a per-cell run and vice versa).  The arena, resolver and
 kernel-block tests also run on the real grids' shape — three TimeOut
 cells sharing one arena row per script — duplicates included.
@@ -21,7 +22,7 @@ import struct
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ValidationError
 from repro.common.seeding import SeedSequenceFactory
 from repro.core.modes import ModeConfig, SequentialOrder
 from repro.experiments import paper_params as P
@@ -42,19 +43,14 @@ from repro.runtime.sampling import (
     build_demand_script,
     build_demand_script_arena,
 )
-from repro.services.retry import RetryPolicy
 from repro.simulation.distributions import Exponential
 
-ALL_MODES = [
+COLUMNAR_MODES = [
     pytest.param(ModeConfig.max_reliability(), id="reliability"),
     pytest.param(ModeConfig.max_responsiveness(), id="responsiveness"),
     pytest.param(ModeConfig.dynamic(1), id="dynamic-k1"),
     pytest.param(ModeConfig.dynamic(2), id="dynamic-k2"),
     pytest.param(ModeConfig.sequential(), id="sequential-fixed"),
-    pytest.param(
-        ModeConfig.sequential(SequentialOrder.RANDOM),
-        id="sequential-random",
-    ),
 ]
 
 RELEASE_COUNTS = (1, 2, 3, 5)
@@ -107,8 +103,7 @@ def cell_params(n_releases, seeds, shared=False):
 
 
 def resolve_both_ways(
-    n_releases, mode=None, retry=None, seeds=(3, 9, 17), requests=220,
-    shared=False,
+    n_releases, mode=None, seeds=(3, 9, 17), requests=220, shared=False,
 ):
     """The same batch through resolve_cell per cell and resolve_cell_batch.
 
@@ -118,9 +113,6 @@ def resolve_both_ways(
     demand_difficulty = Exponential(P.T1_MEAN)
     latencies = [Exponential(P.T2_MEAN)] * n_releases
     names = [f"Web-Service 1.{index}" for index in range(n_releases)]
-    draws = (
-        requests * (1 + retry.max_attempts) if retry is not None else None
-    )
     params, keys = cell_params(n_releases, seeds, shared)
 
     percell = []
@@ -128,7 +120,6 @@ def resolve_both_ways(
         factory = SeedSequenceFactory(seed)
         script = build_demand_script(
             model, demand_difficulty, latencies, requests, factory,
-            draws=draws,
         )
         percell.append(columnar.resolve_cell(
             script,
@@ -137,16 +128,13 @@ def resolve_both_ways(
             adjudication_delay=P.ADJUDICATION_DELAY,
             spacing=timeout + P.ADJUDICATION_DELAY + 0.5,
             middleware_rng=factory.generator("middleware"),
-            requests=requests,
             mode=mode,
-            retry=retry,
         ))
 
     factories = [SeedSequenceFactory(seed) for _, seed, _ in params]
     arena = build_demand_script_arena(
         [model for model, _, _ in params],
         demand_difficulty, latencies, requests, factories, keys,
-        draws=draws,
     )
     assert arena.scripts == len(set(keys))
     batched = columnar.resolve_cell_batch(
@@ -161,9 +149,7 @@ def resolve_both_ways(
         middleware_rngs=[
             factory.generator("middleware") for factory in factories
         ],
-        requests=requests,
         mode=mode,
-        retry=retry,
     )
     return percell, batched
 
@@ -230,23 +216,9 @@ class TestScriptArena:
         with pytest.raises(ValueError, match="read-only"):
             arena.script(4).t1[0] = 0.0
 
-    def test_arena_overprovisions_draws_like_retry_scripts(self):
-        arena = build_demand_script_arena(
-            [P.correlated_model(1)], Exponential(P.T1_MEAN),
-            [Exponential(P.T2_MEAN)] * 2, 100,
-            [SeedSequenceFactory(5)], [0], draws=300,
-        )
-        assert arena.rows == 300
-        script = build_demand_script(
-            P.correlated_model(1), Exponential(P.T1_MEAN),
-            [Exponential(P.T2_MEAN)] * 2, 100,
-            SeedSequenceFactory(5), draws=300,
-        )
-        assert arena.script(0).t1.tobytes() == script.t1.tobytes()
-
 
 class TestResolverEquivalence:
-    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("mode", COLUMNAR_MODES)
     @pytest.mark.parametrize(
         "n_releases, shared", with_shared(RELEASE_COUNTS)
     )
@@ -261,16 +233,6 @@ class TestResolverEquivalence:
             n_releases, mode=mode, shared=shared
         )
         assert len(batched) == len(percell) == (9 if shared else 3)
-        for expected, got in zip(percell, batched):
-            assert rows_as_bits(expected) == rows_as_bits(got)
-
-    @pytest.mark.parametrize("seeds", [(3, 9, 17), (21, 42, 63, 84)])
-    @pytest.mark.parametrize("max_attempts, shared", with_shared([2, 3]))
-    def test_retry_rows_bit_identical(self, max_attempts, shared, seeds):
-        percell, batched = resolve_both_ways(
-            2, retry=RetryPolicy(max_attempts=max_attempts), seeds=seeds,
-            shared=shared,
-        )
         for expected, got in zip(percell, batched):
             assert rows_as_bits(expected) == rows_as_bits(got)
 
@@ -336,8 +298,8 @@ class TestShapeGuard:
         # block: the kernel reads only columns j < 2, so without the
         # guard the third column would be dropped silently.
         two_release = ScriptArena(
-            requests=arena.requests, t1=arena.t1, t2=arena.t2[:2],
-            row_index=arena.row_index, outcome_codes=arena.outcome_codes,
+            t1=arena.t1, t2=arena.t2[:2], row_index=arena.row_index,
+            outcome_codes=arena.outcome_codes,
         )
         with pytest.raises(ConfigurationError, match="outcome code block"):
             columnar.resolve_cell_batch(
@@ -351,6 +313,61 @@ class TestShapeGuard:
                     for seed in (1, 2)
                 ],
             )
+
+
+class TestDirectCallerGuards:
+    """Checks a direct caller meets without asking the envelope first."""
+
+    NAMES = ["Web-Service 1.0", "Web-Service 1.1"]
+
+    def arena(self, seeds):
+        return build_demand_script_arena(
+            [P.correlated_model(1)] * len(seeds), Exponential(P.T1_MEAN),
+            [Exponential(P.T2_MEAN)] * 2, 50,
+            [SeedSequenceFactory(seed) for seed in seeds], list(seeds),
+        )
+
+    def resolve_batch(self, timeouts, mode=None):
+        seeds = tuple(range(1, len(timeouts) + 1))
+        return columnar.resolve_cell_batch(
+            self.arena(seeds),
+            release_names=self.NAMES,
+            timeouts=timeouts,
+            adjudication_delay=P.ADJUDICATION_DELAY,
+            spacings=[2.1] * len(timeouts),
+            middleware_rngs=[
+                SeedSequenceFactory(seed).generator("middleware")
+                for seed in seeds
+            ],
+            mode=mode,
+        )
+
+    def test_resolve_cell_refuses_random_order(self):
+        # Without the check it would return fixed-order rows.
+        with pytest.raises(ConfigurationError, match="random-order"):
+            columnar.resolve_cell(
+                self.arena((1,)).script(0),
+                release_names=self.NAMES,
+                timeout=1.5,
+                adjudication_delay=P.ADJUDICATION_DELAY,
+                spacing=2.1,
+                middleware_rng=SeedSequenceFactory(1).generator(
+                    "middleware"
+                ),
+                mode=ModeConfig.sequential(SequentialOrder.RANDOM),
+            )
+
+    def test_resolve_cell_batch_refuses_random_order(self):
+        with pytest.raises(ConfigurationError, match="random-order"):
+            self.resolve_batch(
+                [1.5, 2.0], mode=ModeConfig.sequential(SequentialOrder.RANDOM)
+            )
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_one_bad_timeout_refuses_the_batch(self, bad):
+        assert len(self.resolve_batch([1.5, 2.0, 3.0])) == 3
+        with pytest.raises(ValidationError, match="timeout"):
+            self.resolve_batch([1.5, bad, 3.0])
 
 
 def per_cell(cells):

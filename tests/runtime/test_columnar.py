@@ -3,23 +3,25 @@
 The columnar backend's whole claim is *bit-identity* with the event
 kernel inside its envelope — not statistical agreement.  These tests
 compare reduced rows by float bit pattern (NaN-safe, no tolerance), for
-hand-picked cells, for every §4.2 operating mode across multiple seeds
-and both latency profiles (the calibrated one exercises hangs and shared
-unavailability), for N-release deployments, for retry, and for the first
-fast cell of every registered grid spec that carries a ``backend``
-cache-key field.  The envelope property test pins the support contract:
+hand-picked cells, for every operating mode the backend resolves across
+multiple seeds and both latency profiles (the calibrated one exercises
+hangs and shared unavailability), for N-release deployments, and for
+the first fast cell of every registered grid spec that carries a
+``backend`` cache-key field.  The envelope property test pins the support contract:
 ``unsupported_reasons()`` is empty exactly when an explicit
 ``backend="columnar"`` run succeeds.  The fallback tests pin the
-``auto`` semantics: outside the envelope the event kernel runs and the
+``auto`` semantics: outside the envelope — retry and random-order
+sequential mode among it — the event kernel runs and the
 ``backend.fallback_cells`` / ``backend.fallback_reason.<slug>``
 counters say why.
 """
 
+import math
 import struct
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ValidationError
 from repro.common.seeding import SeedSequenceFactory
 from repro.core.adjudicators import FastestValidAdjudicator
 from repro.core.modes import ModeConfig, SequentialOrder
@@ -48,18 +50,20 @@ from repro.runtime.sampling import build_demand_script
 from repro.services.retry import RetryPolicy
 from repro.simulation.distributions import Deterministic, WithHangs
 
-#: All four §4.2 operating modes (max-reliability is the historical
-#: envelope; the others joined it when the backend was widened).
-ALL_MODES = [
+#: The §4.2 operating modes the columnar backend resolves.
+COLUMNAR_MODES = [
     pytest.param(ModeConfig.max_reliability(), id="reliability"),
     pytest.param(ModeConfig.max_responsiveness(), id="responsiveness"),
     pytest.param(ModeConfig.dynamic(1), id="dynamic-k1"),
     pytest.param(ModeConfig.dynamic(2), id="dynamic-k2"),
     pytest.param(ModeConfig.sequential(), id="sequential-fixed"),
-    pytest.param(
-        ModeConfig.sequential(SequentialOrder.RANDOM),
-        id="sequential-random",
-    ),
+]
+
+RANDOM_ORDER = ModeConfig.sequential(SequentialOrder.RANDOM)
+
+#: All four modes, random-order sequential (event kernel only) included.
+ALL_MODES = COLUMNAR_MODES + [
+    pytest.param(RANDOM_ORDER, id="sequential-random"),
 ]
 
 
@@ -150,16 +154,16 @@ class TestRegisteredGridSpecs:
 
 
 class TestModeEquivalence:
-    """Every §4.2 operating mode, bit-identical across seeds/profiles."""
+    """Every columnar operating mode, bit-identical across seeds/profiles."""
 
     @pytest.mark.parametrize("seed", [3, 9, 17])
-    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("mode", COLUMNAR_MODES)
     def test_paper_profile_rows_bit_identical(self, mode, seed):
         event = run_cell("event", mode=mode, seed=seed, requests=250)
         columnar = run_cell("columnar", mode=mode, seed=seed, requests=250)
         assert rows_as_bits(event) == rows_as_bits(columnar)
 
-    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("mode", COLUMNAR_MODES)
     def test_calibrated_profile_rows_bit_identical(self, mode):
         # Hangs + shared unavailability under every mode's decision rule.
         event = run_cell(
@@ -172,8 +176,26 @@ class TestModeEquivalence:
         assert rows_as_bits(event) == rows_as_bits(columnar)
 
 
+def auto_fallback_rows(slug, **overrides):
+    """An ``auto`` cell outside the envelope: its rows and counters.
+
+    Asserts it fell back for *slug* alone, and that an explicit
+    ``columnar`` run of the same cell refuses, naming *slug*.
+    """
+    with pytest.raises(ConfigurationError, match=slug):
+        run_cell("columnar", **overrides)
+    registry = MetricsRegistry()
+    auto = run_cell("auto", metrics=registry, **overrides)
+    counters = registry.as_dict()["counters"]
+    assert counters["backend.fallback_cells"] == 1
+    assert counters[f"backend.fallback_reason.{slug}"] == 1
+    assert "backend.columnar_cells" not in counters
+    return rows_as_bits(auto)
+
+
 class TestRetryEquivalence:
-    """Retry resolves columnar via over-provisioned script draws."""
+    """Retry runs on the event kernel: ``auto`` falls back for every
+    policy shape, bit-identical to ``event``, and ``columnar`` refuses."""
 
     @pytest.mark.parametrize("seed", [3, 9, 17])
     @pytest.mark.parametrize("policy", [
@@ -188,10 +210,10 @@ class TestRetryEquivalence:
     ])
     def test_retry_rows_bit_identical(self, policy, seed):
         event = run_cell("event", retry=policy, seed=seed, requests=250)
-        columnar = run_cell(
-            "columnar", retry=policy, seed=seed, requests=250
+        auto = auto_fallback_rows(
+            "retry", retry=policy, seed=seed, requests=250
         )
-        assert rows_as_bits(event) == rows_as_bits(columnar)
+        assert rows_as_bits(event) == auto
 
     def test_retry_calibrated_profile_bit_identical(self):
         policy = RetryPolicy(max_attempts=3, backoff=0.25)
@@ -199,18 +221,18 @@ class TestRetryEquivalence:
             "event", retry=policy, profile=calibrated_profile(),
             requests=250,
         )
-        columnar = run_cell(
-            "columnar", retry=policy, profile=calibrated_profile(),
+        auto = auto_fallback_rows(
+            "retry", retry=policy, profile=calibrated_profile(),
             requests=250,
         )
-        assert rows_as_bits(event) == rows_as_bits(columnar)
+        assert rows_as_bits(event) == auto
 
 
 class TestMultiReleaseEquivalence:
     """Release-major resolution for N-release deployments."""
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("mode", COLUMNAR_MODES)
     def test_n_release_rows_bit_identical(self, n, mode):
         event = run_n_release_simulation(
             n, requests=200, seed=7, mode=mode, backend="event"
@@ -248,8 +270,7 @@ class TestSingleReleaseEquivalence:
     The middleware forces no outcomes on a lone release, so its
     endpoint samples its own marginal on the ``ep0`` stream; the
     columnar backend must pre-draw exactly that stream, one code per
-    script row (retry cells over-provision the rows), whatever outcome
-    model the cell was built with.
+    script row, whatever outcome model the cell was built with.
     """
 
     MODELS = [
@@ -257,19 +278,9 @@ class TestSingleReleaseEquivalence:
         pytest.param(lambda: P.correlated_model(1), id="correlated"),
         pytest.param(lambda: P.independent_model(1), id="independent"),
     ]
-    CASES = ALL_MODES + [
-        pytest.param(RetryPolicy(max_attempts=2), id="retry-attempts-2"),
-        pytest.param(
-            RetryPolicy(max_attempts=3, backoff=0.25), id="retry-backoff"
-        ),
-        pytest.param(
-            RetryPolicy(max_attempts=2, attempt_timeout=1.0),
-            id="retry-attempt-timeout",
-        ),
-    ]
 
     @pytest.mark.parametrize("seed", [3, 9])
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("case", COLUMNAR_MODES)
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("profile", [
         pytest.param(paper_profile, id="paper"),
@@ -282,11 +293,8 @@ class TestSingleReleaseEquivalence:
             requests=150,
             seed=seed,
             profile=single_release(profile()),
+            mode=case,
         )
-        if isinstance(case, RetryPolicy):
-            kwargs["retry"] = case
-        else:
-            kwargs["mode"] = case
         event = run_release_pair_simulation(backend="event", **kwargs)
         columnar = run_release_pair_simulation(backend="columnar", **kwargs)
         assert rows_as_bits(event) == rows_as_bits(columnar)
@@ -373,8 +381,7 @@ class TestEnvelope:
             run_cell("columnar", tracer=MemoryTracer())
 
     def test_explicit_columnar_rejects_retry_outside_reliability(self):
-        # Retry is proven columnar under max-reliability only.
-        with pytest.raises(ConfigurationError, match="mode"):
+        with pytest.raises(ConfigurationError, match="retry"):
             run_cell(
                 "columnar",
                 retry=RetryPolicy(max_attempts=2),
@@ -390,14 +397,36 @@ class TestEnvelope:
             run_cell(
                 "columnar",
                 retry=RetryPolicy(max_attempts=2),
-                mode=ModeConfig.max_responsiveness(),
+                mode=RANDOM_ORDER,
                 adjudicator=FastestValidAdjudicator(),
                 tracer=MemoryTracer(),
             )
         message = str(err.value)
-        assert "mode" in message
+        assert "retry" in message
+        assert "random-order" in message
         assert "adjudicator" in message
         assert "trac" in message
+
+
+class TestInvalidTimeout:
+    """Every backend refuses a TimeOut that is not positive, as the
+    event kernel's SystemTimingPolicy does."""
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("backend", ["event", "columnar", "auto"])
+    @pytest.mark.parametrize("releases", [2, 3])
+    def test_rejected_on_every_backend(self, releases, backend, timeout):
+        with pytest.raises(ValidationError, match="timeout"):
+            if releases == 2:
+                run_release_pair_simulation(
+                    P.correlated_model(1), timeout=timeout, requests=50,
+                    seed=3, backend=backend,
+                )
+            else:
+                run_n_release_simulation(
+                    releases, timeout=timeout, requests=50, seed=3,
+                    backend=backend,
+                )
 
 
 class TestEnvelopeProperty:
@@ -465,12 +494,7 @@ class TestAutoFallback:
         assert counters["backend.columnar_cells"] == 1
         assert rows_as_bits(auto) == rows_as_bits(run_cell("event"))
 
-    def test_auto_resolves_retry_columnar(self):
-        counters = self._counters(retry=RetryPolicy(max_attempts=2))
-        assert counters["backend.columnar_cells"] == 1
-        assert "backend.fallback_cells" not in counters
-
-    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("mode", COLUMNAR_MODES)
     def test_auto_resolves_every_mode_columnar(self, mode):
         counters = self._counters(mode=mode, requests=120)
         assert counters["backend.columnar_cells"] == 1
@@ -496,6 +520,12 @@ class TestAutoFallback:
         auto = run_cell("auto", retry=policy)
         event = run_cell("event", retry=RetryPolicy(max_attempts=2))
         assert rows_as_bits(auto) == rows_as_bits(event)
+
+    def test_auto_random_order_result_matches_event(self):
+        event = run_cell("event", mode=RANDOM_ORDER)
+        assert rows_as_bits(event) == auto_fallback_rows(
+            "random-order", mode=RANDOM_ORDER
+        )
 
     def test_traced_grid_cells_downgrade_explicit_columnar(self, tmp_path):
         cells = release_pair_cells(

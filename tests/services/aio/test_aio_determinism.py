@@ -9,8 +9,11 @@ run with a monitor attached.
 
 import json
 
+import pytest
+
+from repro.common.errors import ConfigurationError
 from repro.common.seeding import SeedSequenceFactory, spawn_generator
-from repro.core.modes import ModeConfig
+from repro.core.modes import ModeConfig, SequentialOrder
 from repro.core.monitor import MonitoringSubsystem
 from repro.experiments import paper_params as P
 from repro.experiments.event_sim import (
@@ -106,3 +109,8 @@ def test_streaming_reduction_matches_log_reduction():
     assert json.dumps(load.metrics.all_rows(), sort_keys=True) == json.dumps(
         from_log.all_rows(), sort_keys=True
     )
+
+
+def test_random_order_sequential_mode_is_refused():
+    with pytest.raises(ConfigurationError, match="'random'"):
+        _middleware(ModeConfig.sequential(SequentialOrder.RANDOM))
