@@ -35,6 +35,11 @@ Measures the numbers the runtime work is accountable for —
 * process start-up (``startup`` — ``import repro.pipeline`` and
   ``discover()`` in fresh interpreters as median and IQR, and the wall
   time of ``cli all --fast --no-cache``),
+* the warm path (``warm_replay`` — table5, table6, fidelity and
+  multirelease at ``--fast`` re-run from a cache filled once, per grid
+  as median and IQR, plus the mix's cells/sec) and the spec layer's own
+  cost (``pipeline`` — the engine against a direct call of the same
+  columnar Table-5 grid, median and IQR per side),
 
 plus the ``--jobs`` scaling of a small Table-5 grid, the wall-time of
 the ``repro.lint`` determinism linter over ``src/`` and of its
@@ -96,6 +101,7 @@ from repro.experiments.service_load import (
 )
 from repro.lint.version import LINT_VERSION
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime.cache import ResultCache
 from repro.simulation.engine import Simulator
 from repro.store.log import EventStream
 from repro.store.projections import MetricsRollupProjection, catch_up
@@ -704,84 +710,120 @@ def bench_tracing_overhead(requests: int) -> dict:
     }
 
 
+#: Rounds of the pipeline-overhead bench, and timed runs per side in
+#: each round (each round also runs one untimed warm call per side).
+PIPELINE_ROUNDS = 4
+PIPELINE_REPEATS = 5
+
+
 def bench_pipeline_overhead(requests: int) -> dict:
     """Unified-engine wall-time vs calling the experiment directly.
 
     Both paths run the identical 12-cell Table-5 grid (sequential, no
-    cache); the difference is what the declarative spec layer — size
-    resolution, grid validation, reduce/render hooks — costs per run.
-    Both sides pin ``backend="event"``: the engine's default is
-    ``auto`` (columnar), which would time a different computation than
-    the direct call.
+    cache) on the columnar backend, whose ~10-30 ms grids leave the
+    spec layer's ~1 ms visible (the event backend's seconds-long grids
+    buried it in noise); the difference is what the declarative spec
+    layer — size resolution, grid validation, reduce/render hooks —
+    costs per run.
 
-    The two paths are measured *paired*: three alternating
-    engine/direct runs with the garbage collector paused, best-of-three
-    each.  An unpaired single-shot measurement let slow drift (page
-    cache, CPU frequency) land entirely on one side and once reported a
-    negative overhead; pairing puts both paths through the same drift.
-    Two details keep the pairing honest under a paused collector: the
-    heap is collected before *each* timed run (the event kernel
-    allocates ~6 objects per demand, and uncollected garbage from the
-    first side of a pair taxes whichever side runs second), and the
-    order within each pair alternates so neither side systematically
-    runs on the colder heap.
+    Each side is the median and IQR of its runs under
+    :func:`_timed_repeats` (GC paused).  The sides alternate in
+    :data:`PIPELINE_ROUNDS` rounds of :data:`PIPELINE_REPEATS` runs,
+    the order flipping each round, so slow drift (page cache, CPU
+    frequency) lands on both.  The overhead is the difference of the
+    medians; when it is smaller than the larger of the two IQRs it is
+    below this machine's measurement floor, and the honest report is
+    0.0 with the floor alongside, not a sign drawn from noise.
     """
     spec = get_spec("table5")
     options = ExperimentOptions(
-        seed=3, requests=requests, jobs=1, backend="event"
+        seed=3, requests=requests, jobs=1, backend="columnar"
     )
 
     def run_engine() -> None:
         run_experiment(spec, options)
 
     def run_direct() -> None:
-        run_table5(seed=3, requests=requests, jobs=1, backend="event")
+        run_table5(seed=3, requests=requests, jobs=1, backend="columnar")
 
-    run_engine()  # warm both paths
-    run_direct()
-    repeats = 5
-    best = {"engine": float("inf"), "direct": float("inf")}
-    diffs = []
-    reenable = gc.isenabled()
-    gc.disable()
-    try:
-        for repeat in range(repeats):
-            pair = [("engine", run_engine), ("direct", run_direct)]
-            if repeat % 2:
-                pair.reverse()
-            timed = {}
-            for name, fn in pair:
-                gc.collect()
-                started = time.perf_counter()
-                fn()
-                timed[name] = time.perf_counter() - started
-                best[name] = min(best[name], timed[name])
-            diffs.append(timed["engine"] - timed["direct"])
-    finally:
-        if reenable:
-            gc.enable()
-    engine, direct = best["engine"], best["direct"]
-    # The spec layer costs ~1 ms against seconds of kernel time.  The
-    # median of the paired differences is the sign-stable estimate (a
-    # difference of minimums hands the sign to whichever side drew the
-    # luckier sample) — but when even the median is smaller than the
-    # spread of the pairs, the overhead is below this machine's
-    # measurement floor and the honest report is 0.0 with the floor
-    # alongside, not a sign drawn from noise.
-    median = sorted(diffs)[len(diffs) // 2]
-    spread = max(diffs) - min(diffs)
-    resolved = abs(median) > spread / 2
-    overhead = median if resolved else 0.0
+    samples: dict = {"engine": [], "direct": []}
+    for round_index in range(PIPELINE_ROUNDS):
+        pair = [("engine", run_engine), ("direct", run_direct)]
+        if round_index % 2:
+            pair.reverse()
+        for name, fn in pair:
+            samples[name].extend(_timed_repeats(fn, PIPELINE_REPEATS))
+    engine = _quartiles(samples["engine"])
+    direct = _quartiles(samples["direct"])
+    difference = engine["median_seconds"] - direct["median_seconds"]
+    floor = max(engine["iqr_seconds"], direct["iqr_seconds"])
+    resolved = abs(difference) > floor
+    overhead = difference if resolved else 0.0
     return {
         "requests_per_cell": requests,
-        "repeats": repeats,
-        "paired": True,
-        "engine_seconds": round(engine, 4),
-        "direct_seconds": round(direct, 4),
-        "overhead_seconds": round(overhead, 4),
+        "backend": "columnar",
+        "repeats": PIPELINE_ROUNDS * PIPELINE_REPEATS,
+        "engine": engine,
+        "direct": direct,
+        "overhead_seconds": round(overhead, 5),
         "overhead_below_noise": not resolved,
-        "noise_spread_seconds": round(spread, 4),
-        "overhead_ratio": round(1.0 + overhead / direct, 3),
+        "noise_floor_seconds": round(floor, 5),
+        "overhead_ratio": round(
+            1.0 + overhead / direct["median_seconds"], 3
+        ),
+    }
+
+
+#: The grids the warm-replay bench re-reads, and its timed runs of each.
+WARM_SPECS = ("table5", "table6", "fidelity", "multirelease")
+WARM_REPEATS = 41
+
+
+def bench_warm_replay() -> dict:
+    """Warm replay of the fast grid mix from a cache filled once.
+
+    table5, table6, fidelity and multirelease at ``--fast`` (seed 1) run
+    once cold into a fresh result cache; each grid then re-runs warm —
+    every cell a cache hit, so only the cell build, cache addressing and
+    reads, reduce and render run — as median and IQR of
+    :data:`WARM_REPEATS` runs with GC paused.  ``cells_per_sec`` is the
+    mix's cells over the sum of its grids' medians.  One more warm run
+    per grid, with a registry attached, counts the misses (must be 0).
+    """
+    specs = {}
+    cells_total = 0
+    seconds_total = 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in WARM_SPECS:
+            spec = get_spec(name)
+            options = ExperimentOptions(
+                seed=1, fast=True, cache=ResultCache(tmp)
+            )
+            cells = run_experiment(spec, options).cells
+
+            def replay() -> None:
+                run_experiment(spec, options)
+
+            samples = _timed_repeats(replay, WARM_REPEATS)
+            median = float(np.median(samples))
+            registry = MetricsRegistry()
+            run_experiment(spec, replace(
+                options, cache=ResultCache(tmp, metrics=registry),
+            ))
+            counters = registry.as_dict()["counters"]
+            specs[name] = {
+                "cells": cells,
+                **_quartiles(samples),
+                "cells_per_sec": round(cells / median),
+                "cache_misses": int(counters.get("cache.miss", 0)),
+            }
+            cells_total += cells
+            seconds_total += median
+    return {
+        "repeats": WARM_REPEATS,
+        "specs": specs,
+        "cells": cells_total,
+        "cells_per_sec": round(cells_total / seconds_total),
     }
 
 
@@ -868,6 +910,7 @@ def main(argv=None) -> int:
     lint = bench_lint(src_dir)
     tracing = bench_tracing_overhead(requests)
     pipeline = bench_pipeline_overhead(requests)
+    warm_replay = bench_warm_replay()
     grid_metrics = grid_metrics_snapshot(requests, jobs=args.jobs)
 
     # ~6 kernel events and exactly one adjudicated demand per request.
@@ -911,6 +954,7 @@ def main(argv=None) -> int:
         "startup": startup,
         "lint": lint,
         "pipeline": pipeline,
+        "warm_replay": warm_replay,
         "obs": {
             "tracing": tracing,
             "grid_metrics": grid_metrics,

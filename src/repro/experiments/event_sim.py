@@ -399,6 +399,13 @@ class SimulationRunResult:
     metrics: SystemMetrics
 
 
+#: The observation rows of a Table 5/6 block, in the paper's order;
+#: each names a key of :meth:`ReleaseMetrics.as_row`.
+OBSERVATION_ROWS = (
+    "MET", "CR", "EER", "NER", "Total", "NRDT", "Total requests",
+)
+
+
 @dataclass
 class SimulationTable:
     """A full Table 5 or Table 6 result set."""
@@ -431,34 +438,29 @@ class SimulationTable:
         return sorted({result.timeout for result in self.results})
 
     def render(self) -> str:
-        """Paper-layout blocks: one per run, columns per timeout."""
+        """Paper-layout blocks: one per run, columns per timeout.
+
+        Each (run, TimeOut) cell's three columns are built once per
+        block, then read once per observation row.
+        """
+        timeouts = self.timeouts()
+        headers = ["Observation"] + [
+            f"{column}@{timeout}"
+            for timeout in timeouts
+            for column in ("Rel1", "Rel2", "System")
+        ]
         blocks = []
-        observation_rows = (
-            ("MET", "MET"),
-            ("CR", "CR"),
-            ("EER", "EER"),
-            ("NER", "NER"),
-            ("Total", "Total"),
-            ("NRDT", "NRDT"),
-            ("Total requests", "Total requests"),
-        )
         for run in self.runs():
-            headers = ["Observation"]
-            for timeout in self.timeouts():
-                for column in ("Rel1", "Rel2", "System"):
-                    headers.append(f"{column}@{timeout}")
-            rows = []
-            for label, key in observation_rows:
-                row = [label]
-                for timeout in self.timeouts():
-                    cell = self.cell(run, timeout)
-                    for table_row in (
-                        cell.metrics.releases[0].as_row(),
-                        cell.metrics.releases[1].as_row(),
-                        cell.metrics.system.as_row(),
-                    ):
-                        row.append(table_row[key])
-                rows.append(row)
+            columns = []
+            for timeout in timeouts:
+                metrics = self.cell(run, timeout).metrics
+                columns.append(metrics.releases[0].as_row())
+                columns.append(metrics.releases[1].as_row())
+                columns.append(metrics.system.as_row())
+            rows = [
+                [label] + [column[label] for column in columns]
+                for label in OBSERVATION_ROWS
+            ]
             blocks.append(
                 render_table(
                     headers, rows, title=f"{self.label} — Run {run}"
@@ -698,6 +700,23 @@ def release_pair_cells(
         )
     seeds = SeedSequenceFactory(seed)
     prefix = trace_prefix if trace_prefix is not None else experiment
+    # Per-grid invariants, computed once: above all the profile's repr,
+    # which the cache key and the batch group both carry.
+    profile_name = repr(profile) if profile else "paper"
+    cell_metrics = metrics if jobs == 1 else None
+    untraced_batch = None
+    if backend in ("auto", "columnar"):
+        untraced_batch = BatchSpec(
+            fn=run_release_pair_batch,
+            group=(
+                "release-pair",
+                experiment,
+                joint,
+                requests,
+                profile_name,
+                backend,
+            ),
+        )
     cells = []
     for run in runs:
         cell_seed = seeds.child_seed(f"{experiment}/run-{run}")
@@ -712,19 +731,6 @@ def release_pair_cells(
                 if trace_path is not None and backend == "columnar"
                 else backend
             )
-            batch_spec = None
-            if trace_path is None and cell_backend in ("auto", "columnar"):
-                batch_spec = BatchSpec(
-                    fn=run_release_pair_batch,
-                    group=(
-                        "release-pair",
-                        experiment,
-                        joint,
-                        requests,
-                        repr(profile) if profile else "paper",
-                        cell_backend,
-                    ),
-                )
             cells.append(
                 CellSpec(
                     experiment=experiment,
@@ -738,7 +744,7 @@ def release_pair_cells(
                         profile=profile,
                         trace_path=trace_path,
                         trace_cell=f"{prefix}/run{run}/t{timeout}",
-                        metrics=metrics if jobs == 1 else None,
+                        metrics=cell_metrics,
                         backend=cell_backend,
                     ),
                     key=None
@@ -749,10 +755,10 @@ def release_pair_cells(
                         timeout=timeout,
                         requests=requests,
                         seed=cell_seed,
-                        profile=repr(profile) if profile else "paper",
+                        profile=profile_name,
                         backend=cell_backend,
                     ),
-                    batch=batch_spec,
+                    batch=untraced_batch if trace_path is None else None,
                 )
             )
     return cells

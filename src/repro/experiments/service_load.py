@@ -31,7 +31,7 @@ on the result object for the benchmark harness but never rendered.
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.seeding import SeedSequenceFactory
@@ -43,6 +43,7 @@ from repro.experiments.event_sim import (
     paper_profile,
     run_release_pair_simulation,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import ExperimentOptions, ExperimentSpec, register
 from repro.runtime.parallel import CellSpec
 from repro.runtime.sampling import build_demand_script
@@ -246,8 +247,14 @@ def run_service_load_cell(
     concurrency: int = 32,
     queue_capacity: int = 128,
     backend: str = "auto",
+    metrics: Optional[MetricsRegistry] = None,
 ) -> ServiceLoadCellResult:
-    """One cell: async load run + simulation reference + cross-check."""
+    """One cell: async load run + simulation reference + cross-check.
+
+    *metrics* reaches the reference simulation only, so the cell counts
+    under ``backend.columnar_cells`` or ``backend.fallback_cells`` like
+    every other backend-aware cell.
+    """
     model = joint_model(joint, run)
     profile = paper_profile()
     seeds = SeedSequenceFactory(seed)
@@ -293,6 +300,7 @@ def run_service_load_cell(
         requests=requests,
         seed=seed,
         mode=mode_config(mode),
+        metrics=metrics,
         backend=backend,
     )
     load_rows = load.metrics.all_rows()
@@ -327,8 +335,15 @@ def service_load_cells(
     concurrency: int = 32,
     queue_capacity: int = 128,
     backend: str = "auto",
+    jobs: int = 1,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> List[CellSpec]:
-    """The service-load grid: one cell per operating mode."""
+    """The service-load grid: one cell per operating mode.
+
+    As in the Table-5/6 grids, *metrics* reaches the cells only on the
+    inline ``jobs=1`` path (worker-process registries cannot report
+    back to the parent), and never the cache key.
+    """
     seeds = SeedSequenceFactory(seed)
     cells = []
     for mode in modes:
@@ -349,7 +364,7 @@ def service_load_cells(
             CellSpec(
                 experiment="service_load",
                 fn=run_service_load_cell,
-                kwargs=dict(kwargs),
+                kwargs=dict(kwargs, metrics=metrics if jobs == 1 else None),
                 key=dict(kwargs),
             )
         )
@@ -365,6 +380,8 @@ def _build_cells(
         concurrency=sizes["concurrency"],
         queue_capacity=sizes["queue_capacity"],
         backend=options.backend,
+        jobs=options.jobs,
+        metrics=options.metrics,
     )
 
 

@@ -22,7 +22,6 @@ it.
 """
 
 import hashlib
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -30,13 +29,20 @@ from typing import Any, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.lint.version import LINT_VERSION
 from repro.obs.metrics import MetricsRegistry
-from repro.store.snapshot import decode_result, encode_result
+from repro.store.snapshot import KEY_ENCODER, decode_result, encode_result
 
 #: Bump to invalidate all previously cached cell results (e.g. after a
 #: change to the simulation kernel or sampling layout).
 CACHE_VERSION = 1
 
-_MISS = object()
+#: Bytes asked for by the one ``read`` of a cache hit.  A Table 5/6
+#: entry pickles to about 0.5 KiB, so nearly every entry arrives whole;
+#: a read that fills the buffer is followed by more until end of file.
+_READ_SIZE = 1 << 16
+
+#: ``os.open`` flags of that read; Windows opens descriptors in text
+#: mode (newline translation) unless asked for binary.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 
 
 def default_cache_dir() -> Path:
@@ -59,9 +65,31 @@ def canonical_key(experiment: str, key: Mapping[str, Any]) -> str:
         "version": CACHE_VERSION,
         "lint": LINT_VERSION,
         "experiment": experiment,
-        "key": {name: key[name] for name in sorted(key)},
+        "key": dict(key),
     }
-    return json.dumps(payload, sort_keys=True, default=repr)
+    return KEY_ENCODER.encode(payload)
+
+
+def _read_entry(path: str) -> bytes:
+    """An entry's bytes: one ``open`` and, for any entry smaller than
+    :data:`_READ_SIZE`, one ``read``.
+
+    On a regular file a read returns fewer bytes than asked only at end
+    of file.  Were one ever cut short anyway, the prefix would fail to
+    decode, and :meth:`ResultCache.get` would count a corrupt miss and
+    re-run the cell: never a wrong result.
+    """
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        blob = os.read(fd, _READ_SIZE)
+        if len(blob) < _READ_SIZE:
+            return blob
+        chunks = [blob]
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
 
 
 class ResultCache:
@@ -80,16 +108,22 @@ class ResultCache:
     ):
         self.root = Path(root) if root is not None else default_cache_dir()
         self.metrics = metrics
+        # Entry paths are joined onto this string, not built as Paths.
+        self._root = os.fspath(self.root)
 
     def _count(self, name: str) -> None:
         if self.metrics is not None:
             self.metrics.counter(name).inc()
 
-    def _path(self, experiment: str, key: Mapping[str, Any]) -> Path:
+    def _entry(self, experiment: str, key: Mapping[str, Any]) -> str:
         digest = hashlib.sha256(
             canonical_key(experiment, key).encode("utf-8")
         ).hexdigest()
-        return self.root / experiment / f"{digest}.pkl"
+        return os.path.join(self._root, experiment, digest + ".pkl")
+
+    def _path(self, experiment: str, key: Mapping[str, Any]) -> Path:
+        """The entry file of one cell (which need not exist)."""
+        return Path(self._entry(experiment, key))
 
     def get(
         self, experiment: str, key: Mapping[str, Any]
@@ -99,16 +133,15 @@ class ResultCache:
         Unreadable or corrupt entries count as misses (and are removed),
         so a torn write can never poison a run.
         """
-        path = self._path(experiment, key)
+        path = self._entry(experiment, key)
         try:
-            with open(path, "rb") as handle:
-                value = decode_result(handle.read())
+            value = decode_result(_read_entry(path))
         except FileNotFoundError:
             self._count("cache.miss")
             return False, None
         except Exception:
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
             self._count("cache.corrupt")
@@ -119,11 +152,10 @@ class ResultCache:
 
     def put(self, experiment: str, key: Mapping[str, Any], value: Any) -> None:
         """Store a cell result atomically (temp file + rename)."""
-        path = self._path(experiment, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(
-            dir=path.parent, suffix=".tmp"
-        )
+        path = self._entry(experiment, key)
+        folder = os.path.dirname(path)
+        os.makedirs(folder, exist_ok=True)
+        fd, temp_name = tempfile.mkstemp(dir=folder, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(encode_result(value))

@@ -141,14 +141,17 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 #: holds at most C×rows×(2×releases+1) float64/int64 values: T1, one
 #: T2 slab per release and the outcome-code block, one row per
 #: distinct script) and the resume grain: a
-#: killed run loses at most one chunk's worth of work.  The resolver's
+#: killed run loses at most one chunk's worth of work.  It is a
+#: multiple of the three TimeOut cells of a Table 5/6 run, so a chunk
+#: boundary never splits a run, whose cells share one script: a cell
+#: list of whole runs draws each script once.  The resolver's
 #: temporaries do not grow with C: the release-major parallel kernel
 #: walks the chunk in blocks of whole cells of at most
 #: :data:`repro.runtime.columnar.KERNEL_BLOCK_ROWS` rows.  The
 #: ``REPRO_BATCH_MAX_CELLS`` environment variable overrides it (the
 #: resume harness uses a small value to force chunk boundaries inside
 #: small grids); a value that is not a positive integer is an error.
-BATCH_MAX_CELLS = 64
+BATCH_MAX_CELLS = 63
 
 
 def _batch_chunk_limit() -> int:

@@ -55,6 +55,7 @@ from repro.obs.envelope import (
 from repro.obs.metrics import MetricsRegistry
 from repro.store.snapshot import (
     CELL_RESULT_KIND,
+    KEY_ENCODER,
     result_event_fields,
     result_from_event,
 )
@@ -470,11 +471,8 @@ def canonical_stream_key(experiment: str, key: Mapping[str, Any]) -> str:
     orphan committed cells — resume correctness is re-established by
     the store's own schema versioning and the upcaster chain.
     """
-    payload = {
-        "experiment": experiment,
-        "key": {name: key[name] for name in sorted(key)},
-    }
-    return json.dumps(payload, sort_keys=True, default=repr)
+    payload = {"experiment": experiment, "key": dict(key)}
+    return KEY_ENCODER.encode(payload)
 
 
 class RunStore:

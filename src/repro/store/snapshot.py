@@ -10,12 +10,23 @@ snapshot can replace a cache entry without a bit of drift.
 
 The encoding is the cache's historical one (pickle at the highest
 protocol), so PR 1-era cache entries stay readable.
+
+Cell *keys* have one canonical form too: :data:`KEY_ENCODER`, the
+sorted-key JSON both the cache's content addresses and the store's
+stream identities are hashed from.
 """
 
 import base64
 import hashlib
+import json
 import pickle
 from typing import Any, Dict
+
+#: Canonical JSON of cell keys: sorted keys, ``repr`` for anything JSON
+#: cannot encode.  It is the encoder ``json.dumps(payload,
+#: sort_keys=True, default=repr)`` constructs on every call, built once,
+#: so its output is byte-identical to that call's.
+KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=repr)
 
 #: Event kind under which a stream commits its cell's reduced result.
 CELL_RESULT_KIND = "cell_result"

@@ -1,0 +1,133 @@
+"""Golden fixtures: rendered bytes and on-disk addresses, pinned.
+
+The Table 5/6, fidelity and multirelease grids at ``fast=True``,
+``requests=300``, seed 1 were recorded once under
+``tests/fixtures/golden/``:
+
+* ``<spec>.txt`` — the rendered text, byte for byte;
+* ``addresses.json`` — per cell, in grid order, the result-cache entry
+  path and the run-store stream digest of its key; and the group
+  streams a cold run with a store commits (digest and member count).
+
+A change to the warm path (cache addressing, reads, render) must leave
+every one of these unchanged: a cache or store filled by an older tree
+has to keep serving every cell.  To re-record after a deliberate
+format change::
+
+    PYTHONPATH=src python tests/pipeline/test_golden.py --record
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+from typing import Any, Dict, List
+
+import pytest
+
+from repro.obs.metrics import MetricsRegistry
+from repro.pipeline import (
+    ExperimentOptions,
+    discover,
+    get_spec,
+    run_experiment,
+)
+from repro.runtime.cache import ResultCache
+from repro.store.log import RunStore
+
+discover()
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "fixtures" / "golden"
+GOLDEN_SPECS = ("table5", "table6", "fidelity", "multirelease")
+ADDRESSES = GOLDEN_DIR / "addresses.json"
+
+
+def _options(**overrides: Any) -> ExperimentOptions:
+    return ExperimentOptions(seed=1, fast=True, requests=300, **overrides)
+
+
+def _addresses(name: str, root: Path) -> Dict[str, Any]:
+    """The cell addresses of *name*, and the group streams a cold run
+    with a store under *root* commits."""
+    spec = get_spec(name)
+    options = _options()
+    assert spec.build_cells is not None
+    cells = [
+        cell for cell in spec.build_cells(options, spec.sizes(options))
+        if cell.key is not None
+    ]
+    cache = ResultCache(root / "cache")
+    store = RunStore(root / "store")
+    run_experiment(spec, _options(store=store))
+    groups: List[Dict[str, Any]] = []
+    for path in store.stream_paths():
+        meta = store.meta(path)
+        if "cells" in meta:
+            groups.append({
+                "stream": path.relative_to(store.root).as_posix(),
+                "cells": meta["cells"],
+            })
+    return {
+        "cache_paths": [
+            cache._path(cell.experiment, cell.key)
+            .relative_to(cache.root).as_posix()
+            for cell in cells
+        ],
+        "stream_digests": [
+            store.stream_path(cell.experiment, cell.key).name
+            for cell in cells
+        ],
+        "group_streams": groups,
+    }
+
+
+def _golden_text(name: str) -> str:
+    return (GOLDEN_DIR / f"{name}.txt").read_bytes().decode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def golden_addresses() -> Dict[str, Any]:
+    return json.loads(ADDRESSES.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", GOLDEN_SPECS)
+class TestGolden:
+    def test_cold_render_is_byte_identical(self, name):
+        text = run_experiment(get_spec(name), _options()).text
+        assert text == _golden_text(name)
+
+    def test_warm_render_is_byte_identical(self, name, tmp_path):
+        spec = get_spec(name)
+        run_experiment(spec, _options(cache=ResultCache(tmp_path)))
+        registry = MetricsRegistry()
+        warm = run_experiment(spec, _options(
+            cache=ResultCache(tmp_path, metrics=registry),
+            metrics=registry,
+        ))
+        counters = registry.as_dict()["counters"]
+        assert counters.get("cache.miss", 0) == 0
+        assert counters["cache.hit"] == warm.cells
+        assert warm.text == _golden_text(name)
+
+    def test_addresses_unchanged(self, name, tmp_path, golden_addresses):
+        assert _addresses(name, tmp_path) == golden_addresses[name]
+
+
+def record() -> None:
+    """Write every fixture from the current tree."""
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    addresses = {}
+    for name in GOLDEN_SPECS:
+        text = run_experiment(get_spec(name), _options()).text
+        (GOLDEN_DIR / f"{name}.txt").write_bytes(text.encode("utf-8"))
+        with tempfile.TemporaryDirectory() as tmp:
+            addresses[name] = _addresses(name, Path(tmp))
+    ADDRESSES.write_text(
+        json.dumps(addresses, indent=1) + "\n", encoding="utf-8"
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_golden.py --record")
+    record()

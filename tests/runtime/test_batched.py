@@ -37,7 +37,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import ExperimentOptions, get_spec, run_experiment
 from repro.runtime import columnar
 from repro.runtime.cache import ResultCache
-from repro.runtime.parallel import run_cells
+from repro.runtime.parallel import BATCH_MAX_CELLS, run_cells
 from repro.runtime.sampling import (
     ScriptArena,
     build_demand_script,
@@ -418,6 +418,34 @@ class TestOrchestration:
         chunked, chunked_scripts = render()
         assert chunked == whole
         assert (whole_scripts, chunked_scripts) == (4, 6)
+
+    @pytest.mark.parametrize("limit, scripts", [(None, 24), ("64", 25)])
+    def test_default_chunks_never_split_a_run(
+        self, monkeypatch, limit, scripts
+    ):
+        # Six 12-cell grids as one 72-cell list, one fused group.  The
+        # default limit, a multiple of a run's three TimeOut cells, cuts
+        # the group between runs (63 + 9 cells), so 24 runs draw 24
+        # scripts; at 64 the run of cells 63-65 lands in both chunks,
+        # and both draw it.
+        assert BATCH_MAX_CELLS % len(P.TIMEOUTS) == 0
+        monkeypatch.delenv("REPRO_BATCH_MAX_CELLS", raising=False)
+        if limit is not None:
+            monkeypatch.setenv("REPRO_BATCH_MAX_CELLS", limit)
+        cells = [
+            cell
+            for index in range(6)
+            for cell in release_pair_cells(
+                "table5", "correlated", seed=100 + index, requests=60,
+                backend="columnar",
+            )
+        ]
+        assert len(cells) == 72
+        metrics = MetricsRegistry()
+        run_cells(cells, metrics=metrics)
+        counters = metrics.as_dict()["counters"]
+        assert counters["backend.batched_cells"] == 72
+        assert counters["backend.batched_scripts"] == scripts
 
     def test_batch_keys_scripts_on_seed_joint_and_run(self):
         # One root seed under three (joint, run) outcome models: keying

@@ -7,11 +7,13 @@ import pytest
 
 from repro.lint.version import LINT_VERSION
 from repro.runtime.cache import (
+    _READ_SIZE,
     CACHE_VERSION,
     ResultCache,
     canonical_key,
     default_cache_dir,
 )
+from repro.store.snapshot import encode_result
 
 
 @pytest.fixture
@@ -97,6 +99,22 @@ class TestResultCache:
         assert cache.clear() == 4
         assert cache.entry_count() == 0
         assert cache.clear() == 0
+
+    @pytest.mark.parametrize(
+        "size", [_READ_SIZE - 1, _READ_SIZE, 3 * _READ_SIZE + 5]
+    )
+    def test_entries_at_and_past_one_read_roundtrip(self, cache, size):
+        # A hit reads _READ_SIZE bytes at first; an entry that fills
+        # that buffer must be read on to its end, not cut short.
+        length = next(
+            n for n in range(size - 64, size)
+            if len(encode_result(b"\0" * n)) == size
+        )
+        value = b"\0" * length
+        cache.put("table2", {"run": 1}, value)
+        (path,) = list(cache.root.rglob("*.pkl"))
+        assert path.stat().st_size == size
+        assert cache.get("table2", {"run": 1}) == (True, value)
 
     def test_put_is_atomic_no_temp_residue(self, cache):
         cache.put("table5", {"run": 1}, "value")

@@ -16,7 +16,10 @@ from repro.experiments.service_load import (
     _tie_capable,
     mode_config,
     run_service_load_cell,
+    service_load_cells,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.pipeline import ExperimentOptions, get_spec, run_experiment
 
 REQUESTS = 800
 
@@ -77,3 +80,32 @@ def test_malformed_mode_name_is_a_configuration_error(name):
     for parse in (mode_config, _tie_capable):
         with pytest.raises(ConfigurationError, match=re.escape(repr(name))):
             parse(name)
+
+
+def test_grid_counts_its_reference_cells_under_the_backend_counters():
+    # The reference simulation of every cell reaches the registry, so a
+    # zero fallback budget can catch a service_load cell leaving the
+    # columnar envelope.
+    registry = MetricsRegistry()
+    outcome = run_experiment(get_spec("service_load"), ExperimentOptions(
+        seed=1, fast=True, requests=300, metrics=registry,
+    ))
+    counters = registry.as_dict()["counters"]
+    assert outcome.cells == 4
+    assert counters["backend.columnar_cells"] == 4
+    assert "backend.fallback_cells" not in counters
+
+
+def test_registry_reaches_inline_cells_and_never_their_keys():
+    plain = service_load_cells(seed=1, requests=300)
+    registry = MetricsRegistry()
+    inline = service_load_cells(seed=1, requests=300, metrics=registry)
+    pooled = service_load_cells(
+        seed=1, requests=300, metrics=registry, jobs=2
+    )
+    schema = set(get_spec("service_load").cache_schema)
+    assert [cell.key for cell in inline] == [cell.key for cell in plain]
+    assert [cell.key for cell in pooled] == [cell.key for cell in plain]
+    assert all(set(cell.key) == schema for cell in plain)
+    assert all(cell.kwargs["metrics"] is registry for cell in inline)
+    assert all(cell.kwargs["metrics"] is None for cell in pooled)
