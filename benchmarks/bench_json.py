@@ -2,7 +2,8 @@
 
 Measures the numbers the runtime work is accountable for —
 
-* kernel event throughput (events/sec),
+* kernel event throughput (``kernel`` — median and IQR of repeated
+  runs, and events/sec at the median),
 * middleware demand throughput (demands/sec),
 * Table-5 cell wall-time on the event kernel and on the columnar array
   backend (``cell.event`` / ``cell.columnar`` as median and IQR, and
@@ -23,7 +24,10 @@ Measures the numbers the runtime work is accountable for —
   down the batched path (``campaign`` — median and IQR, cells/sec,
   deterministic chunk sizes, scripts drawn, fallback ratio) and the
   fused path's script-arena draw for one full-size Table 5 group
-  (``arena_draw`` — median and IQR, cells, scripts and rows drawn),
+  (``arena_draw`` — median and IQR, cells, scripts and rows drawn) and
+  the columnar resolver alone on that group and on fidelity's
+  calibrated one (``resolver`` — median and IQR, ms per group, ns per
+  demand),
 * the event-store write path at both durability grains
   (``store.append_events_per_sec`` per-event vs
   ``store.batch_append_events_per_sec`` for envelope-slab appends with
@@ -41,7 +45,8 @@ Measures the numbers the runtime work is accountable for —
   cost (``pipeline`` — the engine against a direct call of the same
   columnar Table-5 grid, median and IQR per side),
 
-plus the ``--jobs`` scaling of a small Table-5 grid, the wall-time of
+plus the ``--jobs`` scaling of a small Table-5 grid on the event kernel
+(``grid`` — median and IQR at one job and at ``--jobs``), the wall-time of
 the ``repro.lint`` determinism linter over ``src/`` and of its
 whole-program (``--program``) analysis over ``src/repro`` (both gate
 every CI run, so their cost is tracked like any other hot path), the
@@ -79,6 +84,7 @@ from repro.common.seeding import SeedSequenceFactory
 from repro.core.modes import ModeConfig
 from repro.experiments import paper_params as P
 from repro.experiments.event_sim import (
+    calibrated_profile,
     draw_release_pair_arena,
     paper_profile,
     release_pair_cells,
@@ -101,27 +107,43 @@ from repro.experiments.service_load import (
 )
 from repro.lint.version import LINT_VERSION
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime import columnar
 from repro.runtime.cache import ResultCache
 from repro.simulation.engine import Simulator
 from repro.store.log import EventStream
 from repro.store.projections import MetricsRollupProjection, catch_up
 
 
-def bench_kernel_events(events: int = 50_000) -> float:
-    """Events dispatched per second by the bare kernel."""
-    sim = Simulator()
-    count = [0]
+#: Timed runs of the bare kernel, after one warm run.
+KERNEL_REPEATS = 7
 
-    def tick():
-        count[0] += 1
 
-    started = time.perf_counter()
-    for i in range(events):
-        sim.schedule(float(i % 100) / 10.0, tick)
-    sim.run()
-    elapsed = time.perf_counter() - started
-    assert count[0] == events
-    return events / elapsed
+def bench_kernel_events(events: int = 50_000) -> dict:
+    """The bare kernel scheduling and dispatching *events* events.
+
+    Median and IQR of :data:`KERNEL_REPEATS` runs, each on a fresh
+    :class:`Simulator` with the collector paused, and the events per
+    second at the median.
+    """
+    def run() -> None:
+        sim = Simulator()
+        count = [0]
+
+        def tick():
+            count[0] += 1
+
+        for i in range(events):
+            sim.schedule(float(i % 100) / 10.0, tick)
+        sim.run()
+        assert count[0] == events
+
+    samples = _timed_repeats(run, KERNEL_REPEATS)
+    return {
+        "events": events,
+        "repeats": KERNEL_REPEATS,
+        **_quartiles(samples),
+        "events_per_sec": round(events / float(np.median(samples))),
+    }
 
 
 #: Timed runs of each benchmark cell, after one warm run.
@@ -513,21 +535,27 @@ def bench_startup(src_dir: Path) -> dict:
     }
 
 
-def bench_grid(requests: int, jobs: int) -> float:
-    """Wall-time of the full 12-cell Table-5 grid (best of two runs)."""
-    best = float("inf")
-    for _ in range(2):
-        started = time.perf_counter()
-        run_table5(seed=3, requests=requests, jobs=jobs)
-        best = min(best, time.perf_counter() - started)
-    return best
+def bench_grid(requests: int, jobs: int) -> dict:
+    """The full 12-cell Table-5 grid on the event kernel at *jobs*.
+
+    Median and IQR of :data:`SCALING_REPEATS` runs with the collector
+    paused, after one warm run.
+    """
+    samples = _timed_repeats(
+        lambda: run_table5(seed=3, requests=requests, jobs=jobs),
+        SCALING_REPEATS,
+    )
+    return _quartiles(samples)
 
 
-#: Timed runs per grid strategy (after one warm run), of the campaign
-#: sweep, and of the arena draw.
+#: Timed runs of the ``--jobs`` scaling grid, per grid strategy (after
+#: one warm run), of the campaign sweep, of the arena draw and of the
+#: resolver alone.
+SCALING_REPEATS = 3
 GRID_REPEATS = {"event": 3, "batched": 11}
 CAMPAIGN_REPEATS = 5
 ARENA_REPEATS = 21
+RESOLVER_REPEATS = 41
 
 
 def bench_grid_backends(requests: int, jobs: int) -> dict:
@@ -678,6 +706,64 @@ def bench_arena_draw() -> dict:
         "rows_drawn": arena.scripts * arena.rows,
         "repeats": ARENA_REPEATS,
         **_quartiles(samples),
+    }
+
+
+def bench_resolver() -> dict:
+    """The columnar resolver alone on two full-size 12-cell groups.
+
+    One Table 5 group (paper profile) and fidelity's Table 5 group
+    (calibrated profile, whose legs can hang), each at
+    :data:`~repro.experiments.paper_params.REQUESTS_PER_RUN` requests per
+    cell.  Each group's arena is drawn once, outside the timing, through
+    the fused path's :func:`draw_release_pair_arena`; what is timed is
+    one :func:`~repro.runtime.columnar.resolve_cell_batch` call over it,
+    with fresh middleware generators, as median and IQR of
+    :data:`RESOLVER_REPEATS` calls with the collector paused.  Reports
+    milliseconds per group and nanoseconds per resolved demand at the
+    median.
+    """
+    out = {}
+    for label, profile in (
+        ("table5", paper_profile()), ("fidelity", calibrated_profile()),
+    ):
+        kwargs_list = [
+            cell.kwargs for cell in release_pair_cells(
+                "table5", "correlated", seed=3,
+                requests=P.REQUESTS_PER_RUN, profile=profile,
+                backend="columnar",
+            )
+        ]
+        seeds = [SeedSequenceFactory(kw["seed"]) for kw in kwargs_list]
+        arena = draw_release_pair_arena(kwargs_list, profile, seeds)
+        timeouts = [float(kw["timeout"]) for kw in kwargs_list]
+        names = [
+            f"Web-Service 1.{index}"
+            for index in range(len(profile.release_latencies))
+        ]
+
+        def resolve(arena=arena, timeouts=timeouts, seeds=seeds, names=names):
+            columnar.resolve_cell_batch(
+                arena, names, timeouts, P.ADJUDICATION_DELAY,
+                [t + P.ADJUDICATION_DELAY + 0.5 for t in timeouts],
+                [factory.generator("middleware") for factory in seeds],
+            )
+
+        samples = _timed_repeats(resolve, RESOLVER_REPEATS)
+        median = float(np.median(samples))
+        demands = arena.cells * arena.rows
+        out[label] = {
+            "cells": arena.cells,
+            "scripts": arena.scripts,
+            "demands": demands,
+            **_quartiles(samples),
+            "ms_per_group": round(median * 1e3, 3),
+            "ns_per_demand": round(median / demands * 1e9, 1),
+        }
+    return {
+        "requests_per_cell": P.REQUESTS_PER_RUN,
+        "repeats": RESOLVER_REPEATS,
+        "groups": out,
     }
 
 
@@ -887,7 +973,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     requests = 1_000 if args.quick else args.requests
 
-    events_per_sec = bench_kernel_events()
+    kernel = bench_kernel_events()
     cell = _cell_pair(requests)
     modes = bench_modes(requests)
     registry_fallback = bench_registry_fallback(
@@ -904,6 +990,7 @@ def main(argv=None) -> int:
         21 if args.quick else 84, 200
     )
     arena_draw = bench_arena_draw()
+    resolver = bench_resolver()
     src_dir = Path(__file__).resolve().parents[1] / "src"
     bayes = bench_bayes(src_dir)
     startup = bench_startup(src_dir)
@@ -922,7 +1009,7 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
             "cpu_count": os.cpu_count(),
         },
-        "kernel": {"events_per_sec": round(events_per_sec)},
+        "kernel": kernel,
         "cell": {
             **cell,
             "demands_per_sec": round(
@@ -940,9 +1027,12 @@ def main(argv=None) -> int:
             "cells": 12,
             "requests_per_cell": requests,
             "jobs": args.jobs,
-            "sequential_seconds": round(sequential, 4),
-            "parallel_seconds": round(parallel, 4),
-            "scaling": round(sequential / parallel, 2),
+            "repeats": SCALING_REPEATS,
+            "sequential": sequential,
+            "parallel": parallel,
+            "scaling": round(
+                sequential["median_seconds"] / parallel["median_seconds"], 2
+            ),
             "backends": grid_backends["backends"],
             "speedup_batched_vs_event": grid_backends[
                 "speedup_batched_vs_event"
@@ -950,6 +1040,7 @@ def main(argv=None) -> int:
         },
         "campaign": campaign,
         "arena_draw": arena_draw,
+        "resolver": resolver,
         "bayes": bayes,
         "startup": startup,
         "lint": lint,

@@ -52,6 +52,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "store.projection_catchup_events",
     "store.resume_skipped_cells",
     "store.segments_written",
+    "store.torn_index",
     "store.upcasts_applied",
 })
 

@@ -23,13 +23,17 @@ it.
 
 import hashlib
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.lint.version import LINT_VERSION
 from repro.obs.metrics import MetricsRegistry
-from repro.store.snapshot import KEY_ENCODER, decode_result, encode_result
+from repro.store.snapshot import (
+    KEY_ENCODER,
+    decode_result,
+    encode_result,
+    write_atomic,
+)
 
 #: Bump to invalidate all previously cached cell results (e.g. after a
 #: change to the simulation kernel or sampling layout).
@@ -151,22 +155,13 @@ class ResultCache:
         return True, value
 
     def put(self, experiment: str, key: Mapping[str, Any], value: Any) -> None:
-        """Store a cell result atomically (temp file + rename)."""
-        path = self._entry(experiment, key)
-        folder = os.path.dirname(path)
-        os.makedirs(folder, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(dir=folder, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(encode_result(value))
-            os.replace(temp_name, path)
-            self._count("cache.put")
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        """Store a cell result atomically (temp file + rename).
+
+        The experiment's folder is made on its first entry, and again
+        if it has gone since (:func:`~repro.store.snapshot.write_atomic`).
+        """
+        write_atomic(self._entry(experiment, key), encode_result(value))
+        self._count("cache.put")
 
     def put_many(
         self,

@@ -59,8 +59,21 @@ which keeps every temporary in cache.  The batch's
 rows)`` slab per leg with one row per *distinct* script (the TimeOut
 cells of one Table 5/6 run share a row), so a block gathers its cells'
 rows through the arena's row index — a one-cell block slices its row
-as a view instead.  Sequential cells run a vectorised stage loop per
-cell, reading their rows through the same index.
+as a view instead.  What does not depend on the TimeOut is prepared
+once per block of script rows and reused while the next block reads
+the same rows: each release's execution times ``fl(t1 + t2_k)`` and its
+outcome codes narrowed to one contiguous int8 row.  At 10,000 requests
+every block is one cell, so the three TimeOut cells of a Table 5/6 run
+share one preparation.  The kernel writes its clipped system times and
+its recorded per-release times over arrays it owns (the decision and
+arrival times), so a cell's temporaries stay few.  Sequential cells run
+a vectorised stage loop per cell, reading their rows through the same
+index.  Both resolvers reduce a row with
+:meth:`~repro.simulation.metrics.ReleaseMetrics.from_masks`: CR and NER
+counted from ``collected & (code == c)`` masks, EER the remainder, MET
+the ``np.cumsum`` of the collected times.  That remainder is exact only
+for codes in ``0..2``, so :func:`_resolve_group` range-checks each
+group's whole code block once, at full width, before any narrowing.
 
 The *envelope* in which this equivalence is proven: a script with
 outcome codes, the paper-rule adjudicator, no tracing (traces are an
@@ -78,7 +91,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ValidationError
 from repro.common.seeding import spawn_generator
 from repro.common.validation import check_positive
 from repro.core.adjudicators import Adjudicator, PaperRuleAdjudicator
@@ -295,6 +308,16 @@ def _resolve_group(
             f"{[slab.shape for slab in arena.t2]} and an outcome code "
             f"block shaped {codes.shape} (expected ({scripts}, {n}, {k}))"
         )
+    # The parallel kernel narrows codes to int8 and the rows count EER
+    # as the remainder of CR and NER, so the whole block is range
+    # checked here, once, at full width.
+    if codes.size:
+        low, high = int(codes.min()), int(codes.max())
+        if low < 0 or high >= len(OUTCOME_ORDER):
+            raise ValidationError(
+                f"outcome codes must index OUTCOME_ORDER "
+                f"(0..{len(OUTCOME_ORDER) - 1}): found {low}..{high}"
+            )
     config = mode if mode is not None else ModeConfig.max_reliability()
     if _random_order(config):
         # Without this check a direct caller would get fixed-order rows.
@@ -369,33 +392,49 @@ def _resolve_parallel(
     adjudication_rngs: List[np.random.Generator],
     config: ModeConfig,
 ) -> List[SystemMetrics]:
-    """Parallel modes 1–3: the kernel over row-budget blocks of cells."""
+    """Parallel modes 1–3: the kernel over row-budget blocks of cells.
+
+    What does not depend on the TimeOut — each release's execution
+    times ``fl(t1 + t2_k)`` and its outcome codes as one contiguous int8
+    row — is prepared once per block of script rows and reused while
+    the next block reads the same rows.  At 10,000 requests every block
+    is one cell, so the three TimeOut cells of a Table 5/6 run share
+    one preparation.
+    """
     timeout_col = np.asarray(timeouts, dtype=np.float64)[:, None]
     spacing_col = np.asarray(spacings, dtype=np.float64)[:, None]
     step = max(1, KERNEL_BLOCK_ROWS // max(arena.rows, 1))
     results: List[SystemMetrics] = []
+    prepared: List[int] = []
+    execs: List[np.ndarray] = []
+    code: List[np.ndarray] = []
     for lo in range(0, arena.cells, step):
         block = slice(lo, lo + step)
         rows = arena.row_index[block]
-        # Gather the block's script rows (cells sharing a script each
-        # get their own copy).  A one-cell block, as at 10,000 requests,
-        # slices a view instead: gathering it cost ~15% of the resolver.
-        pick: Union[slice, np.ndarray] = rows
-        if rows.size == 1:
-            pick = slice(int(rows[0]), int(rows[0]) + 1)
+        if rows.tolist() != prepared:
+            prepared = rows.tolist()
+            # Gather the block's script rows (cells sharing a script
+            # each get their own copy).  A one-cell block, as at 10,000
+            # requests, slices a view instead: gathering it cost ~15% of
+            # the resolver.
+            pick: Union[slice, np.ndarray] = rows
+            if rows.size == 1:
+                pick = slice(int(rows[0]), int(rows[0]) + 1)
+            t1 = arena.t1[pick]
+            with np.errstate(invalid="ignore"):
+                execs = [t1 + slab[pick] for slab in arena.t2]
+            code = [
+                codes[pick, :, j].astype(np.int8) for j in range(len(names))
+            ]
         results.extend(_parallel_kernel(
-            arena.t1[pick],
-            [slab[pick] for slab in arena.t2],
-            [codes[pick, :, j] for j in range(len(names))],
-            timeout_col[block], spacing_col[block], adjudication_delay,
-            adjudication_rngs[block], names, config,
+            execs, code, timeout_col[block], spacing_col[block],
+            adjudication_delay, adjudication_rngs[block], names, config,
         ))
     return results
 
 
 def _parallel_kernel(
-    t1: np.ndarray,
-    t2: List[np.ndarray],
+    execs: List[np.ndarray],
     code: List[np.ndarray],
     timeout_col: np.ndarray,
     spacing_col: np.ndarray,
@@ -407,9 +446,10 @@ def _parallel_kernel(
     """The parallel-mode adjudication, stated once, release-major.
 
     Every argument array is ``(cells, n)``: one array per release for
-    the T2 latencies and outcome codes, combined across releases by
-    elementwise ops only.  Each rule below reproduces the event
-    kernel's float arithmetic and tie-breaks bit for bit:
+    the execution times ``fl(t1 + t2_k)`` and the int8 outcome codes,
+    combined across releases by elementwise ops only.  Each rule below
+    reproduces the event kernel's float arithmetic and tie-breaks bit
+    for bit:
 
     * collection order is (arrival, release index) — the ranks of
       :func:`_stable_ranks` — and a demand collects its first *m*
@@ -426,7 +466,7 @@ def _parallel_kernel(
       the valid responses in collection order.
     """
     k = len(names)
-    cells, n = t1.shape
+    cells, n = execs[0].shape
     m = k
     if (
         config.mode is OperatingMode.PARALLEL_DYNAMIC
@@ -436,7 +476,7 @@ def _parallel_kernel(
     with np.errstate(invalid="ignore"):
         starts = np.arange(n, dtype=np.float64) * spacing_col
         cutoffs = starts + timeout_col
-        arrival = [starts + (t1 + t2j) for t2j in t2]
+        arrival = [starts + e for e in execs]
         within = [a < cutoffs for a in arrival]
         any_within = within[0]
         for w in within[1:]:
@@ -456,9 +496,11 @@ def _parallel_kernel(
                 all_within = all_within & w
                 latest = np.maximum(latest, a)
             decision = np.where(all_within, latest, cutoffs)
-        clipped_times = (
-            np.minimum(decision - starts, timeout_col) + adjudication_delay
-        )
+        # fl(min(fl(decision − start), TimeOut) + dT), in place: the
+        # decision array is the kernel's own.
+        clipped_times = np.subtract(decision, starts, out=decision)
+        np.minimum(clipped_times, timeout_col, out=clipped_times)
+        clipped_times += adjudication_delay
         valid = [c & (cj != CODE_EVIDENT) for c, cj in zip(collected, code)]
 
         if config.mode is OperatingMode.PARALLEL_RESPONSIVENESS:
@@ -471,18 +513,18 @@ def _parallel_kernel(
                 key = np.where(v, a, np.inf)
                 faster = key < fastest
                 fastest = np.where(faster, key, fastest)
-                system_codes = np.where(faster, cj, system_codes)
+                system_codes = _where_codes(faster, cj, system_codes)
             delivered = fastest < np.inf
             system_times = np.where(
                 delivered, (fastest - starts) + adjudication_delay,
                 clipped_times,
             )
-            system_codes = np.where(delivered, system_codes, CODE_EVIDENT)
+            system_codes = _where_codes(delivered, system_codes, CODE_EVIDENT)
         else:
             system_times = clipped_times
-            system_codes = np.full((cells, n), CODE_EVIDENT, dtype=np.int64)
+            system_codes = np.full((cells, n), CODE_EVIDENT, dtype=np.int8)
             for v, cj in zip(reversed(valid), reversed(code)):
-                system_codes = np.where(v, cj, system_codes)
+                system_codes = _where_codes(v, cj, system_codes)
             # Valid codes are CR or NER: a demand mismatches when a later
             # valid response disagrees with the first one.
             mismatch = np.zeros((cells, n), dtype=bool)
@@ -492,27 +534,21 @@ def _parallel_kernel(
                 mismatch, valid, arrival, code, system_codes,
                 adjudication_rngs,
             )
-        recorded = [a - starts for a in arrival]
+        # Nothing reads the arrivals any more: each becomes the
+        # recorded per-release time fl(arrival − start) in place.
+        for a in arrival:
+            np.subtract(a, starts, out=a)
 
     results = []
     for c in range(cells):
         release_rows = []
         for j, name in enumerate(names):
             sel = collected[j][c]
-            release_rows.append(
-                ReleaseMetrics.from_arrays(
-                    name,
-                    outcome_codes=code[j][c][sel],
-                    recorded_times=recorded[j][c][sel],
-                    no_response=int(n - np.count_nonzero(sel)),
-                )
-            )
-        available = any_within[c]
-        system_row = ReleaseMetrics.from_arrays(
-            "System",
-            outcome_codes=system_codes[c][available],
-            recorded_times=system_times[c],
-            no_response=int(n - np.count_nonzero(available)),
+            release_rows.append(ReleaseMetrics.from_masks(
+                name, sel, code[j][c], arrival[j][c][sel], n,
+            ))
+        system_row = ReleaseMetrics.from_masks(
+            "System", any_within[c], system_codes[c], system_times[c], n,
         )
         metrics = SystemMetrics(releases=release_rows, system=system_row)
         metrics.check_consistency()
@@ -555,8 +591,21 @@ def _break_mismatches(
     ])
     chosen = system_codes.reshape(-1)[rows]
     for r, cj in zip(rank, code):
-        chosen = np.where(r == draws, cj.reshape(-1)[rows], chosen)
+        chosen = _where_codes(r == draws, cj.reshape(-1)[rows], chosen)
     np.put(system_codes, rows, chosen)
+
+
+def _where_codes(
+    mask: np.ndarray, chosen: np.ndarray, other: Union[np.ndarray, int]
+) -> np.ndarray:
+    """``np.where(mask, chosen, other)`` over int8 outcome codes.
+
+    Computed as ``other + (chosen - other) * mask``, exact because codes
+    are 0..2.  numpy's ``where`` on one-byte elements is ~8x slower than
+    these three passes when the mask is irregular, as valid and
+    tie-break masks are (a Table 5 cell's code selection: ~60 → 7.5 µs).
+    """
+    return other + (chosen - other) * mask
 
 
 def _resolve_sequential(
@@ -625,28 +674,18 @@ def _resolve_sequential(
         sel = collected[:, j]
         # Releases past the escalation point were never invoked; the
         # monitor does not score them at all on those demands.
-        release_rows.append(
-            ReleaseMetrics.from_arrays(
-                name,
-                outcome_codes=codes[sel, j],
-                recorded_times=rec_time[sel, j],
-                no_response=int(
-                    np.count_nonzero(invoked[:, j]) - np.count_nonzero(sel)
-                ),
-            )
-        )
+        release_rows.append(ReleaseMetrics.from_masks(
+            name, sel, codes[:, j], rec_time[sel, j],
+            int(np.count_nonzero(invoked[:, j])),
+        ))
 
     # At most one valid response is ever collected, so adjudication
     # never draws: the single valid wins, else all-evident, else
     # unavailable.
-    unavailable = ~any_collected
     system_codes = np.where(valid_code >= 0, valid_code, CODE_EVIDENT)
     system_times = np.minimum(close - starts, timeout) + adjudication_delay
-    system_row = ReleaseMetrics.from_arrays(
-        "System",
-        outcome_codes=system_codes[~unavailable],
-        recorded_times=system_times,
-        no_response=int(np.count_nonzero(unavailable)),
+    system_row = ReleaseMetrics.from_masks(
+        "System", any_collected, system_codes, system_times, n,
     )
     metrics = SystemMetrics(releases=release_rows, system=system_row)
     metrics.check_consistency()

@@ -19,6 +19,9 @@ import numpy as np
 
 from repro.simulation.outcomes import OUTCOME_ORDER, Outcome
 
+_CODE_CORRECT = OUTCOME_ORDER.index(Outcome.CORRECT)
+_CODE_NON_EVIDENT = OUTCOME_ORDER.index(Outcome.NON_EVIDENT_FAILURE)
+
 
 @dataclass
 class OutcomeCounts:
@@ -86,52 +89,47 @@ class ReleaseMetrics:
             self._time_count += 1
 
     @classmethod
-    def from_arrays(
+    def from_masks(
         cls,
         name: str,
+        collected: np.ndarray,
         outcome_codes: np.ndarray,
         recorded_times: np.ndarray,
-        no_response: int = 0,
+        requests: int,
     ) -> "ReleaseMetrics":
         """Build a row from whole-cell arrays (the columnar reducer).
 
-        *outcome_codes* are indices into
-        :data:`~repro.simulation.outcomes.OUTCOME_ORDER`, one per
-        *collected* response; *recorded_times* are the execution times
-        that entered the MET accumulator, **in demand order** — the sum
-        is taken with ``np.cumsum(...)[-1]``, whose strict left-to-right
+        *collected* masks the demands whose response this row collected
+        and *outcome_codes* holds every demand's code, an index into
+        :data:`~repro.simulation.outcomes.OUTCOME_ORDER` — the caller
+        guarantees the range (the columnar backend checks it once per
+        cell group), so CR and NER are counted from the masks and EER is
+        the remainder.  *recorded_times* are the execution times that
+        entered the MET accumulator, **in demand order** — the sum is
+        taken with ``np.cumsum(...)[-1]``, whose strict left-to-right
         IEEE accumulation is bit-identical to the scalar
         ``_time_sum += t`` loop of :meth:`record_response` (``np.sum``
-        is not: it sums pairwise).  *no_response* demands count toward
-        NRDT and ``total_requests`` but — unlike the system row's
-        eq. (8) convention — contribute no time, so callers wanting the
-        timeout pinned into MET must include it in *recorded_times*.
+        is not: it sums pairwise).  *requests* counts the demands the row
+        covers; those not collected are its NRDT and contribute no time,
+        so callers wanting the system row's eq. (8) timeout pinned into
+        MET include it in *recorded_times*.  Every field is a Python
+        ``int`` or ``float``, as on the event path.
         """
-        codes = np.asarray(outcome_codes)
-        if codes.size and (codes.min() < 0 or codes.max() >= len(OUTCOME_ORDER)):
-            raise ValueError(
-                f"{name}: outcome codes must index OUTCOME_ORDER "
-                f"(0..{len(OUTCOME_ORDER) - 1})"
-            )
-        times = np.asarray(recorded_times, dtype=np.float64)
         metrics = cls(name)
-        metrics.counts.correct = int(
-            np.count_nonzero(codes == OUTCOME_ORDER.index(Outcome.CORRECT))
+        counts = metrics.counts
+        total = int(np.count_nonzero(collected))
+        counts.correct = int(
+            np.count_nonzero(collected & (outcome_codes == _CODE_CORRECT))
         )
-        metrics.counts.evident = int(
-            np.count_nonzero(
-                codes == OUTCOME_ORDER.index(Outcome.EVIDENT_FAILURE)
-            )
+        counts.non_evident = int(
+            np.count_nonzero(collected & (outcome_codes == _CODE_NON_EVIDENT))
         )
-        metrics.counts.non_evident = int(
-            np.count_nonzero(
-                codes == OUTCOME_ORDER.index(Outcome.NON_EVIDENT_FAILURE)
-            )
-        )
-        metrics.no_response = int(no_response)
-        metrics._time_sum = float(np.cumsum(times)[-1]) if times.size else 0.0
-        metrics._time_count = int(times.size)
-        metrics.total_requests = int(codes.size) + int(no_response)
+        counts.evident = total - counts.correct - counts.non_evident
+        metrics.no_response = requests - total
+        if recorded_times.size:
+            metrics._time_sum = float(np.cumsum(recorded_times)[-1])
+            metrics._time_count = recorded_times.size
+        metrics.total_requests = requests
         return metrics
 
     @property

@@ -33,12 +33,12 @@ events to their own stream.
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import (
     Any,
     Dict,
     IO,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -58,6 +58,7 @@ from repro.store.snapshot import (
     KEY_ENCODER,
     result_event_fields,
     result_from_event,
+    write_atomic,
 )
 
 #: Events per segment before the appender rotates to a new file.  Small
@@ -74,25 +75,20 @@ def _segment_name(number: int) -> str:
     return f"{_SEGMENT_PREFIX}{number:08d}.jsonl"
 
 
+#: Encoder of ``index.json`` and ``meta.json``: the one ``json.dump(...,
+#: sort_keys=True, indent=1)`` constructs on every call, built once, so
+#: the bytes are that call's.
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True, indent=1)
+
+
 def _atomic_write_json(
     path: Path, payload: Dict[str, Any], fsync: bool = False
 ) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=1)
-            handle.write("\n")
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+    write_atomic(
+        os.fspath(path),
+        (_JSON_ENCODER.encode(payload) + "\n").encode("utf-8"),
+        fsync=fsync,
+    )
 
 
 class EventStream:
@@ -129,10 +125,27 @@ class EventStream:
     # -- index ----------------------------------------------------------
 
     def _load_index(self) -> Dict[str, Any]:
-        index_path = self.path / _INDEX_FILE
-        if index_path.exists():
-            with open(index_path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
+        """The commit index, or an empty uncommitted one if none.
+
+        A torn ``index.json`` — one that does not decode to a JSON
+        object — also reads as empty and uncommitted, counted under
+        ``store.torn_index``: its cell re-runs, and that commit
+        rewrites the stream (:meth:`_reconcile` removes the segments
+        the empty index does not list).
+        """
+        try:
+            with open(self.path / _INDEX_FILE, "rb") as handle:
+                raw: Optional[bytes] = handle.read()
+        except FileNotFoundError:
+            raw = None
+        if raw is not None:
+            try:
+                index = json.loads(raw)
+            except ValueError:  # undecodable bytes or malformed JSON
+                index = None
+            if isinstance(index, dict):
+                return index
+            self._count("store.torn_index")
         return {
             "schema": SCHEMA_VERSION,
             "segments": [],
@@ -571,14 +584,7 @@ class RunStore:
         size), so an interrupted run re-derives the same digest on
         resume and finds its committed chunks.
         """
-        joined = "\n".join(
-            canonical_stream_key(experiment, key)
-            for key in keys
-            if key is not None
-        )
-        return {
-            "cells": hashlib.sha256(joined.encode("utf-8")).hexdigest()
-        }
+        return _group_digest(_canonical_keys(experiment, keys))
 
     def commit_group_results(
         self,
@@ -596,7 +602,8 @@ class RunStore:
         ``meta.json`` records the member count under ``"cells"`` so
         stream counting tools can weigh it correctly.
         """
-        gkey = self.group_key(experiment, keys)
+        cells = _canonical_keys(experiment, keys)
+        gkey = _group_digest(cells)
         path = self.stream_path(experiment, gkey)
         stream = EventStream(
             path,
@@ -617,10 +624,10 @@ class RunStore:
                 },
             )
         events: List[Tuple[str, Mapping[str, Any]]] = []
-        for key, value in zip(keys, values):
+        for cell, value in zip(cells, values):
             fields = dict(result_event_fields(value))
-            if key is not None:
-                fields["cell"] = canonical_stream_key(experiment, key)
+            if cell is not None:
+                fields["cell"] = cell
             events.append((CELL_RESULT_KIND, fields))
         with stream:
             stream.append_batch(events)
@@ -640,8 +647,8 @@ class RunStore:
         snapshot) degrades to a miss and a re-run, mirroring
         :meth:`load_result`.
         """
-        gkey = self.group_key(experiment, keys)
-        path = self.stream_path(experiment, gkey)
+        cells = _canonical_keys(experiment, keys)
+        path = self.stream_path(experiment, _group_digest(cells))
         if not (path / _INDEX_FILE).exists():
             return False, None
         stream = EventStream(path, metrics=self.metrics)
@@ -653,13 +660,10 @@ class RunStore:
                 if event["kind"] == CELL_RESULT_KIND and "cell" in event:
                     by_cell[event["cell"]] = result_from_event(event)
             values: List[Any] = []
-            for key in keys:
-                if key is None:
+            for cell in cells:
+                if cell is None or cell not in by_cell:
                     return False, None
-                canonical = canonical_stream_key(experiment, key)
-                if canonical not in by_cell:
-                    return False, None
-                values.append(by_cell[canonical])
+                values.append(by_cell[cell])
             return True, values
         except Exception:
             return False, None
@@ -750,6 +754,22 @@ class RunStore:
 
     def __repr__(self) -> str:
         return f"RunStore(root={str(self.root)!r})"
+
+
+def _canonical_keys(
+    experiment: str, keys: List[Optional[Mapping[str, Any]]]
+) -> List[Optional[str]]:
+    """Each member's canonical stream key (``None`` stays ``None``)."""
+    return [
+        None if key is None else canonical_stream_key(experiment, key)
+        for key in keys
+    ]
+
+
+def _group_digest(cells: Iterable[Optional[str]]) -> Dict[str, str]:
+    """The group stream key over its keyed members' canonical keys."""
+    joined = "\n".join(cell for cell in cells if cell is not None)
+    return {"cells": hashlib.sha256(joined.encode("utf-8")).hexdigest()}
 
 
 def _json_safe(value: Any) -> Any:

@@ -13,13 +13,16 @@ protocol), so PR 1-era cache entries stay readable.
 
 Cell *keys* have one canonical form too: :data:`KEY_ENCODER`, the
 sorted-key JSON both the cache's content addresses and the store's
-stream identities are hashed from.
+stream identities are hashed from.  Both places also write through one
+function, :func:`write_atomic`.
 """
 
 import base64
 import hashlib
 import json
+import os
 import pickle
+import tempfile
 from typing import Any, Dict
 
 #: Canonical JSON of cell keys: sorted keys, ``repr`` for anything JSON
@@ -30,6 +33,39 @@ KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=repr)
 
 #: Event kind under which a stream commits its cell's reduced result.
 CELL_RESULT_KIND = "cell_result"
+
+
+def write_atomic(path: str, data: bytes, fsync: bool = False) -> None:
+    """Write *data* to *path* whole or not at all (temp file + rename).
+
+    The temp file comes from ``mkstemp`` beside *path*, so it and the
+    renamed file have mode 0600; the folder is created only when
+    ``mkstemp`` finds none.  The bytes go out in one ``os.write`` (a
+    short write continues where it stopped), and ``fsync=True`` forces
+    them to disk before the rename.
+    """
+    folder = os.path.dirname(path)
+    try:
+        fd, temp_name = tempfile.mkstemp(dir=folder, suffix=".tmp")
+    except FileNotFoundError:
+        os.makedirs(folder, exist_ok=True)
+        fd, temp_name = tempfile.mkstemp(dir=folder, suffix=".tmp")
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if fsync:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
 
 
 def encode_result(value: Any) -> bytes:

@@ -11,8 +11,17 @@ The Table 5/6, fidelity and multirelease grids at ``fast=True``,
 
 A change to the warm path (cache addressing, reads, render) must leave
 every one of these unchanged: a cache or store filled by an older tree
-has to keep serving every cell.  To re-record after a deliberate
-format change::
+has to keep serving every cell.
+
+The rendered tables show MET to four decimals, which cannot see a
+last-bit drift in a 10,000-term sum, so ``cells.json`` also pins the
+same four grids at their full size (table5, table6 and fidelity at
+10,000 requests per cell, multirelease at 5,000), seed 1: per cell, in
+grid order, and per column (``Rel1`` .. ``System``), the CR/EER/NER and
+NRDT counts, the total requests, the MET accumulator as
+``float.hex()`` and the number of times it summed.
+
+To re-record after a deliberate format or model change::
 
     PYTHONPATH=src python tests/pipeline/test_golden.py --record
 """
@@ -33,6 +42,8 @@ from repro.pipeline import (
     run_experiment,
 )
 from repro.runtime.cache import ResultCache
+from repro.runtime.parallel import run_cells
+from repro.simulation.metrics import SystemMetrics
 from repro.store.log import RunStore
 
 discover()
@@ -40,6 +51,7 @@ discover()
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "fixtures" / "golden"
 GOLDEN_SPECS = ("table5", "table6", "fidelity", "multirelease")
 ADDRESSES = GOLDEN_DIR / "addresses.json"
+CELLS = GOLDEN_DIR / "cells.json"
 
 
 def _options(**overrides: Any) -> ExperimentOptions:
@@ -81,6 +93,34 @@ def _addresses(name: str, root: Path) -> Dict[str, Any]:
     }
 
 
+def _cell_bits(name: str) -> List[Dict[str, Dict[str, Any]]]:
+    """Every cell of *name* at full size, seed 1, column by column."""
+    spec = get_spec(name)
+    options = ExperimentOptions(seed=1)
+    assert spec.build_cells is not None
+    cells = []
+    for result in run_cells(spec.build_cells(options, spec.sizes(options))):
+        metrics = result if isinstance(result, SystemMetrics) else result.metrics
+        rows = {
+            f"Rel{index + 1}": row
+            for index, row in enumerate(metrics.releases)
+        }
+        rows["System"] = metrics.system
+        cells.append({
+            label: {
+                "CR": row.counts.correct,
+                "EER": row.counts.evident,
+                "NER": row.counts.non_evident,
+                "NRDT": row.no_response,
+                "total_requests": row.total_requests,
+                "met_sum": row._time_sum.hex(),
+                "met_count": row._time_count,
+            }
+            for label, row in rows.items()
+        })
+    return cells
+
+
 def _golden_text(name: str) -> str:
     return (GOLDEN_DIR / f"{name}.txt").read_bytes().decode("utf-8")
 
@@ -88,6 +128,11 @@ def _golden_text(name: str) -> str:
 @pytest.fixture(scope="module")
 def golden_addresses() -> Dict[str, Any]:
     return json.loads(ADDRESSES.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def golden_cells() -> Dict[str, Any]:
+    return json.loads(CELLS.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", GOLDEN_SPECS)
@@ -112,6 +157,9 @@ class TestGolden:
     def test_addresses_unchanged(self, name, tmp_path, golden_addresses):
         assert _addresses(name, tmp_path) == golden_addresses[name]
 
+    def test_full_size_cells_bit_identical(self, name, golden_cells):
+        assert _cell_bits(name) == golden_cells[name]
+
 
 def record() -> None:
     """Write every fixture from the current tree."""
@@ -124,6 +172,11 @@ def record() -> None:
             addresses[name] = _addresses(name, Path(tmp))
     ADDRESSES.write_text(
         json.dumps(addresses, indent=1) + "\n", encoding="utf-8"
+    )
+    CELLS.write_text(
+        json.dumps({name: _cell_bits(name) for name in GOLDEN_SPECS}, indent=1)
+        + "\n",
+        encoding="utf-8",
     )
 
 

@@ -369,6 +369,53 @@ class TestDirectCallerGuards:
         with pytest.raises(ValidationError, match="timeout"):
             self.resolve_batch([1.5, bad, 3.0])
 
+    def bad_code_arena(self, seeds, code):
+        """The arena with one outcome code outside OUTCOME_ORDER."""
+        arena = self.arena(seeds)
+        codes = arena.outcome_codes.copy()
+        # The last demand of the last script, second release: the range
+        # check covers every code, collected or not.
+        codes[-1, -1, 1] = code
+        return ScriptArena(
+            t1=arena.t1, t2=arena.t2, row_index=arena.row_index,
+            outcome_codes=codes,
+        )
+
+    @pytest.mark.parametrize("code", [-1, 3, 127, 255])
+    @pytest.mark.parametrize("mode", COLUMNAR_MODES)
+    def test_out_of_range_code_refuses_resolve_cell(self, mode, code):
+        script = self.bad_code_arena((1,), code).script(0)
+        with pytest.raises(ValidationError, match="OUTCOME_ORDER"):
+            columnar.resolve_cell(
+                script,
+                release_names=self.NAMES,
+                timeout=1.5,
+                adjudication_delay=P.ADJUDICATION_DELAY,
+                spacing=2.1,
+                middleware_rng=SeedSequenceFactory(1).generator(
+                    "middleware"
+                ),
+                mode=mode,
+            )
+
+    @pytest.mark.parametrize("code", [-1, 3, 127, 255])
+    @pytest.mark.parametrize("mode", COLUMNAR_MODES)
+    def test_out_of_range_code_refuses_resolve_cell_batch(self, mode, code):
+        seeds = (1, 2, 3)
+        with pytest.raises(ValidationError, match="OUTCOME_ORDER"):
+            columnar.resolve_cell_batch(
+                self.bad_code_arena(seeds, code),
+                release_names=self.NAMES,
+                timeouts=[1.5, 2.0, 3.0],
+                adjudication_delay=P.ADJUDICATION_DELAY,
+                spacings=[2.1, 2.6, 3.6],
+                middleware_rngs=[
+                    SeedSequenceFactory(seed).generator("middleware")
+                    for seed in seeds
+                ],
+                mode=mode,
+            )
+
 
 def per_cell(cells):
     """The same cells with their BatchSpec stripped: the per-cell path."""

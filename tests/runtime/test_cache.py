@@ -1,6 +1,8 @@
 """Tests for the on-disk result cache."""
 
 import os
+import shutil
+import stat
 from unittest import mock
 
 import pytest
@@ -120,6 +122,28 @@ class TestResultCache:
         cache.put("table5", {"run": 1}, "value")
         leftovers = list(cache.root.rglob("*.tmp"))
         assert leftovers == []
+
+    def test_entry_bytes_and_mode(self, cache):
+        cache.put("table5", {"run": 1}, {"met": 1.32})
+        path = cache._path("table5", {"run": 1})
+        assert path.read_bytes() == encode_result({"met": 1.32})
+        # mkstemp's 0600, which the rename keeps.
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_put_recreates_a_removed_folder(self, cache):
+        cache.put("table5", {"run": 1}, "first")
+        shutil.rmtree(cache.root / "table5")
+        cache.put("table5", {"run": 2}, "second")
+        assert cache.get("table5", {"run": 2}) == (True, "second")
+        assert cache.get("table5", {"run": 1}) == (False, None)
+
+    def test_failed_put_leaves_no_entry_and_no_temp(self, cache):
+        cache.put("table5", {"run": 1}, "first")
+        with mock.patch("os.replace", side_effect=OSError("disk gone")):
+            with pytest.raises(OSError, match="disk gone"):
+                cache.put("table5", {"run": 2}, "second")
+        assert list(cache.root.rglob("*.tmp")) == []
+        assert cache.get("table5", {"run": 2}) == (False, None)
 
 
 class TestDefaultCacheDir:

@@ -1,7 +1,10 @@
 """Unit tests for the Table-5/6 metrics collectors."""
 
 import math
+import pickle
+import struct
 
+import numpy as np
 import pytest
 
 from repro.simulation.metrics import (
@@ -9,7 +12,7 @@ from repro.simulation.metrics import (
     ReleaseMetrics,
     SystemMetrics,
 )
-from repro.simulation.outcomes import Outcome
+from repro.simulation.outcomes import OUTCOME_ORDER, Outcome
 
 
 class TestOutcomeCounts:
@@ -59,6 +62,85 @@ class TestReleaseMetrics:
         assert set(row) == {
             "MET", "CR", "EER", "NER", "Total", "NRDT", "Total requests",
         }
+
+
+def _fields(metrics):
+    """Every field of a row, floats as IEEE bits, with its Python type."""
+    def canon(value):
+        if isinstance(value, float):
+            return ("float", struct.pack("<d", value).hex())
+        return (type(value).__name__, value)
+
+    return {
+        "name": metrics.name,
+        "counts": {
+            key: canon(value) for key, value in vars(metrics.counts).items()
+        },
+        **{
+            key: canon(value) for key, value in vars(metrics).items()
+            if key not in ("name", "counts")
+        },
+    }
+
+
+class TestFromMasks:
+    """The columnar row builder against the event path's scalar loop."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("code_dtype", [np.int8, np.int64])
+    def test_equals_record_loop(self, seed, code_dtype):
+        rng = np.random.default_rng(seed)
+        requests = 500
+        collected = rng.random(requests) < 0.7
+        codes = rng.integers(0, 3, requests).astype(code_dtype)
+        times = rng.exponential(0.8, requests)
+        scalar = ReleaseMetrics("Rel1")
+        for hit, code, time in zip(collected, codes, times):
+            if hit:
+                scalar.record_response(OUTCOME_ORDER[int(code)], float(time))
+            else:
+                scalar.record_no_response()
+        built = ReleaseMetrics.from_masks(
+            "Rel1", collected, codes, times[collected], requests,
+        )
+        assert _fields(built) == _fields(scalar)
+        # Same fields in the same order: the pickled bytes match too.
+        assert pickle.dumps(built) == pickle.dumps(scalar)
+
+    def test_system_row_pins_times_of_unanswered_demands(self):
+        collected = np.array([True, False, True, False])
+        codes = np.array([0, 1, 2, 1], dtype=np.int8)
+        times = np.array([1.0, 1.6, 1.25, 1.6])
+        scalar = ReleaseMetrics("System")
+        for hit, code, time in zip(collected, codes, times):
+            if hit:
+                scalar.record_response(OUTCOME_ORDER[int(code)], float(time))
+            else:
+                scalar.record_no_response(execution_time=float(time))
+        built = ReleaseMetrics.from_masks("System", collected, codes, times, 4)
+        assert _fields(built) == _fields(scalar)
+
+    def test_nothing_collected(self):
+        built = ReleaseMetrics.from_masks(
+            "Rel2", np.zeros(3, dtype=bool), np.ones(3, dtype=np.int8),
+            np.empty(0), 3,
+        )
+        assert _fields(built) == _fields(ReleaseMetrics("Rel2")) | {
+            "no_response": ("int", 3), "total_requests": ("int", 3),
+        }
+        assert math.isnan(built.mean_execution_time)
+
+    def test_uncovered_demands_are_not_requests(self):
+        # Sequential mode: a release never invoked on a demand does not
+        # count it at all.
+        built = ReleaseMetrics.from_masks(
+            "Rel2", np.array([True, False, False]),
+            np.array([2, 0, 0], dtype=np.int8), np.array([0.5]), 2,
+        )
+        assert built.counts.as_dict() == {
+            "CR": 0, "EER": 0, "NER": 1, "Total": 1,
+        }
+        assert (built.no_response, built.total_requests) == (1, 2)
 
 
 class TestSystemMetrics:

@@ -1,6 +1,8 @@
 """Unit tests for the segmented event log (EventStream / RunStore)."""
 
+import io
 import json
+import stat
 
 import pytest
 
@@ -165,6 +167,23 @@ class TestEventStream:
         assert counters["store.upcasts_applied"] == 2
 
 
+#: Ways an ``index.json`` can be torn: it no longer decodes to a JSON
+#: object.
+TORN_INDEXES = ["truncated", "emptied", "not-an-object", "not-utf8"]
+
+
+def tear(index_path, damage):
+    """Damage a commit index in place, as a torn write would leave it."""
+    text = index_path.read_bytes()
+    torn = {
+        "truncated": text[: len(text) // 2],
+        "emptied": b"",
+        "not-an-object": b"[]\n",
+        "not-utf8": b"\xff\xfe{",
+    }[damage]
+    index_path.write_bytes(torn)
+
+
 class TestRunStore:
     KEY = {"run": 1, "timeout": 1.5, "seed": 42}
 
@@ -201,6 +220,54 @@ class TestRunStore:
             segment.write_text(text[:at] + flipped + text[at + 1:])
         hit, _ = store.load_result("table5", self.KEY)
         assert not hit
+
+    @pytest.mark.parametrize("damage", TORN_INDEXES)
+    def test_torn_index_degrades_to_miss(self, tmp_path, damage):
+        store = RunStore(tmp_path)
+        store.commit_result("table5", self.KEY, {"met": 1.32})
+        path = store.stream_path("table5", self.KEY)
+        tear(path / "index.json", damage)
+        metrics = MetricsRegistry()
+        reader = RunStore(tmp_path, metrics=metrics)
+        assert reader.load_result("table5", self.KEY) == (False, None)
+        assert metrics.as_dict()["counters"]["store.torn_index"] == 1
+        # The re-run's commit rewrites the stream whole.
+        reader.commit_result("table5", self.KEY, {"met": 2.5})
+        assert RunStore(tmp_path).load_result("table5", self.KEY) == (
+            True, {"met": 2.5},
+        )
+        assert [p.name for p in path.glob("segment-*.jsonl")] == [
+            "segment-00000000.jsonl"
+        ]
+
+    @pytest.mark.parametrize("damage", TORN_INDEXES)
+    def test_torn_group_index_degrades_to_miss(self, tmp_path, damage):
+        store = RunStore(tmp_path)
+        keys = [dict(self.KEY, timeout=t) for t in (1.5, 2.0, 3.0)]
+        store.commit_group_results("table5", keys, ["a", "b", "c"])
+        path = store.stream_path("table5", store.group_key("table5", keys))
+        tear(path / "index.json", damage)
+        metrics = MetricsRegistry()
+        reader = RunStore(tmp_path, metrics=metrics)
+        assert reader.load_group_results("table5", keys) == (False, None)
+        assert metrics.as_dict()["counters"]["store.torn_index"] == 1
+        reader.commit_group_results("table5", keys, ["x", "y", "z"])
+        assert RunStore(tmp_path).load_group_results("table5", keys) == (
+            True, ["x", "y", "z"],
+        )
+
+    def test_index_and_meta_bytes_are_json_dump_output(self, tmp_path):
+        store = RunStore(tmp_path)
+        store.commit_result("table5", self.KEY, {"met": 1.32})
+        path = store.stream_path("table5", self.KEY)
+        for name in ("index.json", "meta.json"):
+            written = (path / name).read_bytes()
+            payload = json.loads(written)
+            expected = io.StringIO()
+            json.dump(payload, expected, sort_keys=True, indent=1)
+            assert written == (expected.getvalue() + "\n").encode("utf-8")
+            assert stat.S_IMODE((path / name).stat().st_mode) == 0o600
+        assert list(path.glob("*.tmp")) == []
 
     def test_meta_records_the_key(self, tmp_path):
         store = RunStore(tmp_path)

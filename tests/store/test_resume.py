@@ -121,6 +121,42 @@ class TestInProcessResume:
         assert counters["store.resume_skipped_cells"] > 0
         assert replay == first
 
+    def test_torn_group_index_reruns_its_chunk_and_repairs_it(
+        self, tmp_path
+    ):
+        spec = get_spec("table5")
+        store_root = tmp_path / "store"
+        opts = options_for(1, "columnar", RunStore(store_root))
+        cells = spec.build_cells(opts, spec.sizes(opts))
+        first = run_cells(cells, store=RunStore(store_root))
+        text = spec.render(spec.reduce(first, opts), opts)
+        streams = sorted((store_root / "table5").iterdir())
+        assert len(streams) == 1  # one group stream for the 12 cells
+        index = streams[0] / "index.json"
+        index.write_bytes(index.read_bytes()[:20])
+
+        def rerun():
+            metrics = MetricsRegistry()
+            results = run_cells(
+                spec.build_cells(opts, spec.sizes(opts)), metrics=metrics,
+                store=RunStore(store_root, metrics=metrics),
+            )
+            counters = metrics.as_dict()["counters"]
+            return spec.render(spec.reduce(results, opts), opts), counters
+
+        repaired, counters = rerun()
+        assert repaired == text
+        # Read torn by the resume scan, and again by the commit that
+        # rewrites it.
+        assert counters["store.torn_index"] == 2
+        assert counters["backend.batched_cells"] == len(cells)
+        assert counters["store.batch_commits"] == 1
+        resumed, counters = rerun()
+        assert resumed == text
+        assert "store.torn_index" not in counters
+        assert counters["store.batch_resume_skipped_cells"] == len(cells)
+        assert "backend.batched_cells" not in counters
+
     def test_resume_rewarms_an_attached_cache(self, tmp_path):
         # The cache is a materialized view of the log: serving a cell
         # from the store writes it back into the cache.
