@@ -28,10 +28,9 @@ Measures the numbers the runtime work is accountable for —
   the columnar resolver alone on that group and on fidelity's
   calibrated one (``resolver`` — median and IQR, ms per group, ns per
   demand),
-* the event-store write path at both durability grains
-  (``store.append_events_per_sec`` per-event vs
-  ``store.batch_append_events_per_sec`` for envelope-slab appends with
-  one fsync'd commit),
+* the run store in the shapes the run path uses (``store`` — the
+  per-cell commit and load of one Table 5 result, and the fsync'd
+  commit and load of a 12-cell chunk, as median and IQR),
 * the white-box posterior at the paper's 160x160x64 grid (``bayes`` —
   assessor construction and one checkpoint evaluation as median and
   IQR of repeated runs, plus one Table 2 grid at 3,000 demands per cell
@@ -51,8 +50,9 @@ the ``repro.lint`` determinism linter over ``src/`` and of its
 whole-program (``--program``) analysis over ``src/repro`` (both gate
 every CI run, so their cost is tracked like any other hot path), the
 overhead of
-``repro.obs`` tracing (enabled vs disabled cell wall-time — the
-disabled path must stay within noise of the pre-obs kernel) and the
+``repro.obs`` tracing (enabled vs disabled cell wall-time, both as
+median and IQR — the disabled path must stay within noise of the
+pre-obs kernel) and the
 operational metrics snapshot of the grid run.  CI runs
 ``python benchmarks/bench_json.py --quick`` and archives the JSON;
 committed numbers come from a full run (``--requests 5000``).
@@ -110,8 +110,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime import columnar
 from repro.runtime.cache import ResultCache
 from repro.simulation.engine import Simulator
-from repro.store.log import EventStream
-from repro.store.projections import MetricsRollupProjection, catch_up
+from repro.store.log import RunStore
 
 
 #: Timed runs of the bare kernel, after one warm run.
@@ -285,67 +284,74 @@ def bench_service_load(headline_requests: int, mode_requests: int) -> dict:
     }
 
 
-def bench_store_catchup(events: int) -> dict:
-    """Event-store append and projection catch-up throughput.
+#: Samples of each run-store operation, and calls of it per sample: one
+#: call takes tens of microseconds, below the seconds rounding of
+#: :func:`_quartiles`, so each sample times a run of calls.
+STORE_REPEATS = 15
+STORE_CALLS = 20
 
-    Appends *events* to one multi-segment stream (segment rotation and
-    commit included — the durable write path of a ``--store`` run),
-    then folds the metrics-rollup projection over it from scratch: the
-    catch-up events/s figure is what bounds how fast a read model can
-    rebuild after a checkpoint loss, and how fast a resumed grid can
-    re-project its committed history.  A second stream takes the same
-    events through :meth:`EventStream.append_batch` in envelope-sized
-    slabs and one fsync'd commit — the batched grid path's durable
-    write — so the JSON carries both grains side by side.
+#: Requests per cell of the results the store bench commits (the
+#: campaign's cell size; a result's pickled size does not depend on it).
+STORE_REQUESTS = 200
+
+
+def bench_store() -> dict:
+    """The run store's commit and load, in the shapes the run path uses.
+
+    The per-cell commit (no fsync) and load of one Table 5 result, and
+    the fsync'd commit and load of the 12-cell Table 5 chunk the batched
+    path writes — each as median and IQR of :data:`STORE_REPEATS`
+    samples of :data:`STORE_CALLS` calls with the collector paused, and
+    microseconds per call at the median.  Loads are checked to hit.
     """
+    cells = release_pair_cells(
+        "table5", "correlated", seed=3, requests=STORE_REQUESTS,
+        backend="columnar",
+    )
+    values = run_cells(cells)
+    experiment = cells[0].experiment
+    keys = [cell.key for cell in cells]
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "stream"
-        stream = EventStream(path, segment_events=4096)
-        started = time.perf_counter()
-        for i in range(events):
-            stream.append("dispatch", {"t": float(i), "eid": i % 997})
-        stream.commit(complete=True)
-        stream.close()
-        append_elapsed = time.perf_counter() - started
+        store = RunStore(tmp)
+        operations = {
+            "cell_commit": lambda: store.commit_result(
+                experiment, keys[0], values[0]
+            ),
+            "cell_load": lambda: store.load_result(experiment, keys[0]),
+            "chunk_commit": lambda: store.commit_group_results(
+                experiment, keys, values
+            ),
+            "chunk_load": lambda: store.load_group_results(
+                experiment, keys
+            ),
+        }
+        for name, operation in operations.items():
+            def calls(operation=operation) -> None:
+                for _ in range(STORE_CALLS):
+                    operation()
 
-        batch_path = Path(tmp) / "stream-batched"
-        batched = EventStream(batch_path, segment_events=4096)
-        slab = 1024
-        started = time.perf_counter()
-        for base in range(0, events, slab):
-            batched.append_batch([
-                ("dispatch", {"t": float(i), "eid": i % 997})
-                for i in range(base, min(base + slab, events))
-            ])
-        batched.commit(complete=True, fsync=True)
-        batched.close()
-        batch_elapsed = time.perf_counter() - started
-
-        reader = EventStream(path)
-        segments = len(reader.segments())
-        catch_up(reader, MetricsRollupProjection(), checkpoint=False)
-        started = time.perf_counter()
-        rollup = catch_up(
-            reader, MetricsRollupProjection(), checkpoint=False
-        )
-        catchup_elapsed = time.perf_counter() - started
-        assert rollup["events"] == events
-        batch_reader = EventStream(batch_path)
-        batch_rollup = catch_up(
-            batch_reader, MetricsRollupProjection(), checkpoint=False
-        )
-        assert batch_rollup["events"] == events
+            samples = _timed_repeats(calls, STORE_REPEATS)
+            out[name] = {
+                **_quartiles(samples),
+                "us_per_call": round(
+                    float(np.median(samples)) / STORE_CALLS * 1e6, 1
+                ),
+            }
+        assert store.load_result(experiment, keys[0])[0]
+        assert store.load_group_results(experiment, keys)[0]
+        cell_bytes = store.stream_path(experiment, keys[0]).stat().st_size
+        chunk_bytes = store.stream_path(
+            experiment, store.group_key(experiment, keys)
+        ).stat().st_size
     return {
-        "events": events,
-        "segments": segments,
-        "append_seconds": round(append_elapsed, 4),
-        "append_events_per_sec": round(events / append_elapsed),
-        "batch_append_seconds": round(batch_elapsed, 4),
-        "batch_append_events_per_sec": round(events / batch_elapsed),
-        "batch_append_slab": slab,
-        "batch_append_speedup": round(append_elapsed / batch_elapsed, 2),
-        "catchup_seconds": round(catchup_elapsed, 4),
-        "catchup_events_per_sec": round(events / catchup_elapsed),
+        "requests_per_cell": STORE_REQUESTS,
+        "cells_per_chunk": len(keys),
+        "repeats": STORE_REPEATS,
+        "calls_per_sample": STORE_CALLS,
+        "cell_file_bytes": cell_bytes,
+        "chunk_file_bytes": chunk_bytes,
+        **out,
     }
 
 
@@ -767,6 +773,10 @@ def bench_resolver() -> dict:
     }
 
 
+#: Timed runs of the traced cell, after one warm run.
+TRACED_REPEATS = 5
+
+
 def bench_tracing_overhead(requests: int) -> dict:
     """Traced vs untraced cell wall-time (run 1, TimeOut 1.5 s).
 
@@ -774,24 +784,31 @@ def bench_tracing_overhead(requests: int) -> dict:
     zero-overhead-when-disabled claim: both cells run the instrumented
     kernel, one with a JSONL tracer attached and one with none.  The
     untraced side is :func:`bench_cell`'s median and IQR; the traced
-    side is one run.
+    side is the median and IQR of :data:`TRACED_REPEATS` runs, each
+    rewriting the same trace file, with the collector paused.
     """
     untraced = bench_cell(requests)
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = str(Path(tmp) / "bench-cell.jsonl")
-        started = time.perf_counter()
-        run_release_pair_simulation(
-            P.correlated_model(1), timeout=1.5, requests=requests,
-            seed=3, trace_path=trace_path,
-            trace_cell="bench",
-        )
-        traced = time.perf_counter() - started
-        events = sum(1 for _ in open(trace_path))
+
+        def run() -> None:
+            run_release_pair_simulation(
+                P.correlated_model(1), timeout=1.5, requests=requests,
+                seed=3, trace_path=trace_path,
+                trace_cell="bench",
+            )
+
+        traced = _quartiles(_timed_repeats(run, TRACED_REPEATS))
+        with open(trace_path) as handle:
+            events = sum(1 for _ in handle)
     return {
         "requests": requests,
+        "repeats": TRACED_REPEATS,
         "untraced": untraced,
-        "traced_seconds": round(traced, 4),
-        "overhead_ratio": round(traced / untraced["median_seconds"], 3),
+        "traced": traced,
+        "overhead_ratio": round(
+            traced["median_seconds"] / untraced["median_seconds"], 3
+        ),
         "events": events,
     }
 
@@ -982,7 +999,7 @@ def main(argv=None) -> int:
     service_load = bench_service_load(
         20_000 if args.quick else 1_000_000, requests
     )
-    store = bench_store_catchup(20_000 if args.quick else 100_000)
+    store = bench_store()
     sequential = bench_grid(requests, jobs=1)
     parallel = bench_grid(requests, jobs=args.jobs)
     grid_backends = bench_grid_backends(requests, jobs=args.jobs)

@@ -35,19 +35,17 @@ value — compare runs with ``python -m repro.obs.diff``);
 registry; ``--requests N`` overrides each spec's main workload knob
 (requests, samples or demands; CI uses small cells).
 
-``--store PATH`` attaches the event-sourced run store
-(:mod:`repro.store`): every completed cell commits its result to an
-append-only per-cell event log *as it finishes*, and a re-run of the
-same grid discovers the committed cells and skips them — so a run
-interrupted after k cells resumes where it left off and finishes
-bit-identical to an uninterrupted one.  With ``--trace``, the per-cell
-trace parts are also imported into store streams, making the log the
-durable home of the run's full event history (inspect/maintain with
-``python -m repro.store``).
+``--store PATH`` attaches the run store (:mod:`repro.store`): every
+completed cell (or batched chunk) commits its result as one file *as
+it finishes*, and a re-run of the same grid discovers the committed
+cells and skips them — so a run interrupted after k cells resumes where
+it left off and finishes bit-identical to an uninterrupted one
+(``python -m repro.store check-resume`` verifies exactly that).
 """
 
 import argparse
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -169,11 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--store", default=None, metavar="PATH",
         help=(
-            "event-sourced run store directory: completed cells commit "
-            "to an append-only per-cell event log as they finish, and a "
-            "re-run resumes from the committed cells (interrupted grids "
-            "finish bit-identical to uninterrupted ones); manage with "
-            "'python -m repro.store'"
+            "run store directory: each completed cell (or batched "
+            "chunk) commits its result as one file as it finishes, and "
+            "a re-run resumes from the committed cells (interrupted "
+            "grids finish bit-identical to uninterrupted ones); "
+            "'python -m repro.store check-resume' verifies this"
         ),
     )
     parser.add_argument(
@@ -274,22 +272,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             if entry.endswith(".jsonl")
         )
         count = merge_traces(parts, args.trace)
+        shutil.rmtree(trace_dir, ignore_errors=True)
         print(
             f"trace: {count} events from {len(parts)} cell(s) "
             f"-> {args.trace}"
         )
-        if options.store is not None:
-            # Traced cells run with key=None (a cache hit would leave an
-            # empty trace), so their event history reaches the log here:
-            # one stream per trace part, keyed by the part's file name.
-            for part in parts:
-                options.store.import_trace(
-                    part, "traces", {"file": os.path.basename(part)}
-                )
-            print(
-                f"store: {len(parts)} trace stream(s) "
-                f"-> {options.store.root}"
-            )
     if metrics is not None:
         metrics.write_json(args.metrics_json)
         print(f"metrics -> {args.metrics_json}")

@@ -8,14 +8,12 @@ where the two executions took different paths — the place to start
 debugging, rather than a mismatched table cell thousands of events
 later.
 
-The comparison is a *streaming first-divergence projection* over two
-event logs: both sides are consumed one event at a time (a bounded ring
+The comparison is a *streaming first-divergence scan* over two event
+sequences: both sides are consumed one event at a time (a bounded ring
 buffer holds the shared context for the report), so peak memory is
-O(one segment line), never O(file) — diffing two multi-gigabyte traces
-or two :class:`~repro.store.log.EventStream` directories costs the same
-few kilobytes.  Inputs may be JSONL trace files (v1 or current
-envelopes; the upcaster chain normalises both) or event-store stream
-directories.
+O(one trace line), never O(file) — diffing two multi-gigabyte traces
+costs the same few kilobytes.  Inputs are JSONL trace files (v1 or
+current envelopes; the upcaster chain normalises both).
 
 Usage::
 
@@ -31,7 +29,6 @@ import json
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     Any,
     Dict,
@@ -98,12 +95,11 @@ def diff_traces(
 ) -> TraceDiff:
     """Streaming comparison of two event sequences.
 
-    Accepts any iterables (lists, generators,
-    :meth:`EventStream.read <repro.store.log.EventStream.read>` views);
-    consumes both exactly once.  Event totals in the result are exact —
-    after a divergence the remainders are drained *counted but not
-    retained*, so memory stays bounded by one event per side plus the
-    context ring.
+    Accepts any iterables (lists, generators such as
+    :func:`~repro.obs.trace.read_trace`); consumes both exactly once.
+    Event totals in the result are exact — after a divergence the
+    remainders are drained *counted but not retained*, so memory stays
+    bounded by one event per side plus the context ring.
     """
     it_a = iter(events_a)
     it_b = iter(events_b)
@@ -188,40 +184,16 @@ def render_diff(
     return "\n".join(lines)
 
 
-def events_of(path: str) -> Iterator[Dict[str, Any]]:
-    """The logical event stream behind a CLI operand.
-
-    A directory is an event-store stream (read via its commit index,
-    segment by segment); anything else is a JSONL trace file.  Both are
-    generators — nothing is materialised.
-    """
-    if Path(path).is_dir():
-        from repro.store.log import EventStream
-
-        stream = EventStream(path)
-        if not stream.exists():
-            raise ValueError(
-                f"{path} is a directory but has no event-stream index"
-            )
-        return stream.read()
-    return read_trace(path)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.diff",
         description=(
-            "Compare two repro.obs JSONL traces (or repro.store stream "
-            "directories) and localise the first diverging event "
-            "(dynamic determinism check)."
+            "Compare two repro.obs JSONL traces and localise the first "
+            "diverging event (dynamic determinism check)."
         ),
     )
-    parser.add_argument(
-        "trace_a", help="first trace (JSONL file or stream directory)"
-    )
-    parser.add_argument(
-        "trace_b", help="second trace (JSONL file or stream directory)"
-    )
+    parser.add_argument("trace_a", help="first trace (JSONL file)")
+    parser.add_argument("trace_b", help="second trace (JSONL file)")
     parser.add_argument(
         "--context", type=int, default=3,
         help="shared events to print before the divergence (default 3)",
@@ -243,8 +215,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # The readers are generators, so IO errors surface while the
         # diff consumes them — the whole comparison sits in the guard.
         diff = diff_traces(
-            events_of(args.trace_a),
-            events_of(args.trace_b),
+            read_trace(args.trace_a),
+            read_trace(args.trace_b),
             args.ignore_field,
         )
     except (OSError, ValueError) as error:

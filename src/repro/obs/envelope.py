@@ -1,9 +1,9 @@
 """Versioned event envelopes and the upcaster chain (``repro.obs``).
 
-Every event that reaches durable storage — a JSONL trace file written
-by :class:`~repro.obs.trace.JsonlTracer`, a segment of an
-:class:`~repro.store.log.EventStream` — is wrapped in an *envelope*: the
-event's own fields plus a schema-version marker (``"v"``).  Readers
+Every event that reaches a JSONL trace file — written by
+:class:`~repro.obs.trace.JsonlTracer` or merged by
+:func:`~repro.obs.trace.merge_traces` — is wrapped in an *envelope*:
+the event's own fields plus a schema-version marker (``"v"``).  Readers
 never hand envelopes to consumers directly; they decode each line to
 the *logical event* (the version-free dict the PR 3 trace layer always
 exposed) by running it through the upcaster chain:
@@ -13,14 +13,13 @@ exposed) by running it through the upcaster chain:
   ``checkpoint`` / ...) is unchanged since, so the v1 upcast certifies
   the payload and passes it through untouched — a v1 trace reads back
   *losslessly*, byte-for-byte equal in logical form to what
-  :mod:`repro.obs.diff` compared before the store existed.
+  :mod:`repro.obs.diff` compared before the envelope existed.
 * **v2** (current) — the same logical payload plus ``"v": 2``.
 
 Adding a schema version means appending one entry to :data:`UPCASTERS`
 (a pure function ``event -> event`` lifting version *n* payloads to
-version *n + 1*) and bumping :data:`SCHEMA_VERSION`; old segments and
-traces then read forward through the chain without rewriting any file
-— the event log stays append-only across schema changes.
+version *n + 1*) and bumping :data:`SCHEMA_VERSION`; old traces then
+read forward through the chain without rewriting any file.
 
 Serialisation is canonical (sorted keys, compact separators), so two
 runs emitting the same logical events produce byte-identical envelope
@@ -81,8 +80,8 @@ def decode_event(obj: Dict[str, Any]) -> Tuple[Dict[str, Any], int]:
 
     The returned version is the *stored* one (before upcasting); the
     caller can count ``version < SCHEMA_VERSION`` as an applied upcast.
-    Unknown future versions are an error — downcasting is not a thing
-    an append-only log does.
+    Unknown future versions are an error: an old reader cannot know
+    what a newer schema changed.
     """
     version = obj.pop(VERSION_FIELD, 1)
     if not isinstance(version, int) or version < 1:
@@ -102,11 +101,3 @@ def decode_event(obj: Dict[str, Any]) -> Tuple[Dict[str, Any], int]:
             ) from None
         event = upcaster(event)
     return event, version
-
-
-def decode_line(line: str) -> Tuple[Dict[str, Any], int]:
-    """Parse one envelope line and upcast it to the current schema."""
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise ValueError("trace events must be objects")
-    return decode_event(obj)

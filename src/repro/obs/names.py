@@ -45,15 +45,10 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "pool.jobs",
     "pool.queue_wait_seconds",
     "pool.utilization",
-    "store.batch_appends",
     "store.batch_commits",
     "store.batch_resume_skipped_cells",
-    "store.events_appended",
-    "store.projection_catchup_events",
+    "store.corrupt",
     "store.resume_skipped_cells",
-    "store.segments_written",
-    "store.torn_index",
-    "store.upcasts_applied",
 })
 
 #: Prefixes of metric-name *families* whose suffix is computed at run
@@ -67,14 +62,11 @@ METRIC_PREFIXES: Tuple[str, ...] = (
 
 #: Every trace-event ``kind`` emitted through a Tracer: kernel activity
 #: (schedule / dispatch / cancel / compact), middleware demand spans
-#: (demand / invoke / collect / timeout / adjudicate / deliver),
-#: Bayesian-runner checkpoints, and the event-store result snapshot
-#: (``cell_result``, appended by :mod:`repro.store` when a stream's
-#: cell completes).
+#: (demand / invoke / collect / timeout / adjudicate / deliver) and
+#: Bayesian-runner checkpoints.
 EVENT_NAMES: FrozenSet[str] = frozenset({
     "adjudicate",
     "cancel",
-    "cell_result",
     "checkpoint",
     "collect",
     "compact",

@@ -21,11 +21,10 @@ Design rules that make the second purpose work:
   counters such as message ids may appear in traced fields);
 * serialisation is canonical: one JSON object per line, keys sorted.
 
-Since the event store landed, serialized events are *versioned
-envelopes* (:mod:`repro.obs.envelope`): the logical event plus a schema
-marker, upcast on read — so a PR 3-era v1 trace file reads back as
-exactly the logical events it always produced, and a trace file and an
-event-store segment speak one format.
+Serialized events are *versioned envelopes*
+(:mod:`repro.obs.envelope`): the logical event plus a schema marker,
+upcast on read — so a PR 3-era v1 trace file reads back as exactly the
+logical events it always produced.
 
 The disabled path is a single ``is None`` check at every instrumentation
 site (components hold ``Optional[Tracer]``), so tracing costs nothing

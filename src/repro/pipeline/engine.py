@@ -11,7 +11,7 @@ runtime stack in one place:
   fields the spec declares — key drift would silently fork the cache);
 * fan-out through :func:`~repro.runtime.parallel.run_cells`, which
   gives every experiment the process pool, the on-disk result cache,
-  the event-sourced run store (per-cell commits + resume) and the
+  the run store (per-cell and per-chunk commits + resume) and the
   pool/cache metrics;
 * reduction and rendering.
 

@@ -81,10 +81,11 @@ class ExperimentOptions:
     random-order sequential mode; see :mod:`repro.runtime.columnar`).  Grids whose cells take a backend
     carry it in their cache keys, so the two paths never alias.
 
-    ``store`` attaches an event-sourced :class:`~repro.store.log.RunStore`
-    (the CLI's ``--store PATH``): completed cells are committed to the
-    append-only log as they finish and already-committed cells are
-    replayed from it, which is what makes interrupted grids resumable.
+    ``store`` attaches a :class:`~repro.store.log.RunStore` (the CLI's
+    ``--store PATH``): each completed cell, or batched chunk, commits
+    its result as one file as it finishes, and already-committed cells
+    are served from those files, which is what makes interrupted grids
+    resumable.
 
     The engine always fuses cells that declare a
     :class:`~repro.runtime.parallel.BatchSpec` into group executions —

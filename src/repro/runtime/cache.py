@@ -10,11 +10,11 @@ instead of re-simulating them.
 Layout: ``<root>/<experiment>/<sha256-of-key>.pkl``.  Entries are written
 atomically (temp file + rename) in the canonical snapshot encoding of
 :mod:`repro.store.snapshot` — the *same* bytes a run store commits in a
-stream's ``cell_result`` event, which is what makes the cache a
-materialized view of the event log: a cache hit and a log catch-up are
-interchangeable, bit for bit.  The cache is versioned: bump
-:data:`CACHE_VERSION` whenever a change to the simulation code alters
-cell results, which invalidates every prior entry at once.
+stream file's result record, so a cache hit and a store hit are
+interchangeable, bit for bit, and a store hit can re-warm the cache.
+The cache is versioned: bump :data:`CACHE_VERSION` whenever a change to
+the simulation code alters cell results, which invalidates every prior
+entry at once.
 
 The default root is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-dsn2004``;
 ``repro-experiments --no-cache`` bypasses it and ``--clear-cache`` wipes

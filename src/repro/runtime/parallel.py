@@ -17,10 +17,10 @@ more than one CPU — with these guarantees:
 * **caching** — cells carrying a key are looked up in / written back to
   a :class:`~repro.runtime.cache.ResultCache` when one is supplied;
 * **resumability** — with a :class:`~repro.store.RunStore` attached,
-  every completed cell's result is committed to its event stream *as it
-  finishes* (not at batch end), and cells whose stream is already
-  complete are discovered and skipped (``store.resume_skipped_cells``)
-  — so a grid interrupted after k cells resumes from the log and
+  every completed cell's result is committed to its stream file *as it
+  finishes* (not at batch end), and cells whose file is already
+  committed are discovered and skipped (``store.resume_skipped_cells``)
+  — so a grid interrupted after k cells resumes from the store and
   finishes bit-identical to an uninterrupted run;
 * **named faults** — an exception raised by a cell keeps its type and
   carries a note naming the cell (Python 3.11+); a pool worker that
@@ -265,8 +265,8 @@ def _run_batched(
     Results land in the cache via one :meth:`ResultCache.put_many` and
     in the store via one fsync'd
     :meth:`~repro.store.log.RunStore.commit_group_results` per chunk —
-    the batched durability grain.  A chunk whose group stream is already
-    complete is served from the log without executing
+    the batched durability grain.  A chunk whose group file is already
+    committed is served from the store without executing
     (``store.batch_resume_skipped_cells``).  A batch function returning
     ``None`` declines the chunk; its cells stay in the returned todo and
     take the ordinary per-cell path.
@@ -368,10 +368,10 @@ def run_cells(
     pickles a couple of extra floats per cell; results are unaffected.
 
     With a :class:`~repro.store.log.RunStore` attached, the pre-scan
-    also consults the log: a cell whose stream was already committed
-    complete is served from its ``cell_result`` snapshot and counted
-    under ``store.resume_skipped_cells`` (re-warming the cache when one
-    is attached — the cache is a materialized view of the log).  Every
+    also consults the store: a cell whose stream file was already
+    committed is served from its result record and counted under
+    ``store.resume_skipped_cells`` (re-warming the cache when one is
+    attached — both hold the same snapshot bytes).  Every
     freshly executed cell is committed to cache *and* store the moment
     its result lands, not at batch end, so interrupting the batch after
     k cells loses at most the in-flight cells.
@@ -382,7 +382,7 @@ def run_cells(
     overrides), with one cache write-back and one fsync'd store commit
     per chunk.  For those cells the durability grain coarsens from one
     cell to one chunk; chunk membership is deterministic, so a resumed
-    run finds its completed chunks in the log
+    run finds its completed chunks in the store
     (``store.batch_resume_skipped_cells``).  Cells without a
     :class:`BatchSpec`, and the cells of a declined group, take the
     per-cell path.
@@ -432,7 +432,7 @@ def run_cells(
             results[index] = value
             timings.append((started, elapsed))
         # Commit per cell, as results arrive: the durability grain of
-        # resumable grids.  Cache first (cheap), then the sealing log
+        # resumable grids.  Cache first (cheap), then the store file's
         # commit — a crash between the two re-runs nothing (the cache
         # serves the cell) and loses nothing committed.
         spec = cells[index]

@@ -1,4 +1,4 @@
-"""``python -m repro.store`` — run-store maintenance CLI."""
+"""``python -m repro.store`` — the run store's check-resume harness."""
 
 import sys
 

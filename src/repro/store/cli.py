@@ -1,33 +1,21 @@
-"""Maintenance CLI for the event-sourced run store.
+"""Command-line tools for the run store.
 
 Usage (``python -m repro.store``)::
 
-    python -m repro.store compact --store PATH [--experiment NAME]
-    python -m repro.store project --store PATH PROJECTION
-                                  [--experiment NAME] [--no-checkpoint]
-    python -m repro.store resume --store PATH EXPERIMENT [ARG ...]
     python -m repro.store check-resume EXPERIMENT [--jobs N]
                                   [--backend B] [--kill-after K] ...
 
-* ``compact`` merges every stream's committed segments into one file
-  (logical content unchanged; v1-era lines are upcast in place);
-* ``project`` folds a built-in projection (``metrics_rollup``,
-  ``table_rows``, ``confidence``, ``cell_result``) over every stream
-  and prints one JSON object per stream — incremental via checkpoints,
-  so an already-projected stream replays only its new events;
-* ``resume`` re-runs an experiment with the store attached — committed
-  cells are discovered from the log and skipped, so an interrupted grid
-  picks up where it stopped (a thin alias for
-  ``repro-experiments EXPERIMENT --store PATH``);
-* ``check-resume`` is the *determinism harness* CI runs: it executes a
-  grid in a subprocess, SIGTERMs it after K cells have committed,
-  resumes from the half-written store, and byte-compares the rendered
-  output against an uninterrupted baseline run.  Exit 0 means the
-  kill-and-resume run is bit-identical to the straight-through run.
+``check-resume`` is the *determinism harness* CI runs: it executes a
+grid in a subprocess, SIGTERMs it after K cells have committed,
+resumes from the half-written store, and byte-compares the rendered
+output against an uninterrupted baseline run.  Exit 0 means the
+kill-and-resume run is bit-identical to the straight-through run.
+
+To resume a grid by hand, re-run ``repro-experiments EXPERIMENT --store
+PATH``: committed cells are served from the store, the rest execute.
 """
 
 import argparse
-import base64
 import json
 import os
 import re
@@ -37,10 +25,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
-
-from repro.store.log import RunStore
-from repro.store.projections import BUILTIN_PROJECTIONS, catch_up
+from typing import Dict, List, Optional, Sequence
 
 #: Normalises the experiment banner line, whose elapsed-seconds field is
 #: wall-clock and therefore differs between otherwise identical runs.
@@ -51,42 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store",
         description=(
-            "Inspect and maintain the event-sourced run store "
-            "(append-only per-cell event logs with CQRS projections)."
+            "Check that the run store resumes an interrupted grid "
+            "bit-identically (one sealed file per committed cell or "
+            "chunk)."
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    compact = commands.add_parser(
-        "compact", help="merge each stream's segments into one file"
-    )
-    compact.add_argument("--store", required=True, metavar="PATH")
-    compact.add_argument("--experiment", default=None, metavar="NAME")
-
-    project = commands.add_parser(
-        "project", help="fold a projection over every stream (JSON out)"
-    )
-    project.add_argument(
-        "projection", choices=sorted(BUILTIN_PROJECTIONS)
-    )
-    project.add_argument("--store", required=True, metavar="PATH")
-    project.add_argument("--experiment", default=None, metavar="NAME")
-    project.add_argument(
-        "--no-checkpoint", action="store_true",
-        help="fold from scratch without writing checkpoint files",
-    )
-
-    resume = commands.add_parser(
-        "resume",
-        help="re-run an experiment with the store attached "
-             "(committed cells are skipped)",
-    )
-    resume.add_argument("--store", required=True, metavar="PATH")
-    resume.add_argument("experiment")
-    resume.add_argument(
-        "extra", nargs=argparse.REMAINDER,
-        help="passed through to repro-experiments (e.g. --fast --jobs 4)",
-    )
 
     check = commands.add_parser(
         "check-resume",
@@ -127,56 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_ready(value: Any) -> Any:
-    """Best-effort JSON form of a projection result."""
-    if isinstance(value, bytes):
-        return {
-            "bytes": len(value),
-            "base64": base64.b64encode(value).decode("ascii"),
-        }
-    try:
-        json.dumps(value)
-        return value
-    except TypeError:
-        return repr(value)
-
-
-def _cmd_compact(args: argparse.Namespace) -> int:
-    store = RunStore(args.store)
-    before, after = store.compact(args.experiment)
-    print(f"compacted {before} segment(s) -> {after}")
-    return 0
-
-
-def _cmd_project(args: argparse.Namespace) -> int:
-    store = RunStore(args.store)
-    projection_cls = BUILTIN_PROJECTIONS[args.projection]
-    paths = store.stream_paths(args.experiment)
-    for path in paths:
-        stream = store.open(path)
-        result = catch_up(
-            stream,
-            projection_cls(),
-            checkpoint=not args.no_checkpoint,
-        )
-        record = {
-            "stream": str(path),
-            "meta": store.meta(path),
-            "projection": args.projection,
-            "result": _json_ready(result),
-        }
-        print(json.dumps(record, sort_keys=True))
-    if not paths:
-        print(
-            f"no streams under {store.root}"
-            + (f" for experiment {args.experiment!r}" if args.experiment
-               else ""),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _experiments_cli(cmd: Sequence[str]) -> List[str]:
     return [sys.executable, "-m", "repro.experiments.cli", *cmd]
 
@@ -196,39 +101,21 @@ def _subprocess_env() -> Dict[str, str]:
     return env
 
 
-def _cmd_resume(args: argparse.Namespace) -> int:
-    from repro.experiments.cli import main as experiments_main
-
-    extra = [arg for arg in args.extra if arg != "--"]
-    return experiments_main(
-        [args.experiment, "--store", args.store, *extra]
-    )
-
-
-def _complete_streams(root: Path) -> int:
+def _committed_cells(root: Path) -> int:
     """Committed *cells* under a store root.
 
-    A per-cell stream counts 1; a batched group stream counts the
-    ``cells`` field of its ``meta.json`` (the whole chunk committed as
-    one stream), so ``--kill-after`` thresholds mean the same number of
-    cells whether or not the victim runs batched.
+    Each readable stream file counts its records: 1 for a per-cell
+    file, every member for a batched chunk, so ``--kill-after``
+    thresholds mean the same number of cells whether or not the victim
+    runs batched.
     """
     count = 0
-    for index_path in root.glob("*/*/index.json"):
+    for path in root.glob("*/*.json"):
         try:
-            with open(index_path, "r", encoding="utf-8") as handle:
-                if not json.load(handle).get("complete"):
-                    continue
-        except (OSError, ValueError):
+            with open(path, "rb") as handle:
+                count += len(json.load(handle)["results"])
+        except (OSError, ValueError, KeyError, TypeError):
             continue
-        cells = 1
-        meta_path = index_path.parent / "meta.json"
-        try:
-            with open(meta_path, "r", encoding="utf-8") as handle:
-                cells = int(json.load(handle).get("cells", 1))
-        except (OSError, ValueError, TypeError):
-            cells = 1
-        count += cells
     return count
 
 
@@ -292,7 +179,7 @@ def _cmd_check_resume(args: argparse.Namespace) -> int:
     deadline = time.time() + args.timeout
     killed = False
     while victim.poll() is None:
-        if _complete_streams(store_killed) >= args.kill_after:
+        if _committed_cells(store_killed) >= args.kill_after:
             os.killpg(victim.pid, signal.SIGTERM)
             killed = True
             break
@@ -302,7 +189,7 @@ def _cmd_check_resume(args: argparse.Namespace) -> int:
             return 2
         time.sleep(0.02)
     victim.wait(timeout=60.0)
-    committed = _complete_streams(store_killed)
+    committed = _committed_cells(store_killed)
     if killed:
         print(
             f"killed run after {committed} committed cell(s) "
@@ -358,12 +245,6 @@ def _cmd_check_resume(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "compact":
-            return _cmd_compact(args)
-        if args.command == "project":
-            return _cmd_project(args)
-        if args.command == "resume":
-            return _cmd_resume(args)
         return _cmd_check_resume(args)
     except BrokenPipeError:
         # Output truncated downstream (e.g. `| head`) — not an error.

@@ -2,11 +2,10 @@
 
 A completed cell's reduced result exists in two durable places: the
 on-disk result cache (:mod:`repro.runtime.cache`) and, under a run
-store, the ``cell_result`` event committed to the cell's stream.  Both
-sides encode through *this* module, so a cache hit and a log catch-up
-materialise **the same bytes** — the property
-``tests/store/test_projections.py`` pins, and the reason a log-backed
-snapshot can replace a cache entry without a bit of drift.
+store, the result record of the cell's stream file.  Both sides encode
+through *this* module, so a cache hit and a store hit materialise
+**the same bytes** — the property ``tests/store/test_log.py`` pins, and
+the reason a store hit can re-warm the cache without a bit of drift.
 
 The encoding is the cache's historical one (pickle at the highest
 protocol), so PR 1-era cache entries stay readable.
@@ -30,9 +29,6 @@ from typing import Any, Dict
 #: sort_keys=True, default=repr)`` constructs on every call, built once,
 #: so its output is byte-identical to that call's.
 KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=repr)
-
-#: Event kind under which a stream commits its cell's reduced result.
-CELL_RESULT_KIND = "cell_result"
 
 
 def write_atomic(path: str, data: bytes, fsync: bool = False) -> None:
@@ -78,12 +74,11 @@ def decode_result(blob: bytes) -> Any:
     return pickle.loads(blob)
 
 
-def result_event_fields(value: Any) -> Dict[str, Any]:
-    """The ``cell_result`` event payload for one reduced result.
+def result_record(value: Any) -> Dict[str, Any]:
+    """The stored record of one reduced result.
 
-    The snapshot bytes ride in the event base64-encoded (segments are
-    JSONL); ``sha256`` lets readers verify the blob before unpickling
-    and gives diffs a cheap equality proxy.
+    The snapshot bytes ride base64-encoded (stream files are JSON);
+    ``sha256`` lets readers verify the blob before unpickling.
     """
     blob = encode_result(value)
     return {
@@ -93,18 +88,17 @@ def result_event_fields(value: Any) -> Dict[str, Any]:
     }
 
 
-def result_from_event(event: Dict[str, Any]) -> Any:
-    """Decode a ``cell_result`` event back to the result object."""
-    return decode_result(result_event_bytes(event))
+def result_from_record(record: Dict[str, Any]) -> Any:
+    """Decode a stored record back to the result object.
 
-
-def result_event_bytes(event: Dict[str, Any]) -> bytes:
-    """The snapshot bytes a ``cell_result`` event carries (verified)."""
-    blob = base64.b64decode(event["result"])
+    The blob is checked against the record's ``sha256`` before it is
+    unpickled: a mismatch raises ``ValueError``, and a record without
+    a digest raises ``KeyError``.
+    """
+    blob = base64.b64decode(record["result"])
     digest = hashlib.sha256(blob).hexdigest()
-    if digest != event.get("sha256", digest):
+    if digest != record["sha256"]:
         raise ValueError(
-            f"cell_result snapshot corrupt: sha256 {digest} != "
-            f"{event['sha256']}"
+            f"result record corrupt: sha256 {digest} != {record['sha256']}"
         )
-    return blob
+    return decode_result(blob)

@@ -1,10 +1,10 @@
 # repro-lint: module=repro.experiments.mini_store
-"""REPRO201 regression fixture: snapshot-projection key drift.
+"""REPRO201 regression fixture: run-store key drift.
 
-Event-store streams are keyed exactly like the result cache —
+Run-store streams are keyed exactly like the result cache —
 ``(experiment, cell key)`` — so a cell key missing a swept kwarg
 aliases *committed streams* as well as cache entries: a resumed grid
-would replay the wrong cell's ``cell_result`` snapshot.  Here the
+would replay the wrong cell's committed result.  Here the
 builder sweeps ``sampling`` (which selects the computation path) but
 the key omits it, and the run wires the grid through a
 :class:`~repro.store.log.RunStore`.  Parse-only: never imported.

@@ -2,7 +2,7 @@
 """Clean twin of ``storekey_bad``: the stream key is complete.
 
 Every swept kwarg the cell computes from — including ``sampling`` —
-appears in the cell key, so cache entries and event-store streams
+appears in the cell key, so cache entries and run-store streams
 never alias across the sweep.  Parse-only: never imported.
 """
 

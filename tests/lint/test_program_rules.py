@@ -58,9 +58,9 @@ class TestCacheKeyCompleteness:
         assert program_findings("cachekey_clean") == []
 
     def test_store_backed_grid_key_drift_fires(self):
-        # Event-store streams are keyed like the cache, so REPRO201
-        # also guards the snapshot-projection key: a swept kwarg the
-        # key omits would alias committed streams on resume.
+        # Run-store streams are keyed like the cache, so REPRO201
+        # also guards the store's key: a swept kwarg the key omits
+        # would alias committed streams on resume.
         findings = program_findings("storekey_bad", select={"REPRO201"})
         assert ids_and_lines(findings) == [("REPRO201", 32)]
         assert "'sampling'" in findings[0].message

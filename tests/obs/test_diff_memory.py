@@ -1,16 +1,15 @@
-"""The streaming diff's peak memory is O(segment line), not O(file).
+"""The streaming diff's peak memory is O(trace line), not O(file).
 
-The acceptance bound for the first-divergence projection: diffing two
-multi-megabyte traces (or multi-segment event streams) must allocate on
-the order of one event plus the bounded context ring — never the whole
-file.  Measured with ``tracemalloc`` against files ~50k events long.
+The acceptance bound for the first-divergence scan: diffing two
+multi-megabyte traces must allocate on the order of one event plus the
+bounded context ring — never the whole file.  Measured with
+``tracemalloc`` against files ~50k events long.
 """
 
 import tracemalloc
 
-from repro.obs.diff import diff_traces, events_of
-from repro.obs.trace import JsonlTracer
-from repro.store.log import RunStore
+from repro.obs.diff import diff_traces
+from repro.obs.trace import JsonlTracer, read_trace
 
 EVENTS = 50_000
 
@@ -32,7 +31,7 @@ def write_trace(path, events, mutate_at=None):
 def measured_diff(source_a, source_b):
     tracemalloc.start()
     try:
-        diff = diff_traces(events_of(str(source_a)), events_of(str(source_b)))
+        diff = diff_traces(read_trace(source_a), read_trace(source_b))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -61,15 +60,4 @@ class TestBoundedMemory:
         diff, peak = measured_diff(a, b)
         assert diff.divergence_index == 100
         assert diff.events_a == diff.events_b == EVENTS
-        assert peak < PEAK_BYTES
-
-    def test_multi_segment_streams(self, tmp_path):
-        # Stream directories read segment by segment: same bound.
-        trace = tmp_path / "t.jsonl"
-        write_trace(trace, EVENTS)
-        store = RunStore(tmp_path / "store", segment_events=4096)
-        stream = store.import_trace(trace, "big", {"file": "t.jsonl"})
-        assert len(stream.segments()) > 10
-        diff, peak = measured_diff(stream.path, trace)
-        assert diff.identical
         assert peak < PEAK_BYTES

@@ -8,7 +8,6 @@ from repro.obs.envelope import (
     SCHEMA_VERSION,
     UPCASTERS,
     decode_event,
-    decode_line,
     encode_event,
 )
 
@@ -41,11 +40,6 @@ class TestDecode:
     def test_future_version_rejected(self):
         with pytest.raises(ValueError, match="schema version"):
             decode_event({"seq": 0, "kind": "a", "v": SCHEMA_VERSION + 1})
-
-    def test_decode_line(self):
-        event, version = decode_line('{"kind":"a","seq":0,"v":2}')
-        assert event == {"kind": "a", "seq": 0}
-        assert version == 2
 
 
 class TestUpcasterChain:

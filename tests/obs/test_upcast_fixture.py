@@ -14,7 +14,6 @@ from pathlib import Path
 from repro.experiments.event_sim import run_joint_model_cell
 from repro.obs.diff import diff_traces, main as diff_main
 from repro.obs.trace import read_trace
-from repro.store.log import RunStore
 
 FIXTURE = (
     Path(__file__).parent.parent
@@ -63,15 +62,3 @@ def test_regenerated_trace_diffs_identical(tmp_path):
 
     # And the CLI agrees (exit 0 == identical).
     assert diff_main([str(FIXTURE), str(fresh), "--quiet"]) == 0
-
-
-def test_v1_fixture_imports_into_the_store(tmp_path):
-    store = RunStore(tmp_path)
-    stream = store.import_trace(
-        FIXTURE, "traces", {"file": FIXTURE.name}
-    )
-    assert stream.is_complete
-    assert stream.committed_events == 840
-    # Through the store and back out, the logical events survive.
-    diff = diff_traces(stream.read(), read_trace(FIXTURE))
-    assert diff.identical

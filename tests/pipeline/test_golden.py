@@ -10,8 +10,10 @@ The Table 5/6, fidelity and multirelease grids at ``fast=True``,
   streams a cold run with a store commits (digest and member count).
 
 A change to the warm path (cache addressing, reads, render) must leave
-every one of these unchanged: a cache or store filled by an older tree
-has to keep serving every cell.
+every one of these unchanged: a cache filled by an older tree has to
+keep serving every cell, and the store has to keep addressing each cell
+and chunk by the same digest.  (A store written before the one-file
+layout reads as empty: its cells re-run once and commit anew.)
 
 The rendered tables show MET to four decimals, which cannot see a
 last-bit drift in a 10,000-term sum, so ``cells.json`` also pins the
@@ -72,12 +74,13 @@ def _addresses(name: str, root: Path) -> Dict[str, Any]:
     store = RunStore(root / "store")
     run_experiment(spec, _options(store=store))
     groups: List[Dict[str, Any]] = []
-    for path in store.stream_paths():
-        meta = store.meta(path)
-        if "cells" in meta:
+    for path in sorted(store.root.glob("*/*.json")):
+        # A chunk's records name their cells; a per-cell record does not.
+        records = json.loads(path.read_bytes())["results"]
+        if "cell" in records[0]:
             groups.append({
-                "stream": path.relative_to(store.root).as_posix(),
-                "cells": meta["cells"],
+                "stream": f"{path.parent.name}/{path.stem}",
+                "cells": len(records),
             })
     return {
         "cache_paths": [
@@ -86,7 +89,7 @@ def _addresses(name: str, root: Path) -> Dict[str, Any]:
             for cell in cells
         ],
         "stream_digests": [
-            store.stream_path(cell.experiment, cell.key).name
+            store.stream_path(cell.experiment, cell.key).stem
             for cell in cells
         ],
         "group_streams": groups,

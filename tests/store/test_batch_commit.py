@@ -1,13 +1,11 @@
-"""The batched durability grain: slab appends and group commits.
+"""The batched durability grain: group commits.
 
 The batched grid path changes *when* results hit the disk — one
-fsync'd group stream per chunk instead of one tiny stream per cell —
+fsync'd group file per chunk instead of one small file per cell —
 without changing what a resumed run can recover.  These tests pin the
-slab append path (``EventStream.append_batch``) against per-event
-appends, crash-mid-batch reconciliation, the group result round-trip
-on :class:`RunStore`, chunk-grain resume through ``run_cells``, and a
-real SIGTERM delivered across a batch commit boundary via the
-``check-resume`` harness.
+group result round-trip on :class:`RunStore`, chunk-grain resume
+through ``run_cells``, and a real SIGTERM delivered across a batch
+commit boundary via the ``check-resume`` harness.
 """
 
 import dataclasses
@@ -21,14 +19,7 @@ import pytest
 from repro.experiments.event_sim import release_pair_cells
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.parallel import run_cells
-from repro.store.log import EventStream, RunStore
-
-
-def fill_batch(stream, count, start=0):
-    stream.append_batch([
-        ("dispatch", {"t": float(i), "eid": i})
-        for i in range(start, start + count)
-    ])
+from repro.store.log import RunStore
 
 
 def rows_as_bits(metrics):
@@ -41,85 +32,6 @@ def rows_as_bits(metrics):
         column: {key: canon(value) for key, value in row.items()}
         for column, row in metrics.all_rows().items()
     }
-
-
-class TestAppendBatch:
-    def test_batch_append_equals_per_event_appends(self, tmp_path):
-        # Same events through append() and append_batch() must leave
-        # streams with identical logical content, sequence numbers, and
-        # rotation points.
-        single = EventStream(tmp_path / "single", segment_events=10)
-        for i in range(35):
-            single.append("dispatch", {"t": float(i), "eid": i})
-        single.commit()
-        single.close()
-
-        batched = EventStream(tmp_path / "batched", segment_events=10)
-        fill_batch(batched, 35)
-        batched.commit()
-        batched.close()
-
-        left = list(EventStream(tmp_path / "single").read())
-        right = list(EventStream(tmp_path / "batched").read())
-        assert left == right
-        assert sorted(
-            p.name for p in (tmp_path / "single").glob("segment-*.jsonl")
-        ) == sorted(
-            p.name for p in (tmp_path / "batched").glob("segment-*.jsonl")
-        )
-
-    def test_batch_invisible_before_commit(self, tmp_path):
-        stream = EventStream(tmp_path / "s")
-        fill_batch(stream, 2)
-        stream.commit()
-        fill_batch(stream, 3, start=2)  # appended, never committed
-        stream.close()
-        assert len(list(EventStream(tmp_path / "s").read())) == 2
-
-    def test_rotation_mid_batch(self, tmp_path):
-        stream = EventStream(tmp_path / "s", segment_events=10)
-        fill_batch(stream, 35)
-        stream.commit()
-        stream.close()
-        files = sorted(p.name for p in tmp_path.glob("s/segment-*.jsonl"))
-        assert len(files) == 4
-        reopened = EventStream(tmp_path / "s")
-        assert reopened.committed_events == 35
-        assert [e["seq"] for e in reopened.read()] == list(range(35))
-
-    def test_crash_mid_batch_reconciles_to_last_commit(self, tmp_path):
-        # A crash after append_batch but before commit must leave the
-        # stream readable at its last commit, and a resumed writer must
-        # land at the committed sequence — no gap, no duplicate.  Like
-        # append(), append_batch() commits before rotating (pending
-        # events never span segments), so with segment_events=10 the
-        # rotations at 10 and 20 are durable and only the 8-event tail
-        # of the torn batch is lost.
-        stream = EventStream(tmp_path / "s", segment_events=10)
-        fill_batch(stream, 8)
-        stream.commit()
-        fill_batch(stream, 20, start=8)  # tail never committed
-        stream.close()
-
-        assert len(list(EventStream(tmp_path / "s").read())) == 20
-        resumed = EventStream(tmp_path / "s", segment_events=10)
-        seq = resumed.append("dispatch", {"t": 20.0, "eid": 20})
-        resumed.commit()
-        resumed.close()
-        assert seq == 20
-        events = list(EventStream(tmp_path / "s").read())
-        assert [e["seq"] for e in events] == list(range(21))
-
-    def test_batch_append_counter(self, tmp_path):
-        metrics = MetricsRegistry()
-        stream = EventStream(tmp_path / "s", metrics=metrics)
-        fill_batch(stream, 5)
-        fill_batch(stream, 5, start=5)
-        stream.commit()
-        stream.close()
-        counters = metrics.as_dict()["counters"]
-        assert counters["store.batch_appends"] == 2
-        assert counters["store.events_appended"] == 10
 
 
 class TestGroupResults:
@@ -138,16 +50,15 @@ class TestGroupResults:
         assert hit
         assert loaded == values
 
-    def test_group_meta_records_cell_count(self, tmp_path):
+    def test_group_file_holds_one_record_per_cell(self, tmp_path):
         store = RunStore(tmp_path / "store")
         keys = self.keys(5)
         store.commit_group_results(
             "table5", keys, [i for i in range(5)]
         )
         gkey = store.group_key("table5", keys)
-        meta_path = store.stream_path("table5", gkey) / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        assert meta["cells"] == 5
+        payload = json.loads(store.stream_path("table5", gkey).read_text())
+        assert len(payload["results"]) == 5
 
     def test_subset_and_superset_membership_miss(self, tmp_path):
         # Group streams serve exactly the chunk they committed: a
@@ -174,16 +85,17 @@ class TestGroupResults:
         )
         assert not hit
 
-    def test_commit_idempotent(self, tmp_path):
+    def test_commit_replaces_the_group_file(self, tmp_path):
         store = RunStore(tmp_path / "store")
         keys = self.keys(2)
         store.commit_group_results("table5", keys, ["a", "b"])
-        # A replayed commit (e.g. a resumed run re-reaching the same
-        # chunk) must not grow or corrupt the sealed stream.
+        # A replayed commit (e.g. the re-run of a damaged chunk)
+        # replaces the group file whole: nothing grows or accumulates.
         store.commit_group_results("table5", keys, ["x", "y"])
         hit, loaded = store.load_group_results("table5", keys)
         assert hit
-        assert loaded == ["a", "b"]
+        assert loaded == ["x", "y"]
+        assert len(list((tmp_path / "store").rglob("*"))) == 2
 
     def test_group_key_is_order_sensitive_and_deterministic(
         self, tmp_path
@@ -215,8 +127,7 @@ class TestBatchedGridResume:
         counters = metrics.as_dict()["counters"]
         # 12 cells at a 5-cell chunk limit: 5 + 5 + 2.
         assert counters["store.batch_commits"] == 3
-        assert counters["store.batch_appends"] == 3
-        assert counters["store.events_appended"] == 12
+        assert len(list((tmp_path / "store" / "table5").iterdir())) == 3
 
         resumed_metrics = MetricsRegistry()
         resumed = run_cells(
@@ -234,20 +145,18 @@ class TestBatchedGridResume:
 
     def test_resume_across_a_missing_chunk(self, tmp_path, monkeypatch):
         # Simulate a crash between batch commits: complete the grid,
-        # then destroy one group stream (as if the run died before that
-        # chunk's fsync).  The resumed run must serve the surviving
-        # chunks from the log, re-execute exactly the lost chunk, and
+        # then delete one group file (as if the run died before that
+        # chunk's commit).  The resumed run must serve the surviving
+        # chunks from the store, re-execute exactly the lost chunk, and
         # produce bit-identical results.
-        import shutil
-
         monkeypatch.setenv("REPRO_BATCH_MAX_CELLS", "5")
         store_root = tmp_path / "store"
         baseline = run_cells(self.grid(), store=RunStore(store_root))
         streams = sorted((store_root / "table5").iterdir())
         assert len(streams) == 3
         victim = streams[1]
-        lost = json.loads((victim / "meta.json").read_text())["cells"]
-        shutil.rmtree(victim)
+        lost = len(json.loads(victim.read_text())["results"])
+        victim.unlink()
 
         metrics = MetricsRegistry()
         resumed = run_cells(

@@ -1,6 +1,6 @@
 """Resumable grids: interrupted runs finish bit-identical.
 
-The acceptance property of the event-sourced store: kill a grid run
+The acceptance property of the run store: kill a grid run
 after k cells, re-run it against the same store, and the rendered
 output is byte-equal to an uninterrupted run — under both demand
 backends and with or without the process pool.  The in-process tests
@@ -10,6 +10,7 @@ through the ``python -m repro.store check-resume`` harness CI uses.
 """
 
 import dataclasses
+import json
 import subprocess
 import sys
 
@@ -48,7 +49,7 @@ def per_cell_grid(spec, opts):
     This pins the per-cell durability grain these tests are about: the
     prefix-interrupt simulation below commits k *cells*, which only
     matches what a resumed run looks up per cell.  The batched grain
-    (group streams, chunk-consistent interrupts) has its own suite in
+    (group files, chunk-consistent interrupts) has its own suite in
     tests/store/test_batch_commit.py.
     """
     return [
@@ -87,8 +88,8 @@ class TestInProcessResume:
         assert len(cells) >= 6
         run_cells(cells[:5], jobs=jobs, store=store)
 
-        # Resume: the executor discovers the 5 committed cells from the
-        # log and executes only the rest.
+        # Resume: the executor discovers the 5 committed cells in the
+        # store and executes only the rest.
         metrics = MetricsRegistry()
         resumed = run_per_cell(
             spec,
@@ -131,9 +132,8 @@ class TestInProcessResume:
         first = run_cells(cells, store=RunStore(store_root))
         text = spec.render(spec.reduce(first, opts), opts)
         streams = sorted((store_root / "table5").iterdir())
-        assert len(streams) == 1  # one group stream for the 12 cells
-        index = streams[0] / "index.json"
-        index.write_bytes(index.read_bytes()[:20])
+        assert len(streams) == 1  # one group file for the 12 cells
+        streams[0].write_bytes(streams[0].read_bytes()[:20])
 
         def rerun():
             metrics = MetricsRegistry()
@@ -146,19 +146,18 @@ class TestInProcessResume:
 
         repaired, counters = rerun()
         assert repaired == text
-        # Read torn by the resume scan, and again by the commit that
-        # rewrites it.
-        assert counters["store.torn_index"] == 2
+        # Read torn by the resume scan; the commit replaces it unread.
+        assert counters["store.corrupt"] == 1
         assert counters["backend.batched_cells"] == len(cells)
         assert counters["store.batch_commits"] == 1
         resumed, counters = rerun()
         assert resumed == text
-        assert "store.torn_index" not in counters
+        assert "store.corrupt" not in counters
         assert counters["store.batch_resume_skipped_cells"] == len(cells)
         assert "backend.batched_cells" not in counters
 
     def test_resume_rewarms_an_attached_cache(self, tmp_path):
-        # The cache is a materialized view of the log: serving a cell
+        # Cache and store hold the same snapshot bytes: serving a cell
         # from the store writes it back into the cache.
         from repro.runtime.cache import ResultCache
 
@@ -179,6 +178,78 @@ class TestInProcessResume:
         assert cache.entry_count() == 0
         run_experiment(spec, opts)
         assert cache.entry_count() > 0
+
+
+def flip_one_byte(path):
+    """Change one base64 character inside the file's first result: the
+    file still decodes, only that record's sha256 check fails."""
+    raw = path.read_bytes()
+    at = raw.index(b'"result":"') + len(b'"result":"') + 40
+    flipped = b"A" if raw[at:at + 1] != b"A" else b"B"
+    path.write_bytes(raw[:at] + flipped + raw[at + 1:])
+
+
+class TestFlippedByteRepair:
+    """A stream file failing its sha256 re-runs once and is repaired."""
+
+    def run(self, spec, opts, cells, store_root):
+        metrics = MetricsRegistry()
+        results = run_cells(
+            cells, metrics=metrics,
+            store=RunStore(store_root, metrics=metrics),
+        )
+        text = spec.render(spec.reduce(results, opts), opts)
+        return text, metrics.as_dict()["counters"]
+
+    def test_per_cell_file(self, tmp_path):
+        spec = get_spec("table5")
+        store_root = tmp_path / "store"
+        opts = options_for(1, "columnar", store=None)
+        cells = per_cell_grid(spec, opts)
+        first, _ = self.run(spec, opts, cells, store_root)
+        flip_one_byte(RunStore(store_root).stream_path(
+            cells[3].experiment, cells[3].key
+        ))
+
+        again, counters = self.run(spec, opts, cells, store_root)
+        assert counters["store.corrupt"] == 1
+        assert counters["pool.cells_executed"] == 1
+        assert counters["store.resume_skipped_cells"] == len(cells) - 1
+        assert again == first
+
+        last, counters = self.run(spec, opts, cells, store_root)
+        assert "store.corrupt" not in counters
+        assert "pool.cells_executed" not in counters
+        assert counters["store.resume_skipped_cells"] == len(cells)
+        assert last == first
+
+    def test_chunk_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCH_MAX_CELLS", "5")
+        spec = get_spec("table5")
+        store_root = tmp_path / "store"
+        opts = options_for(1, "columnar", store=None)
+        cells = spec.build_cells(opts, spec.sizes(opts))
+        first, _ = self.run(spec, opts, cells, store_root)
+        chunks = sorted((store_root / "table5").iterdir())
+        assert len(chunks) == 3  # 12 cells at 5 per chunk: 5 + 5 + 2
+        victim = chunks[1]
+        lost = len(json.loads(victim.read_bytes())["results"])
+        flip_one_byte(victim)
+
+        again, counters = self.run(spec, opts, cells, store_root)
+        assert counters["store.corrupt"] == 1
+        assert counters["backend.batched_cells"] == lost
+        assert counters["store.batch_commits"] == 1
+        assert counters["store.batch_resume_skipped_cells"] == (
+            len(cells) - lost
+        )
+        assert again == first
+
+        last, counters = self.run(spec, opts, cells, store_root)
+        assert "store.corrupt" not in counters
+        assert "backend.batched_cells" not in counters
+        assert counters["store.batch_resume_skipped_cells"] == len(cells)
+        assert last == first
 
 
 class TestSigtermResume:
