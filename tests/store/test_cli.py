@@ -30,6 +30,17 @@ class TestCommittedCells:
         (tmp_path / "table5" / "tmpabc.tmp").write_bytes(b"{}")
         assert _committed_cells(tmp_path) == 1
 
+    def test_older_tree_stream_directories_count_nothing(self, tmp_path):
+        # An older tree's stream directory (meta.json, segments,
+        # index.json) holds no committed cell the new tree can read.
+        store = RunStore(tmp_path)
+        old = store.stream_path("table5", {"run": 0}).with_suffix("")
+        old.mkdir(parents=True)
+        (old / "meta.json").write_text('{"results":[{}]}')
+        (old / "index.json").write_text('{"results":[{}]}')
+        store.commit_result("table5", {"run": 1}, 1)
+        assert _committed_cells(tmp_path) == 1
+
     def test_empty_or_missing_store_counts_zero(self, tmp_path):
         assert _committed_cells(tmp_path / "absent") == 0
 

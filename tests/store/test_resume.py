@@ -252,6 +252,48 @@ class TestFlippedByteRepair:
         assert last == first
 
 
+class TestOlderTreeStore:
+    def test_reads_as_empty_reruns_once_then_resumes(self, tmp_path):
+        # A store an older tree filled holds one directory per stream,
+        # named by the same digest.  The new tree reads none of it: the
+        # grid re-runs whole, without counting damage, commits in the
+        # one-file layout, and the run after resumes every cell.
+        spec = get_spec("table5")
+        store_root = tmp_path / "store"
+        opts = options_for(1, "columnar", store=None)
+        cells = per_cell_grid(spec, opts)
+        for cell in cells:
+            old = RunStore(store_root).stream_path(
+                cell.experiment, cell.key
+            ).with_suffix("")
+            old.mkdir(parents=True)
+            (old / "index.json").write_text(
+                '{"committed": 1, "complete": true}'
+            )
+
+        def run():
+            metrics = MetricsRegistry()
+            results = run_cells(
+                cells, metrics=metrics,
+                store=RunStore(store_root, metrics=metrics),
+            )
+            text = spec.render(spec.reduce(results, opts), opts)
+            return text, metrics.as_dict()["counters"]
+
+        first, counters = run()
+        assert "store.corrupt" not in counters
+        assert "store.resume_skipped_cells" not in counters
+        assert counters["pool.cells_executed"] == len(cells)
+        assert len(list((store_root / "table5").glob("*.json"))) == len(
+            cells
+        )
+
+        again, counters = run()
+        assert "pool.cells_executed" not in counters
+        assert counters["store.resume_skipped_cells"] == len(cells)
+        assert again == first
+
+
 class TestSigtermResume:
     def test_check_resume_harness_end_to_end(self):
         # Real SIGTERM, real subprocesses: the exact harness CI runs.
