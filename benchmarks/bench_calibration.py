@@ -7,18 +7,20 @@ profile reproduces them.  Prints the calibration sweep.
 """
 
 from repro.experiments.calibration import (
+    CALIBRATION_SPEC,
     PAPER_RELEASE_MET,
     PAPER_RELEASE_NRDT_RATE,
     evaluate_profile,
     render_calibration,
-    run_calibration,
 )
 from repro.experiments.event_sim import calibrated_profile, paper_profile
+from repro.pipeline import ExperimentOptions, run_experiment
 
 
 def test_calibration_benchmark(benchmark):
+    options = ExperimentOptions(seed=7, requests=50_000)
     fits, best = benchmark.pedantic(
-        lambda: run_calibration(samples=50_000, seed=7),
+        lambda: run_experiment(CALIBRATION_SPEC, options).value,
         rounds=1, iterations=1,
     )
     print()

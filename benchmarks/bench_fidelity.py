@@ -13,21 +13,33 @@ fidelity claims:
 
 import pytest
 
-from repro.experiments.event_sim import calibrated_profile, paper_profile
+from repro.experiments.event_sim import (
+    SimulationTable,
+    paper_profile,
+    release_pair_cells,
+)
 from repro.experiments.fidelity import compare_to_paper
 from repro.experiments.paper_reported import TABLE5, TABLE6
-from repro.experiments.table5 import run_table5
-from repro.experiments.table6 import run_table6
+from repro.experiments.table5 import TABLE5_SPEC
+from repro.experiments.table6 import TABLE6_SPEC
+from repro.pipeline import ExperimentOptions, run_experiment
+from repro.runtime.parallel import run_cells
 
 BENCH_REQUESTS = 10_000  # the paper's basis; cells diff cleanly
 
 
+def calibrated_table(spec, requests):
+    """The spec's grid under the calibrated profile, on the event kernel."""
+    options = ExperimentOptions(
+        seed=3, requests=requests, profile="calibrated", backend="event"
+    )
+    return run_experiment(spec, options).value
+
+
 @pytest.fixture(scope="module")
 def calibrated_diffs():
-    table5 = run_table5(seed=3, requests=BENCH_REQUESTS,
-                        profile=calibrated_profile())
-    table6 = run_table6(seed=3, requests=BENCH_REQUESTS,
-                        profile=calibrated_profile())
+    table5 = calibrated_table(TABLE5_SPEC, BENCH_REQUESTS)
+    table6 = calibrated_table(TABLE6_SPEC, BENCH_REQUESTS)
     return (
         compare_to_paper(table5, TABLE5, "Table 5 (calibrated)"),
         compare_to_paper(table6, TABLE6, "Table 6 (calibrated)"),
@@ -38,10 +50,7 @@ def test_fidelity_benchmark(benchmark, calibrated_diffs):
     diff5, diff6 = calibrated_diffs
     benchmark.pedantic(
         lambda: compare_to_paper(
-            run_table5(seed=3, requests=2_000,
-                       profile=calibrated_profile()),
-            TABLE5,
-            "bench",
+            calibrated_table(TABLE5_SPEC, 2_000), TABLE5, "bench"
         ),
         rounds=1,
         iterations=1,
@@ -65,8 +74,11 @@ def test_calibrated_profile_matches_paper_cells(calibrated_diffs):
 
 
 def test_paper_profile_is_an_order_of_magnitude_worse():
-    table5 = run_table5(seed=3, requests=2_500, runs=(1,),
-                        profile=paper_profile())
+    cells = release_pair_cells(
+        "table5", "correlated", seed=3, requests=2_500, runs=(1,),
+        profile=paper_profile(),
+    )
+    table5 = SimulationTable(label="Table 5", results=run_cells(cells))
     diff = compare_to_paper(table5, TABLE5, "Table 5 (paper profile)")
     # NRDT off by ~8x, Total availability badly off: the documented
     # §5.2.2 inconsistency.

@@ -1,23 +1,19 @@
 """Benchmark: regenerate Fig. 7 (Scenario 1 percentile curves).
 
-Reduced horizon (16,000 demands); the full-size run is
-``repro-experiments fig7``.  Prints the five paper curves as a table.
+Reduced horizon (16,000 demands) on the ``--fast`` 96x96x32 grid; the
+full-size run is ``repro-experiments fig7``.  Prints the five paper
+curves as a table.
 """
 
-from repro.bayes.priors import GridSpec
-from repro.experiments.percentile_curves import run_fig7
+from repro.experiments.percentile_curves import FIG7_SPEC
+from repro.pipeline import ExperimentOptions, run_experiment
 
-BENCH_GRID = GridSpec(96, 96, 32)
+OPTIONS = ExperimentOptions(seed=3, fast=True, requests=16_000)
 
 
 def test_fig7_benchmark(benchmark):
     curves = benchmark.pedantic(
-        lambda: run_fig7(
-            seed=3,
-            grid=BENCH_GRID,
-            total_demands=16_000,
-            checkpoint_every=2_000,
-        ),
+        lambda: run_experiment(FIG7_SPEC, OPTIONS).value,
         rounds=1,
         iterations=1,
     )

@@ -1,23 +1,19 @@
 """Benchmark: regenerate Fig. 8 (Scenario 2 percentile curves).
 
-The paper plots to 10,000 demands; that full size is cheap enough to
-bench directly.  Prints the five paper curves as a table.
+The paper plots to 10,000 demands; that full horizon, on the
+``--fast`` 96x96x32 grid, is cheap enough to bench directly.  Prints
+the five paper curves as a table.
 """
 
-from repro.bayes.priors import GridSpec
-from repro.experiments.percentile_curves import run_fig8
+from repro.experiments.percentile_curves import FIG8_SPEC
+from repro.pipeline import ExperimentOptions, run_experiment
 
-BENCH_GRID = GridSpec(96, 96, 32)
+OPTIONS = ExperimentOptions(seed=3, fast=True, requests=10_000)
 
 
 def test_fig8_benchmark(benchmark):
     curves = benchmark.pedantic(
-        lambda: run_fig8(
-            seed=3,
-            grid=BENCH_GRID,
-            total_demands=10_000,
-            checkpoint_every=500,
-        ),
+        lambda: run_experiment(FIG8_SPEC, OPTIONS).value,
         rounds=1,
         iterations=1,
     )

@@ -84,6 +84,7 @@ from repro.common.seeding import SeedSequenceFactory
 from repro.core.modes import ModeConfig
 from repro.experiments import paper_params as P
 from repro.experiments.event_sim import (
+    SimulationTable,
     calibrated_profile,
     draw_release_pair_arena,
     paper_profile,
@@ -91,7 +92,7 @@ from repro.experiments.event_sim import (
     run_release_pair_simulation,
 )
 from repro.experiments.scenarios import scenario_1
-from repro.experiments.table5 import run_table5
+from repro.experiments.table5 import TABLE5_LABEL, TABLE5_SPEC
 from repro.runtime.parallel import _batch_chunk_limit, run_cells
 from repro.lint.engine import run_lint, run_program_lint
 from repro.pipeline import (
@@ -541,6 +542,14 @@ def bench_startup(src_dir: Path) -> dict:
     }
 
 
+def table5_grid(requests: int, jobs: int, backend: str, metrics=None):
+    """The registered 12-cell Table-5 grid (seed 3), uncached."""
+    return run_experiment(TABLE5_SPEC, ExperimentOptions(
+        seed=3, requests=requests, jobs=jobs, backend=backend,
+        metrics=metrics,
+    ))
+
+
 def bench_grid(requests: int, jobs: int) -> dict:
     """The full 12-cell Table-5 grid on the event kernel at *jobs*.
 
@@ -548,7 +557,7 @@ def bench_grid(requests: int, jobs: int) -> dict:
     paused, after one warm run.
     """
     samples = _timed_repeats(
-        lambda: run_table5(seed=3, requests=requests, jobs=jobs),
+        lambda: table5_grid(requests, jobs, "event"),
         SCALING_REPEATS,
     )
     return _quartiles(samples)
@@ -585,9 +594,7 @@ def bench_grid_backends(requests: int, jobs: int) -> dict:
     out = {}
     for label, backend in configs:
         samples = _timed_repeats(
-            lambda backend=backend: run_table5(
-                seed=3, requests=requests, jobs=jobs, backend=backend
-            ),
+            lambda backend=backend: table5_grid(requests, jobs, backend),
             GRID_REPEATS[label],
         )
         entry = {
@@ -597,10 +604,7 @@ def bench_grid_backends(requests: int, jobs: int) -> dict:
         }
         if label != "event":
             registry = MetricsRegistry()
-            run_table5(
-                seed=3, requests=requests, jobs=jobs,
-                metrics=registry, backend=backend,
-            )
+            table5_grid(requests, jobs, backend, metrics=registry)
             counters = registry.as_dict()["counters"]
             entry["pool_inline_cells"] = int(
                 counters.get("pool.inline_cells", 0)
@@ -825,9 +829,10 @@ def bench_pipeline_overhead(requests: int) -> dict:
     Both paths run the identical 12-cell Table-5 grid (sequential, no
     cache) on the columnar backend, whose ~10-30 ms grids leave the
     spec layer's ~1 ms visible (the event backend's seconds-long grids
-    buried it in noise); the difference is what the declarative spec
-    layer — size resolution, grid validation, reduce/render hooks —
-    costs per run.
+    buried it in noise).  The direct side builds the cells, runs them
+    and folds them into the table itself; the difference is what the
+    declarative spec layer — size resolution, grid validation, the
+    reduce/render hooks — costs per run.
 
     Each side is the median and IQR of its runs under
     :func:`_timed_repeats` (GC paused).  The sides alternate in
@@ -847,7 +852,11 @@ def bench_pipeline_overhead(requests: int) -> dict:
         run_experiment(spec, options)
 
     def run_direct() -> None:
-        run_table5(seed=3, requests=requests, jobs=1, backend="columnar")
+        cells = release_pair_cells(
+            "table5", "correlated", seed=3, requests=requests,
+            profile=paper_profile(), backend="columnar",
+        )
+        SimulationTable(label=TABLE5_LABEL, results=run_cells(cells))
 
     samples: dict = {"engine": [], "direct": []}
     for round_index in range(PIPELINE_ROUNDS):
@@ -939,7 +948,7 @@ def grid_metrics_snapshot(requests: int, jobs: int) -> dict:
     so the snapshot runs at the benchmark's ``--jobs`` value.
     """
     registry = MetricsRegistry()
-    run_table5(seed=3, requests=requests, jobs=jobs, metrics=registry)
+    table5_grid(requests, jobs, "event", metrics=registry)
     return registry.as_dict()
 
 

@@ -11,23 +11,23 @@ far down the chain are weaker channels.
 
 import pytest
 
-from repro.experiments.multi_release import run_sweep
+from repro.experiments.multi_release import MULTI_RELEASE_SPEC
+from repro.pipeline import ExperimentOptions, run_experiment
 
 BENCH_REQUESTS = 1_500
+
+#: The spec's N = 1..4 sweep on the event kernel.
+OPTIONS = ExperimentOptions(seed=3, requests=BENCH_REQUESTS, backend="event")
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return run_sweep(
-        release_counts=(1, 2, 3, 4), requests=BENCH_REQUESTS, seed=3
-    )
+    return run_experiment(MULTI_RELEASE_SPEC, OPTIONS).value
 
 
 def test_multi_release_benchmark(benchmark):
     result = benchmark.pedantic(
-        lambda: run_sweep(
-            release_counts=(1, 2, 3, 4), requests=BENCH_REQUESTS, seed=3
-        ),
+        lambda: run_experiment(MULTI_RELEASE_SPEC, OPTIONS).value,
         rounds=1,
         iterations=1,
     )

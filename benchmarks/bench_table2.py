@@ -1,38 +1,26 @@
 """Benchmark: regenerate Table 2 (duration of managed upgrade).
 
-Reduced size (10,000 demands, 96x96x32 grid) for benchmarking; the
-full-size run is ``repro-experiments table2``.  Prints the paper-layout
-table once.
+Reduced to the ``--fast`` sizes (10,000 demands, checkpoints every
+1,000, 96x96x32 grid) for benchmarking; the full-size run is
+``repro-experiments table2``.  Prints the paper-layout table once.
 """
 
 import pytest
 
-from repro.bayes.priors import GridSpec
-from repro.experiments.table2 import run_table2
+from repro.experiments.table2 import TABLE2_SPEC
+from repro.pipeline import ExperimentOptions, run_experiment
 
-BENCH_DEMANDS = 10_000
-BENCH_CHECKPOINT = 1_000
-BENCH_GRID = GridSpec(96, 96, 32)
+OPTIONS = ExperimentOptions(seed=3, fast=True)
 
 
 @pytest.fixture(scope="module")
 def table2_result():
-    return run_table2(
-        seed=3,
-        grid=BENCH_GRID,
-        total_demands=BENCH_DEMANDS,
-        checkpoint_every=BENCH_CHECKPOINT,
-    )
+    return run_experiment(TABLE2_SPEC, OPTIONS).value
 
 
 def test_table2_benchmark(benchmark):
     result = benchmark.pedantic(
-        lambda: run_table2(
-            seed=3,
-            grid=BENCH_GRID,
-            total_demands=BENCH_DEMANDS,
-            checkpoint_every=BENCH_CHECKPOINT,
-        ),
+        lambda: run_experiment(TABLE2_SPEC, OPTIONS).value,
         rounds=1,
         iterations=1,
     )

@@ -8,24 +8,26 @@ the §5.2.3 qualitative observations.
 import pytest
 
 from repro.analysis.stats import reliability_ordering
-from repro.experiments.event_sim import calibrated_profile
-from repro.experiments.table5 import run_table5
+from repro.experiments.table5 import TABLE5_SPEC
+from repro.pipeline import ExperimentOptions, run_experiment
 
 BENCH_REQUESTS = 2_500
+
+#: Calibrated profile: the paper's availability regime (~96%), where
+#: its qualitative observations are stated.  Event kernel.
+OPTIONS = ExperimentOptions(
+    seed=3, requests=BENCH_REQUESTS, profile="calibrated", backend="event"
+)
 
 
 @pytest.fixture(scope="module")
 def table5():
-    # Calibrated profile: the paper's availability regime (~96%), where
-    # its qualitative observations are stated.
-    return run_table5(seed=3, requests=BENCH_REQUESTS,
-                      profile=calibrated_profile())
+    return run_experiment(TABLE5_SPEC, OPTIONS).value
 
 
 def test_table5_benchmark(benchmark):
     table = benchmark.pedantic(
-        lambda: run_table5(seed=3, requests=BENCH_REQUESTS,
-                           profile=calibrated_profile()),
+        lambda: run_experiment(TABLE5_SPEC, OPTIONS).value,
         rounds=1,
         iterations=1,
     )

@@ -7,25 +7,27 @@ Reduced to 2,500 requests per cell; full size via
 
 import pytest
 
-from repro.experiments.event_sim import calibrated_profile
-from repro.experiments.table6 import run_table6
+from repro.experiments.table6 import TABLE6_SPEC
+from repro.pipeline import ExperimentOptions, run_experiment
 
 BENCH_REQUESTS = 2_500
+
+#: The calibrated latency profile reproduces the paper's availability
+#: regime (~96%); the §5.2.3 conditional-correctness claims are
+#: statements about that regime.  Event kernel.
+OPTIONS = ExperimentOptions(
+    seed=3, requests=BENCH_REQUESTS, profile="calibrated", backend="event"
+)
 
 
 @pytest.fixture(scope="module")
 def table6():
-    # The calibrated latency profile reproduces the paper's availability
-    # regime (~96%); the §5.2.3 conditional-correctness claims are
-    # statements about that regime.
-    return run_table6(seed=3, requests=BENCH_REQUESTS,
-                      profile=calibrated_profile())
+    return run_experiment(TABLE6_SPEC, OPTIONS).value
 
 
 def test_table6_benchmark(benchmark):
     table = benchmark.pedantic(
-        lambda: run_table6(seed=3, requests=BENCH_REQUESTS,
-                           profile=calibrated_profile()),
+        lambda: run_experiment(TABLE6_SPEC, OPTIONS).value,
         rounds=1,
         iterations=1,
     )

@@ -9,21 +9,17 @@ criteria (which live in :mod:`repro.core.switching`).
 """
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.common.seeding import SeedSequenceFactory, spawn_generator
 from repro.bayes.counts import JointCounts
 from repro.bayes.demand_process import TwoReleaseGroundTruth
 from repro.bayes.detection import DetectionModel
 from repro.bayes.priors import GridSpec, WhiteBoxPrior
 from repro.bayes.whitebox import WhiteBoxAssessor
 from repro.obs.trace import Tracer
-
-if TYPE_CHECKING:  # import kept lazy at runtime (see run_replications)
-    from repro.runtime.cache import ResultCache
 
 
 @dataclass(frozen=True)
@@ -135,24 +131,6 @@ class SequentialAssessment:
         self.confidence_targets = tuple(confidence_targets)
         self.grid = grid
 
-    def describe(self) -> str:
-        """Stable textual identity of this assessment's configuration.
-
-        Used as a result-cache key component: every constituent
-        (ground truth, detection model, prior, grid) has a stable
-        ``repr`` that encodes its parameters, so equal configurations
-        describe equally across processes and sessions.
-        """
-        return (
-            f"ground_truth={self.ground_truth!r}, "
-            f"detection={self.detection!r}, "
-            f"prior={self.prior!r}, "
-            f"total_demands={self.total_demands}, "
-            f"checkpoint_every={self.checkpoint_every}, "
-            f"confidence_targets={self.confidence_targets!r}, "
-            f"grid={self.grid!r}"
-        )
-
     def checkpoints(self) -> List[int]:
         """Demand counts at which the posterior is evaluated."""
         points = list(
@@ -178,7 +156,7 @@ class SequentialAssessment:
         precomputed likelihood grid across runs with the same prior and
         grid; its observations are reset first.  An assessor built for
         another grid (compared by equality) or prior (compared by
-        ``repr``, as :meth:`describe` identifies it) raises
+        ``repr``, which encodes its parameters) raises
         :class:`~repro.common.errors.ConfigurationError`.  A *tracer* (see
         :mod:`repro.obs.trace`) receives one ``checkpoint`` event per
         posterior evaluation — the demand count, the cumulative Table-1
@@ -257,54 +235,3 @@ class SequentialAssessment:
                     percentile_b_90=record.percentile_b_90,
                 )
         return history
-
-
-def _replication_cell(
-    assessment: SequentialAssessment, seed: int
-) -> AssessmentHistory:
-    """One Monte-Carlo replication; module-level so worker processes can
-    unpickle it."""
-    return assessment.run(spawn_generator(seed))
-
-
-def run_replications(
-    assessment: SequentialAssessment,
-    replications: int,
-    seed: int,
-    jobs: int = 1,
-    cache: Optional["ResultCache"] = None,
-) -> List[AssessmentHistory]:
-    """Monte-Carlo replications of one assessment across demand streams.
-
-    Each replication draws its own ground-truth stream from a child seed
-    of *seed* (via
-    :meth:`~repro.common.seeding.SeedSequenceFactory.child_seed`), so the
-    set of histories is bit-identical for any ``jobs`` value and any
-    single replication can be reproduced in isolation from its index.
-    A *cache* replays completed replications: the key combines
-    :meth:`SequentialAssessment.describe` with the replication's child
-    seed, so it is stable across processes and sessions.
-    """
-    # Imported lazily: keeps the bayes layer importable without pulling
-    # in the runtime/simulation stack.
-    from repro.runtime.parallel import CellSpec, run_cells
-
-    if replications <= 0:
-        raise ConfigurationError(
-            f"replications must be > 0: {replications!r}"
-        )
-    seeds = SeedSequenceFactory(seed)
-    cells = [
-        CellSpec(
-            experiment="bayes-replications",
-            fn=_replication_cell,
-            kwargs=dict(
-                assessment=assessment,
-                seed=cell_seed,
-            ),
-            key=dict(assessment=assessment.describe(), seed=cell_seed),
-        )
-        for index in range(replications)
-        for cell_seed in [seeds.child_seed(f"replication/{index}")]
-    ]
-    return run_cells(cells, jobs=jobs, cache=cache)

@@ -1,5 +1,10 @@
 """Experiment harness regenerating every table and figure of the paper.
 
+Each experiment module registers an
+:class:`~repro.pipeline.spec.ExperimentSpec` (cell builder, reduce,
+render, sizes); :func:`repro.pipeline.run_experiment` runs any of them
+under uniform options, and no module here runs a grid itself.
+
 * :mod:`repro.experiments.paper_params` — the paper's verbatim inputs;
 * :mod:`repro.experiments.scenarios` — the §5.1.1.1 Bayesian scenarios;
 * :mod:`repro.experiments.table2` — managed-upgrade durations (Table 2);
@@ -8,6 +13,8 @@
   :mod:`repro.experiments.table6` — the §5.2 event-driven study;
 * :mod:`repro.experiments.calibration` — latency-profile calibration
   ablation;
+* :mod:`repro.experiments.report` — the markdown report composed from
+  the registered specs;
 * :mod:`repro.experiments.cli` — ``repro-experiments`` entry point.
 """
 
@@ -17,14 +24,8 @@ from repro.experiments.scenarios import (
     scenario_1,
     scenario_2,
 )
-from repro.experiments.table2 import Table2Result, run_table2
-from repro.experiments.percentile_curves import (
-    PercentileCurves,
-    run_fig7,
-    run_fig8,
-)
-from repro.experiments.table5 import run_table5
-from repro.experiments.table6 import run_table6
+from repro.experiments.table2 import Table2Result
+from repro.experiments.percentile_curves import PercentileCurves
 from repro.experiments.event_sim import (
     LatencyProfile,
     SimulationTable,
@@ -36,10 +37,9 @@ from repro.experiments.event_sim import (
 from repro.experiments.multi_release import (
     MultiReleaseSweep,
     run_n_release_simulation,
-    run_sweep,
 )
 from repro.experiments.fidelity import FidelityDiff, compare_to_paper
-from repro.experiments.robustness import RobustnessReport, run_robustness
+from repro.experiments.robustness import RobustnessReport
 
 __all__ = [
     "Scenario",
@@ -47,12 +47,7 @@ __all__ = [
     "scenario_1",
     "scenario_2",
     "Table2Result",
-    "run_table2",
     "PercentileCurves",
-    "run_fig7",
-    "run_fig8",
-    "run_table5",
-    "run_table6",
     "LatencyProfile",
     "SimulationTable",
     "calibrated_profile",
@@ -61,9 +56,7 @@ __all__ = [
     "run_release_pair_simulation",
     "MultiReleaseSweep",
     "run_n_release_simulation",
-    "run_sweep",
     "RobustnessReport",
-    "run_robustness",
     "FidelityDiff",
     "compare_to_paper",
 ]

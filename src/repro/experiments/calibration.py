@@ -19,7 +19,7 @@ experiment consumes them.
 """
 
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from repro.experiments.event_sim import (
     paper_profile,
 )
 from repro.pipeline import ExperimentOptions, ExperimentSpec, register
-from repro.runtime.cache import ResultCache
-from repro.runtime.parallel import CellSpec, run_cells
+from repro.runtime.parallel import CellSpec
 from repro.simulation.distributions import LogNormal, WithHangs
 
 #: The paper's reported observables (Table 5, run 1).
@@ -160,22 +159,6 @@ def calibration_cells(samples: int, seed: int) -> List[CellSpec]:
         )
         for profile in candidate_profiles()
     ]
-
-
-def run_calibration(
-    samples: int = 100_000,
-    seed: int = 7,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> Tuple[List[LatencyFit], LatencyFit]:
-    """Evaluate all candidates; return (all fits, best fit).
-
-    Each candidate profile is an independent Monte-Carlo cell, so the
-    sweep fans across the parallel runtime.
-    """
-    fits = run_cells(calibration_cells(samples, seed), jobs=jobs, cache=cache)
-    best = min(fits, key=lambda fit: fit.error())
-    return fits, best
 
 
 def render_calibration(fits: Sequence[LatencyFit], top: int = 12) -> str:

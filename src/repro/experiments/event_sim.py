@@ -5,12 +5,14 @@ middleware in parallel max-reliability mode with the paper's adjudication
 rules, a monitoring subsystem — drives 10,000 requests through it on the
 discrete-event kernel, and reduces the observation log to the Table-5/6
 row format (MET, CR/EER/NER counts, NRDT per release and for the
-adjudicated system).
+adjudicated system).  :func:`release_pair_spec` declares both tables'
+:class:`~repro.pipeline.spec.ExperimentSpec` from the one cell builder
+they share, :func:`release_pair_cells`.
 """
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from repro.experiments import paper_params as P
 from repro.experiments.paper_params import DEFAULT_SEED
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import JsonlTracer, Tracer
+from repro.pipeline.spec import ExperimentOptions, ExperimentSpec
 from repro.runtime import columnar
 from repro.runtime.parallel import BatchSpec, CellSpec
 from repro.runtime.sampling import (
@@ -762,3 +765,59 @@ def release_pair_cells(
                 )
             )
     return cells
+
+
+#: Cache-key fields of every :func:`release_pair_cells` cell: the
+#: ``cache_schema`` of Tables 5/6 and of the fidelity diff.
+RELEASE_PAIR_SCHEMA: Tuple[str, ...] = (
+    "joint", "run", "timeout", "requests", "seed", "profile", "backend",
+)
+
+
+def release_pair_spec(
+    name: str, joint: str, label: str, title: str
+) -> ExperimentSpec:
+    """The spec of one release-pair table: Table 5 or Table 6.
+
+    The two tables differ only in their *name* (CLI subcommand, cache
+    namespace and seed-derivation label), the *joint* outcome-model
+    family (see :data:`JOINT_MODEL_NAMES`), the *label* heading each
+    rendered block and the listing *title*.  The grid is the full
+    4 runs x 3 TimeOuts under the ``--profile`` latency profile, at
+    10,000 requests per cell (2,000 under ``--fast``).
+    """
+
+    def build(
+        options: ExperimentOptions, sizes: Mapping[str, Any]
+    ) -> List[CellSpec]:
+        return release_pair_cells(
+            name,
+            joint,
+            seed=options.seed,
+            requests=sizes["requests"],
+            profile=profile_by_name(options.profile),
+            jobs=options.jobs,
+            trace_dir=options.trace_dir,
+            metrics=options.metrics,
+            backend=options.backend,
+        )
+
+    def reduce(
+        results: List[SimulationRunResult], options: ExperimentOptions
+    ) -> SimulationTable:
+        return SimulationTable(label=label, results=list(results))
+
+    def render(table: SimulationTable, options: ExperimentOptions) -> str:
+        return table.render()
+
+    return ExperimentSpec(
+        name=name,
+        title=title,
+        build_cells=build,
+        reduce=reduce,
+        render=render,
+        full_sizes={"requests": P.REQUESTS_PER_RUN},
+        fast_sizes={"requests": 2_000},
+        workload_key="requests",
+        cache_schema=RELEASE_PAIR_SCHEMA,
+    )

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.common.tables import render_table
 from repro.experiments.event_sim import (
+    RELEASE_PAIR_SCHEMA,
     SimulationRunResult,
     SimulationTable,
     calibrated_profile,
@@ -185,8 +186,5 @@ FIDELITY_SPEC = register(ExperimentSpec(
     full_sizes={"requests": REQUESTS_PER_RUN},
     fast_sizes={"requests": 2_000},
     workload_key="requests",
-    cache_schema=(
-        "joint", "run", "timeout", "requests", "seed", "profile",
-        "backend",
-    ),
+    cache_schema=RELEASE_PAIR_SCHEMA,
 ))

@@ -32,8 +32,7 @@ from repro.experiments.event_sim import (
 from repro.experiments.paper_params import DEFAULT_SEED
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import ExperimentOptions, ExperimentSpec, register
-from repro.runtime.cache import ResultCache
-from repro.runtime.parallel import CellSpec, run_cells
+from repro.runtime.parallel import CellSpec
 from repro.runtime.sampling import build_demand_script
 from repro.simulation.correlation import ChainedOutcomeModel
 from repro.simulation.metrics import SystemMetrics
@@ -170,32 +169,6 @@ def sweep_cells(
             )
         )
     return cells
-
-
-def run_sweep(
-    release_counts: Sequence[int] = (1, 2, 3, 4),
-    timeout: float = 2.0,
-    requests: int = 5_000,
-    seed: int = DEFAULT_SEED,
-    run: int = 1,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    backend: str = "event",
-    metrics: Optional[MetricsRegistry] = None,
-) -> MultiReleaseSweep:
-    """Sweep the number of deployed releases across the parallel runtime."""
-    cells = sweep_cells(
-        release_counts,
-        timeout=timeout,
-        requests=requests,
-        seed=seed,
-        run=run,
-        backend=backend,
-        jobs=jobs,
-        metrics=metrics,
-    )
-    results = run_cells(cells, jobs=jobs, cache=cache, metrics=metrics)
-    return MultiReleaseSweep(list(release_counts), results)
 
 
 def _build_cells(

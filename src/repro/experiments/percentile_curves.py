@@ -15,25 +15,20 @@ set plus the confidence-error bound check.
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping
 
 from repro.bayes.priors import GridSpec
 from repro.bayes.runner import AssessmentHistory
 from repro.common.tables import render_table
-from repro.experiments.paper_params import DEFAULT_SEED, FIG8_DEMANDS
+from repro.experiments.paper_params import FIG8_DEMANDS
 from repro.experiments.scenarios import (
     Scenario,
     detection_models,
     scenario_1,
     scenario_2,
 )
-from repro.experiments.table2 import (
-    FAST_DEMANDS,
-    assessment_cells,
-    run_scenario_histories,
-)
+from repro.experiments.table2 import FAST_DEMANDS, assessment_cells
 from repro.pipeline import ExperimentOptions, ExperimentSpec, register
-from repro.runtime.cache import ResultCache
 from repro.runtime.parallel import CellSpec
 
 
@@ -122,73 +117,6 @@ def figure_text(curves: PercentileCurves) -> str:
         f"90%-perfect <= 99%-omission everywhere (the <9% confidence "
         f"error bound): {bound}",
     ])
-
-
-def run_figure(
-    scenario: Scenario,
-    seed: int = DEFAULT_SEED,
-    grid: GridSpec = GridSpec(),
-    total_demands: Optional[int] = None,
-    checkpoint_every: Optional[int] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> PercentileCurves:
-    """Produce one figure's curves from scratch.
-
-    ``jobs`` fans the three detection-regime assessments across worker
-    processes (see :func:`~repro.experiments.table2.run_scenario_histories`);
-    *cache* replays completed assessment cells.
-    """
-    histories = run_scenario_histories(
-        scenario,
-        seed=seed,
-        grid=grid,
-        total_demands=total_demands,
-        checkpoint_every=checkpoint_every,
-        jobs=jobs,
-        cache=cache,
-    )
-    return curves_from_histories(scenario.name, histories)
-
-
-def run_fig7(
-    seed: int = DEFAULT_SEED,
-    grid: GridSpec = GridSpec(),
-    total_demands: Optional[int] = None,
-    checkpoint_every: int = 2000,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> PercentileCurves:
-    """Fig. 7: Scenario 1 percentile curves (to 50,000 demands)."""
-    return run_figure(
-        scenario_1(),
-        seed=seed,
-        grid=grid,
-        total_demands=total_demands,
-        checkpoint_every=checkpoint_every,
-        jobs=jobs,
-        cache=cache,
-    )
-
-
-def run_fig8(
-    seed: int = DEFAULT_SEED,
-    grid: GridSpec = GridSpec(),
-    total_demands: int = FIG8_DEMANDS,
-    checkpoint_every: int = 500,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> PercentileCurves:
-    """Fig. 8: Scenario 2 percentile curves (to 10,000 demands)."""
-    return run_figure(
-        scenario_2(),
-        seed=seed,
-        grid=grid,
-        total_demands=total_demands,
-        checkpoint_every=checkpoint_every,
-        jobs=jobs,
-        cache=cache,
-    )
 
 
 def _figure_builder(

@@ -5,58 +5,32 @@ document with every experiment's current numbers — the machine-written
 counterpart of the hand-annotated EXPERIMENTS.md.  Useful for checking a
 code change against the whole evaluation at once, and for readers who
 want the raw regenerated tables without prose.
+
+The report is composed from the registered specs: each section runs one
+experiment through :func:`~repro.pipeline.engine.run_experiment` under
+the report's own options and renders the result.  So every section has
+its spec's sizes (``--fast``, ``--requests``) and honours every run
+option (``--jobs``, ``--backend``, the result cache, ``--store``,
+``--trace``, ``--metrics-json``), and a report run after ``all`` with
+the same options is served by the cache ``all`` filled.
 """
 
 import time
-from typing import List, Optional
+from typing import Any, Callable, List, Tuple
 
 from repro.analysis.stats import reliability_ordering
-from repro.bayes.priors import GridSpec
 from repro.common.tables import render_markdown_table
-from repro.experiments.calibration import run_calibration
-from repro.runtime.cache import ResultCache
-from repro.experiments.event_sim import (
-    calibrated_profile,
-    paper_profile,
+from repro.experiments.event_sim import profile_by_name
+from repro.pipeline import (
+    ExperimentOptions,
+    ExperimentSpec,
+    get_spec,
+    register,
+    run_experiment,
 )
-from repro.experiments.multi_release import run_sweep
-from repro.experiments.paper_params import DEFAULT_SEED, REQUESTS_PER_RUN
-from repro.experiments.percentile_curves import run_fig7, run_fig8
-from repro.experiments.table2 import run_table2
-from repro.experiments.table5 import run_table5
-from repro.experiments.table6 import run_table6
-from repro.pipeline import ExperimentOptions, ExperimentSpec, register
 
 
-class ReportSizes:
-    """Experiment sizes for the report run."""
-
-    def __init__(self, fast: bool):
-        self.fast = fast
-        # Fast-mode demand count; equals REQUESTS_PER_RUN only by
-        # coincidence (it is a smoke-run size, not the table parameter).
-        self.table2_demands = 10_000 if fast else None  # repro-lint: disable=REPRO106
-        self.table2_checkpoint = 1_000 if fast else None
-        self.grid = GridSpec(96, 96, 32) if fast else GridSpec()
-        self.requests = 2_000 if fast else REQUESTS_PER_RUN
-        self.calibration_samples = 20_000 if fast else 100_000
-        self.sweep_requests = 1_500 if fast else 5_000
-
-
-def _table2_section(
-    seed: int,
-    sizes: ReportSizes,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> str:
-    result = run_table2(
-        seed=seed,
-        grid=sizes.grid,
-        total_demands=sizes.table2_demands,
-        checkpoint_every=sizes.table2_checkpoint,
-        jobs=jobs,
-        cache=cache,
-    )
+def _table2_section(result) -> str:
     rows = []
     for (scenario, detection) in result.histories:
         row: List[object] = [scenario, detection]
@@ -112,15 +86,8 @@ def _event_table_section(label: str, table) -> str:
     )
 
 
-def _calibration_section(
-    sizes: ReportSizes,
-    seed: int,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> str:
-    fits, best = run_calibration(
-        samples=sizes.calibration_samples, seed=seed, jobs=jobs, cache=cache
-    )
+def _calibration_section(result) -> str:
+    fits, best = result
     ordered = sorted(fits, key=lambda fit: fit.error())[:5]
     paper_fit = next(fit for fit in fits if fit.profile_name == "paper")
     rows = [
@@ -139,15 +106,7 @@ def _calibration_section(
     )
 
 
-def _multi_release_section(
-    sizes: ReportSizes,
-    seed: int,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> str:
-    sweep = run_sweep(
-        requests=sizes.sweep_requests, seed=seed, jobs=jobs, cache=cache
-    )
+def _multi_release_section(sweep) -> str:
     rows = [
         [n, m.system.availability, m.system.reliability,
          m.system.mean_execution_time]
@@ -161,91 +120,47 @@ def _multi_release_section(
     )
 
 
-def generate_report(
-    seed: int = DEFAULT_SEED,
-    fast: bool = False,
-    profile: str = "calibrated",
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> str:
-    """Regenerate every experiment and return the markdown report.
+#: The report's sections, in order: the registered experiment each one
+#: runs, and how it renders that experiment's result.
+SECTIONS: Tuple[Tuple[str, Callable[[Any], str]], ...] = (
+    ("table2", _table2_section),
+    ("fig7", lambda curves: _figure_section("Fig. 7", curves)),
+    ("fig8", lambda curves: _figure_section("Fig. 8", curves)),
+    ("table5", lambda table: _event_table_section(
+        "Table 5 — correlated releases", table)),
+    ("table6", lambda table: _event_table_section(
+        "Table 6 — independent releases", table)),
+    ("calibrate", _calibration_section),
+    ("multirelease", _multi_release_section),
+)
 
-    ``jobs`` / ``cache`` are threaded through every section's experiment
-    runner; the report's numbers are identical for any ``jobs`` value.
+
+def generate_report(options: ExperimentOptions) -> str:
+    """Run every section's experiment under *options*; return the report.
+
+    The numbers are identical for any ``jobs`` value and backend, and
+    equal to what each experiment's own subcommand computes under the
+    same options.
     """
-    sizes = ReportSizes(fast)
-    latency = (
-        calibrated_profile() if profile == "calibrated" else paper_profile()
-    )
     started = time.strftime("%Y-%m-%d %H:%M:%S")
     sections = [
         "# Reproduction report — Dependable Composite Web Services "
         "with Components Upgraded Online (DSN 2004)",
-        f"Generated {started}; seed {seed}; "
-        f"{'fast' if fast else 'full'} sizes; latency profile "
-        f"'{latency.name}'.",
-        _table2_section(seed, sizes, jobs=jobs, cache=cache),
-        _figure_section(
-            "Fig. 7",
-            run_fig7(
-                seed=seed, grid=sizes.grid,
-                total_demands=sizes.table2_demands,
-                jobs=jobs, cache=cache,
-            ),
-        ),
-        _figure_section(
-            "Fig. 8",
-            run_fig8(seed=seed, grid=sizes.grid, jobs=jobs, cache=cache),
-        ),
-        _event_table_section(
-            "Table 5 — correlated releases",
-            run_table5(seed=seed, requests=sizes.requests,
-                       profile=latency, jobs=jobs, cache=cache),
-        ),
-        _event_table_section(
-            "Table 6 — independent releases",
-            run_table6(seed=seed, requests=sizes.requests,
-                       profile=latency, jobs=jobs, cache=cache),
-        ),
-        _calibration_section(sizes, seed, jobs=jobs, cache=cache),
-        _multi_release_section(sizes, seed, jobs=jobs, cache=cache),
+        f"Generated {started}; seed {options.seed}; "
+        f"{'fast' if options.fast else 'full'} sizes; latency profile "
+        f"'{profile_by_name(options.profile).name}'.",
     ]
+    for name, render in SECTIONS:
+        sections.append(render(run_experiment(get_spec(name), options).value))
     return "\n\n".join(sections) + "\n"
 
 
-def write_report(
-    path: str,
-    seed: int = DEFAULT_SEED,
-    fast: bool = False,
-    profile: str = "calibrated",
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> str:
-    """Generate the report and write it to *path*; returns the text."""
-    text = generate_report(seed=seed, fast=fast, profile=profile,
-                           jobs=jobs, cache=cache)
-    with open(path, "w") as handle:
-        handle.write(text)
-    return text
-
-
 def _composite(options: ExperimentOptions) -> str:
+    text = generate_report(options)
     if options.output:
-        return write_report(
-            options.output,
-            seed=options.seed,
-            fast=options.fast,
-            profile=options.profile,
-            jobs=options.jobs,
-            cache=options.cache,
-        )
-    return generate_report(
-        seed=options.seed,
-        fast=options.fast,
-        profile=options.profile,
-        jobs=options.jobs,
-        cache=options.cache,
-    )
+        with open(options.output, "w") as handle:
+            handle.write(text)
+    return text
 
 
 def _render(text: str, options: ExperimentOptions) -> str:

@@ -28,8 +28,7 @@ from repro.experiments.table2 import (
     table2_from_histories,
 )
 from repro.pipeline import ExperimentOptions, ExperimentSpec, register
-from repro.runtime.cache import ResultCache
-from repro.runtime.parallel import CellSpec, run_cells
+from repro.runtime.parallel import CellSpec
 
 
 @dataclass
@@ -158,32 +157,6 @@ def report_from_histories(
                 cell.decision.first_satisfied
             )
     return report
-
-
-def run_robustness(
-    seeds: Sequence[int] = (1, 2, 3, 4, 5),
-    grid: GridSpec = GridSpec(96, 96, 32),
-    total_demands: Optional[int] = None,
-    checkpoint_every: Optional[int] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    trace_dir: Optional[str] = None,
-) -> RobustnessReport:
-    """Rerun the Table-2 study across *seeds* and summarise per cell.
-
-    Every (seed, scenario, detection) assessment fans across the
-    parallel runtime independently, and a *cache* replays completed
-    assessments from earlier runs.
-    """
-    cells = robustness_cells(
-        seeds,
-        grid=grid,
-        total_demands=total_demands,
-        checkpoint_every=checkpoint_every,
-        trace_dir=trace_dir,
-    )
-    histories = run_cells(cells, jobs=jobs, cache=cache)
-    return report_from_histories(seeds, histories)
 
 
 def _build_cells(

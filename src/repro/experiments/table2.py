@@ -21,7 +21,6 @@ from repro.bayes.runner import AssessmentHistory, SequentialAssessment
 from repro.common.seeding import SeedSequenceFactory
 from repro.common.tables import render_table
 from repro.core.switching import SwitchDecision, evaluate_history
-from repro.experiments.paper_params import DEFAULT_SEED
 from repro.experiments.scenarios import (
     Scenario,
     detection_models,
@@ -30,8 +29,7 @@ from repro.experiments.scenarios import (
 )
 from repro.obs.trace import JsonlTracer
 from repro.pipeline import ExperimentOptions, ExperimentSpec, register
-from repro.runtime.cache import ResultCache
-from repro.runtime.parallel import CellSpec, run_cells
+from repro.runtime.parallel import CellSpec
 
 #: Cache namespace shared by every experiment built from assessment
 #: cells (table2, fig7, fig8, robustness) — equal cells hit one entry.
@@ -236,68 +234,6 @@ def table2_from_histories(
                     )
                 )
     return result
-
-
-def run_scenario_histories(
-    scenario: Scenario,
-    seed: int,
-    grid: GridSpec = GridSpec(),
-    total_demands: Optional[int] = None,
-    checkpoint_every: Optional[int] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    trace_dir: Optional[str] = None,
-    experiment: str = ASSESSMENT_NAMESPACE,
-) -> Dict[str, AssessmentHistory]:
-    """Assessment histories of one scenario under all detection regimes.
-
-    Each regime is an independent cell of the parallel runtime; results
-    are bit-identical for any ``jobs`` value, and a
-    :class:`~repro.runtime.cache.ResultCache` replays completed cells.
-    """
-    cells = assessment_cells(
-        experiment,
-        [scenario],
-        seed=seed,
-        grid=grid,
-        total_demands=total_demands,
-        checkpoint_every=checkpoint_every,
-        trace_dir=trace_dir,
-    )
-    results = run_cells(cells, jobs=jobs, cache=cache)
-    return dict(zip(detection_models(), results))
-
-
-def run_table2(
-    seed: int = DEFAULT_SEED,
-    grid: GridSpec = GridSpec(),
-    total_demands: Optional[int] = None,
-    checkpoint_every: Optional[int] = None,
-    scenarios: Optional[List[Scenario]] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    trace_dir: Optional[str] = None,
-) -> Table2Result:
-    """Run the full Table 2 study.
-
-    *total_demands* / *checkpoint_every* override the scenario defaults
-    (used by the fast benchmark configuration).  All six (scenario,
-    detection) cells fan across the parallel runtime at once, and a
-    *cache* replays completed assessments from disk.
-    """
-    if scenarios is None:
-        scenarios = [scenario_1(), scenario_2()]
-    cells = assessment_cells(
-        "table2",
-        scenarios,
-        seed=seed,
-        grid=grid,
-        total_demands=total_demands,
-        checkpoint_every=checkpoint_every,
-        trace_dir=trace_dir,
-    )
-    results = run_cells(cells, jobs=jobs, cache=cache)
-    return table2_from_histories(scenarios, results)
 
 
 def _build_cells(

@@ -234,7 +234,8 @@ def _resolve_builder(
 def _resolve_schema(
     model: ProgramModel, info, expr: Optional[ast.expr]
 ) -> Optional[List[str]]:
-    """``cache_schema`` field names: a tuple literal or a module constant."""
+    """``cache_schema`` field names: a tuple literal or a module
+    constant, the module's own or one it imports from the program."""
     if expr is None:
         return None
     direct = string_tuple(expr)
@@ -242,6 +243,13 @@ def _resolve_schema(
         return direct
     if isinstance(expr, ast.Name):
         assigned = model.module_assignments(info).get(expr.id)
+        if assigned is None and info.imports.binds(expr.id):
+            module, _, name = model.canonical(
+                info.imports.resolve(expr.id)
+            ).rpartition(".")
+            owner = model.modules.get(module)
+            if owner is not None:
+                assigned = model.module_assignments(owner).get(name)
         if assigned is not None:
             return string_tuple(assigned)
     return None

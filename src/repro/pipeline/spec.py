@@ -20,12 +20,16 @@ that structure declaratively:
 * ``cache_schema`` names the fields every cacheable cell key must carry
   (enforced by the engine, so key drift is caught at build time);
 * composite experiments that orchestrate other experiments (the
-  markdown report) supply ``composite`` instead of a grid.
+  markdown report) supply ``composite`` instead of a grid, and run
+  each registered spec they compose through ``run_experiment`` under
+  their own options.
 
 Specs are registered with :func:`repro.pipeline.registry.register` and
 executed by :func:`repro.pipeline.engine.run_experiment`, which applies
-the process pool, result cache, tracing and metrics uniformly — an
-experiment module never talks to the runtime directly.
+the process pool, result cache, run store, tracing and metrics
+uniformly — an experiment module never talks to the runtime directly:
+it declares cells and never runs them (``run_cells`` has one caller,
+the engine).
 """
 
 import os
@@ -159,10 +163,11 @@ class ExperimentSpec:
         required; ``build_cells``/``reduce`` are replaced by
         ``composite`` for orchestrating experiments.
     composite:
-        Runs the whole experiment itself (e.g. the report, which
-        re-runs other experiments); mutually exclusive with the grid
-        hooks.  The engine still threads the options through, so
-        composite experiments inherit cache/jobs/metrics uniformly.
+        Runs the whole experiment itself (e.g. the report, which runs
+        other registered specs); mutually exclusive with the grid
+        hooks.  It receives the run's options and passes them on to
+        every spec it runs, so composite experiments honour every run
+        option uniformly.
     full_sizes / fast_sizes:
         Declarative size knobs; ``fast_sizes`` overlays ``full_sizes``
         under ``--fast``.

@@ -21,7 +21,6 @@ from repro.runtime.sampling import (
     DemandScript,
     ScriptedDistribution,
     ScriptedJointOutcomeModel,
-    ScriptedOutcomeSource,
     build_demand_script,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "ResultCache",
     "ScriptedDistribution",
     "ScriptedJointOutcomeModel",
-    "ScriptedOutcomeSource",
     "build_demand_script",
     "default_cache_dir",
     "resolve_jobs",

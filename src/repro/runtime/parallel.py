@@ -17,9 +17,10 @@ more than one CPU — with these guarantees:
 * **caching** — cells carrying a key are looked up in / written back to
   a :class:`~repro.runtime.cache.ResultCache` when one is supplied;
 * **resumability** — with a :class:`~repro.store.RunStore` attached,
-  every completed cell's result is committed to its stream file *as it
-  finishes* (not at batch end), and cells whose file is already
-  committed are discovered and skipped (``store.resume_skipped_cells``)
+  every completed cell's (or batched chunk's) result is committed to its
+  stream file *as it finishes* (not at batch end), and cells whose file
+  is already committed are discovered and skipped
+  (``store.resume_skipped_cells``, ``store.batch_resume_skipped_cells``)
   — so a grid interrupted after k cells resumes from the store and
   finishes bit-identical to an uninterrupted run;
 * **named faults** — an exception raised by a cell keeps its type and
@@ -329,6 +330,37 @@ def _run_batched(
     return [index for index in todo if index not in done]
 
 
+def _resume_cells(
+    cells: Sequence[CellSpec],
+    todo: List[int],
+    results: List[Any],
+    cache: Optional[ResultCache],
+    metrics: Optional[MetricsRegistry],
+    store: RunStore,
+) -> List[int]:
+    """Serve per-cell-path cells from their committed files; return the
+    rest of *todo*.
+
+    Each hit is counted under ``store.resume_skipped_cells`` and
+    re-warms an attached cache (both hold the same snapshot bytes).
+    """
+    remaining: List[int] = []
+    for index in todo:
+        spec = cells[index]
+        if spec.key is not None:
+            hit, value = store.load_result(spec.experiment, spec.key)
+            if hit:
+                results[index] = value
+                if cache is not None:
+                    cache.put(spec.experiment, spec.key, value)
+                continue
+        remaining.append(index)
+    resumed = len(todo) - len(remaining)
+    if metrics is not None and resumed:
+        metrics.counter("store.resume_skipped_cells").inc(resumed)
+    return remaining
+
+
 def run_cells(
     cells: Sequence[CellSpec],
     jobs: int = 1,
@@ -367,14 +399,16 @@ def run_cells(
     busy worker-seconds over used workers x batch span).  The timed path
     pickles a couple of extra floats per cell; results are unaffected.
 
-    With a :class:`~repro.store.log.RunStore` attached, the pre-scan
-    also consults the store: a cell whose stream file was already
-    committed is served from its result record and counted under
-    ``store.resume_skipped_cells`` (re-warming the cache when one is
-    attached — both hold the same snapshot bytes).  Every
-    freshly executed cell is committed to cache *and* store the moment
-    its result lands, not at batch end, so interrupting the batch after
-    k cells loses at most the in-flight cells.
+    With a :class:`~repro.store.log.RunStore` attached, each cell is
+    looked up in the store where it would commit: a chunk of batched
+    cells in its group file (``store.batch_resume_skipped_cells``), a
+    cell on the per-cell path in its own file, just before the path
+    executes (``store.resume_skipped_cells``).  A cell served from the
+    store re-warms an attached cache — both hold the same snapshot
+    bytes.  Every freshly executed cell is committed to cache *and*
+    store the moment its result lands, not at batch end, so
+    interrupting the batch after k cells loses at most the in-flight
+    cells.
 
     Cells carrying a :class:`BatchSpec` are fused into grouped
     executions first — one batched call per ``(fn, group)`` chunk of at
@@ -390,32 +424,23 @@ def run_cells(
     jobs = resolve_jobs(jobs)
     results: List[Any] = [None] * len(cells)
     todo: List[int] = []
-    resumed = 0
     for index, spec in enumerate(cells):
-        if spec.key is not None:
-            if cache is not None:
-                hit, value = cache.get(spec.experiment, spec.key)
-                if hit:
-                    results[index] = value
-                    continue
-            if store is not None:
-                hit, value = store.load_result(spec.experiment, spec.key)
-                if hit:
-                    results[index] = value
-                    resumed += 1
-                    if cache is not None:
-                        cache.put(spec.experiment, spec.key, value)
-                    continue
+        if spec.key is not None and cache is not None:
+            hit, value = cache.get(spec.experiment, spec.key)
+            if hit:
+                results[index] = value
+                continue
         todo.append(index)
-    if metrics is not None and resumed:
-        metrics.counter("store.resume_skipped_cells").inc(resumed)
 
     # Batched pass first: fusable cells run as fused groups (one arena,
     # one resolver call, one fsync'd store commit per chunk) in the
     # parent process — no pool dispatch, no pickling.  Whatever the pass
     # declines (no BatchSpec, or the batch function fell back) continues
-    # below on the per-cell path.
+    # below on the per-cell path, which looks each cell up in the store
+    # where it commits: its own file.
     todo = _run_batched(cells, todo, results, cache, metrics, store)
+    if store is not None:
+        todo = _resume_cells(cells, todo, results, cache, metrics, store)
 
     execute: Callable[[CellSpec], Any] = (
         _execute_cell_timed if metrics is not None else _execute_cell

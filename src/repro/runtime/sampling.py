@@ -24,7 +24,7 @@ Streams are derived per leg from the cell's
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,54 +102,6 @@ class ScriptedDistribution(Distribution):
             f"ScriptedDistribution(name={self._name!r}, "
             f"n={self._values.shape[0]}, "
             f"cursor={self._cursor}, base={self._base!r})"
-        )
-
-
-class ScriptedOutcomeSource:
-    """Replays pre-drawn outcomes through the OutcomeDistribution protocol.
-
-    Used when a release samples its own marginal (no joint model forcing
-    outcomes onto it, e.g. a single-release deployment).
-    """
-
-    def __init__(self, outcomes: Sequence[Outcome],
-                 base: Optional[OutcomeDistribution] = None,
-                 name: str = "script/outcomes"):
-        self._outcomes = list(outcomes)
-        self._cursor = 0
-        self._base = base
-        self._name = name
-
-    def sample(self, rng: np.random.Generator) -> Outcome:
-        cursor = self._cursor
-        if cursor >= len(self._outcomes):
-            raise SimulationError(
-                f"outcome script stream {self._name!r} exhausted: draw "
-                f"requested at cursor {cursor} of {len(self._outcomes)}"
-            )
-        self._cursor = cursor + 1
-        return self._outcomes[cursor]
-
-    def probability(self, outcome: Outcome) -> float:
-        if self._base is None:
-            raise ValidationError("scripted outcome source has no base model")
-        return self._base.probability(outcome)
-
-    def __getattr__(self, name: str) -> Any:
-        # Delegate the read-only OutcomeDistribution surface (p_correct,
-        # as_vector, ...) to the base marginal when one was supplied.
-        # Underscored names never delegate (guards against recursion
-        # before __init__ has populated the instance dict).
-        if not name.startswith("_"):
-            base = self.__dict__.get("_base")
-            if base is not None:
-                return getattr(base, name)
-        raise AttributeError(name)
-
-    def __repr__(self) -> str:
-        return (
-            f"ScriptedOutcomeSource(name={self._name!r}, "
-            f"n={len(self._outcomes)}, cursor={self._cursor})"
         )
 
 

@@ -9,7 +9,11 @@ Usage (``python -m repro.store``)::
 grid in a subprocess, SIGTERMs it after K cells have committed,
 resumes from the half-written store, and byte-compares the rendered
 output against an uninterrupted baseline run.  Exit 0 means the
-kill-and-resume run is bit-identical to the straight-through run.
+kill-and-resume run is bit-identical to the straight-through run.  A
+kill that lands after the run committed every cell the baseline
+committed interrupts nothing, so it exits 1 without resuming: a grid
+that outruns the kill needs a larger ``--requests`` (or a smaller
+``--kill-after`` / ``--batch-max-cells``).
 
 To resume a grid by hand, re-run ``repro-experiments EXPERIMENT --store
 PATH``: committed cells are served from the store, the rest execute.
@@ -19,6 +23,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -145,6 +150,18 @@ def _cmd_check_resume(args: argparse.Namespace) -> int:
     if args.batch_max_cells is not None:
         env["REPRO_BATCH_MAX_CELLS"] = str(args.batch_max_cells)
     scratch = Path(tempfile.mkdtemp(prefix="repro-check-resume-"))
+    try:
+        return _check_resume(args, env, scratch)
+    finally:
+        if args.keep:
+            print(f"scratch stores kept under {scratch}")
+        else:
+            shutil.rmtree(scratch, ignore_errors=True)
+
+
+def _check_resume(
+    args: argparse.Namespace, env: Dict[str, str], scratch: Path
+) -> int:
     store_killed = scratch / "store-killed"
     store_baseline = scratch / "store-baseline"
     base_cmd = [args.experiment, "--no-cache", "--jobs", str(args.jobs),
@@ -177,11 +194,9 @@ def _cmd_check_resume(args: argparse.Namespace) -> int:
         start_new_session=True,
     )
     deadline = time.time() + args.timeout
-    killed = False
     while victim.poll() is None:
         if _committed_cells(store_killed) >= args.kill_after:
             os.killpg(victim.pid, signal.SIGTERM)
-            killed = True
             break
         if time.time() > deadline:
             os.killpg(victim.pid, signal.SIGKILL)
@@ -190,17 +205,21 @@ def _cmd_check_resume(args: argparse.Namespace) -> int:
         time.sleep(0.02)
     victim.wait(timeout=60.0)
     committed = _committed_cells(store_killed)
-    if killed:
+    total = _committed_cells(store_baseline)
+    if committed >= total:
+        # Nothing is left to resume, so the check would only replay a
+        # finished store: a pass here would prove nothing.
         print(
-            f"killed run after {committed} committed cell(s) "
-            f"(SIGTERM at >= {args.kill_after})"
+            f"the kill did not interrupt the run: the killed store holds "
+            f"{committed} of the baseline's {total} cell(s); raise "
+            f"--requests, or lower --kill-after / --batch-max-cells",
+            file=sys.stderr,
         )
-    else:
-        print(
-            f"run completed ({committed} cells) before reaching "
-            f"--kill-after {args.kill_after}; resume check degenerates "
-            f"to a full replay"
-        )
+        return 1
+    print(
+        f"killed run after {committed} of {total} committed cell(s) "
+        f"(SIGTERM at >= {args.kill_after})"
+    )
 
     # 3. Resume from the half-written store.
     resumed = _run_to_completion(
@@ -213,17 +232,9 @@ def _cmd_check_resume(args: argparse.Namespace) -> int:
         sys.stderr.write(resumed.stderr)
         return 2
 
-    ok = _normalise_output(resumed.stdout) == _normalise_output(
+    if _normalise_output(resumed.stdout) != _normalise_output(
         baseline.stdout
-    )
-    if ok:
-        print(
-            f"resume determinism OK: interrupted+resumed output is "
-            f"bit-identical to the uninterrupted run "
-            f"({args.experiment}, jobs={args.jobs}, "
-            f"backend={args.backend})"
-        )
-    else:
+    ):
         print(
             "resume determinism FAILED: resumed output differs from "
             "the uninterrupted baseline",
@@ -233,13 +244,14 @@ def _cmd_check_resume(args: argparse.Namespace) -> int:
             "--- baseline ---\n" + baseline.stdout
             + "\n--- resumed ---\n" + resumed.stdout
         )
-    if args.keep:
-        print(f"scratch stores kept under {scratch}")
-    else:
-        import shutil
-
-        shutil.rmtree(scratch, ignore_errors=True)
-    return 0 if ok else 1
+        return 1
+    print(
+        f"resume determinism OK: interrupted+resumed output is "
+        f"bit-identical to the uninterrupted run "
+        f"({args.experiment}, jobs={args.jobs}, "
+        f"backend={args.backend})"
+    )
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -3,13 +3,20 @@
 import pytest
 
 from repro.experiments.calibration import (
+    CALIBRATION_SPEC,
     PAPER_RELEASE_MET,
     candidate_profiles,
     evaluate_profile,
     render_calibration,
-    run_calibration,
 )
 from repro.experiments.event_sim import calibrated_profile, paper_profile
+from repro.pipeline import ExperimentOptions, run_experiment
+
+
+def calibration_sweep(samples, seed):
+    """The registered sweep at *samples* per candidate: (fits, best)."""
+    options = ExperimentOptions(seed=seed, requests=samples)
+    return run_experiment(CALIBRATION_SPEC, options).value
 
 
 class TestEvaluateProfile:
@@ -38,12 +45,12 @@ class TestEvaluateProfile:
 
 class TestCalibrationSweep:
     def test_best_fit_beats_paper_profile(self):
-        fits, best = run_calibration(samples=10_000, seed=1)
+        fits, best = calibration_sweep(samples=10_000, seed=1)
         by_name = {fit.profile_name: fit for fit in fits}
         assert best.error() <= by_name["paper"].error()
         assert len(fits) == len(candidate_profiles())
 
     def test_render(self):
-        fits, _best = run_calibration(samples=5_000, seed=1)
+        fits, _best = calibration_sweep(samples=5_000, seed=1)
         text = render_calibration(fits)
         assert "Release MET" in text and "paper" in text

@@ -6,12 +6,33 @@ import pytest
 
 from repro.experiments import paper_params as P
 from repro.experiments.event_sim import (
+    SimulationTable,
     calibrated_profile,
     paper_profile,
+    release_pair_cells,
     run_release_pair_simulation,
 )
-from repro.experiments.table5 import run_table5
-from repro.experiments.table6 import run_table6
+from repro.experiments.table5 import TABLE5_LABEL
+from repro.experiments.table6 import TABLE6_LABEL
+from repro.runtime.parallel import run_cells
+
+
+def table5(requests, timeouts, runs):
+    """A subset of the Table-5 grid on the event kernel."""
+    cells = release_pair_cells(
+        "table5", "correlated", seed=P.DEFAULT_SEED, requests=requests,
+        timeouts=timeouts, runs=runs,
+    )
+    return SimulationTable(label=TABLE5_LABEL, results=run_cells(cells))
+
+
+def table6(requests, timeouts, runs):
+    """A subset of the Table-6 grid on the event kernel."""
+    cells = release_pair_cells(
+        "table6", "independent", seed=P.DEFAULT_SEED, requests=requests,
+        timeouts=timeouts, runs=runs,
+    )
+    return SimulationTable(label=TABLE6_LABEL, results=run_cells(cells))
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +71,7 @@ class TestSingleCell:
 
 class TestTables:
     def test_table5_grid_complete(self):
-        table = run_table5(requests=300, timeouts=(1.5,), runs=(1, 2))
+        table = table5(requests=300, timeouts=(1.5,), runs=(1, 2))
         assert {r.run for r in table.results} == {1, 2}
         assert table.cell(1, 1.5).metrics.system.total_requests == 300
 
@@ -58,7 +79,7 @@ class TestTables:
         # §5.2.3 observation 4 (independence): system reliability beats
         # both releases.  Compare conditional-on-response correctness to
         # factor availability out.
-        table = run_table6(requests=4_000, timeouts=(3.0,), runs=(3,))
+        table = table6(requests=4_000, timeouts=(3.0,), runs=(3,))
         metrics = table.cell(3, 3.0).metrics
 
         def correct_rate(row):
@@ -72,13 +93,13 @@ class TestTables:
         )
 
     def test_render_contains_paper_rows(self):
-        table = run_table5(requests=200, timeouts=(1.5,), runs=(1,))
+        table = table5(requests=200, timeouts=(1.5,), runs=(1,))
         text = table.render()
         for label in ("MET", "CR", "EER", "NER", "Total", "NRDT"):
             assert label in text
 
     def test_unknown_cell_raises(self):
-        table = run_table5(requests=200, timeouts=(1.5,), runs=(1,))
+        table = table5(requests=200, timeouts=(1.5,), runs=(1,))
         with pytest.raises(KeyError):
             table.cell(9, 1.5)
 

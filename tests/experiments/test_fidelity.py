@@ -2,10 +2,23 @@
 
 import pytest
 
-from repro.experiments.event_sim import calibrated_profile
+from repro.experiments.event_sim import (
+    SimulationTable,
+    calibrated_profile,
+    release_pair_cells,
+)
 from repro.experiments.fidelity import FidelityDiff, compare_to_paper
 from repro.experiments.paper_reported import TABLE2, TABLE5, TABLE6
-from repro.experiments.table5 import run_table5
+from repro.runtime.parallel import run_cells
+
+
+def calibrated_run1_cell(requests):
+    """Table 5's run-1, TimeOut-1.5 cell under the calibrated profile."""
+    cells = release_pair_cells(
+        "table5", "correlated", seed=3, requests=requests, runs=(1,),
+        timeouts=(1.5,), profile=calibrated_profile(),
+    )
+    return SimulationTable(label="Table 5", results=run_cells(cells))
 
 
 class TestTranscriptionConsistency:
@@ -69,15 +82,13 @@ class TestFidelityDiff:
     def test_compare_scales_reduced_runs(self):
         # A 2,000-request regeneration diffs against the 10,000-request
         # paper cells after scaling — counts land in the right range.
-        table = run_table5(seed=3, requests=2_000, runs=(1,),
-                           timeouts=(1.5,), profile=calibrated_profile())
+        table = calibrated_run1_cell(requests=2_000)
         diff = compare_to_paper(table, TABLE5, "scaled")
         assert diff.mean_error("Total") < 0.02
         assert diff.mean_error("CR") < 0.10
 
     def test_render(self):
-        table = run_table5(seed=3, requests=500, runs=(1,),
-                           timeouts=(1.5,), profile=calibrated_profile())
+        table = calibrated_run1_cell(requests=500)
         diff = compare_to_paper(table, TABLE5, "render-check")
         text = diff.render()
         assert "Fidelity vs paper" in text and "overall" in text

@@ -4,15 +4,25 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.experiments.multi_release import (
+    MultiReleaseSweep,
     chained_model,
     run_n_release_simulation,
-    run_sweep,
+    sweep_cells,
 )
+from repro.runtime.parallel import run_cells
+
+
+def sweep_over(release_counts, requests, backend="event"):
+    """A 1-out-of-N sweep over *release_counts* (seed 3)."""
+    cells = sweep_cells(
+        release_counts, requests=requests, seed=3, backend=backend
+    )
+    return MultiReleaseSweep(list(release_counts), run_cells(cells))
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return run_sweep(release_counts=(1, 2, 3), requests=1_200, seed=3)
+    return sweep_over((1, 2, 3), requests=1_200)
 
 
 class TestSweep:
@@ -61,8 +71,6 @@ class TestBackendPlumbing:
             run_n_release_simulation(2, requests=10, backend="batch")
 
     def test_sweep_carries_backend_in_cache_keys(self):
-        from repro.experiments.multi_release import sweep_cells
-
         cells = sweep_cells((1, 2), requests=100, backend="columnar")
         assert all(
             cell.key["backend"] == "columnar" for cell in cells
@@ -72,12 +80,7 @@ class TestBackendPlumbing:
         )
 
     def test_columnar_sweep_matches_event_sweep(self):
-        event = run_sweep(
-            release_counts=(1, 3), requests=200, seed=3, backend="event"
-        )
-        columnar = run_sweep(
-            release_counts=(1, 3), requests=200, seed=3,
-            backend="columnar",
-        )
+        event = sweep_over((1, 3), requests=200, backend="event")
+        columnar = sweep_over((1, 3), requests=200, backend="columnar")
         for left, right in zip(event.metrics, columnar.metrics):
             assert left.all_rows() == right.all_rows()

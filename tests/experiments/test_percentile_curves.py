@@ -3,15 +3,30 @@
 import pytest
 
 from repro.bayes.priors import GridSpec
-from repro.experiments.percentile_curves import run_fig7, run_fig8
+from repro.experiments.percentile_curves import curves_from_histories
+from repro.experiments.scenarios import (
+    detection_models,
+    scenario_1,
+    scenario_2,
+)
+from repro.experiments.table2 import assessment_cells
+from repro.runtime.parallel import run_cells
+
+
+def curves(scenario, grid, total_demands, checkpoint_every):
+    """One figure's curves at a reduced grid and horizon (seed 3)."""
+    cells = assessment_cells(
+        "figure", [scenario], seed=3, grid=grid,
+        total_demands=total_demands, checkpoint_every=checkpoint_every,
+    )
+    histories = dict(zip(detection_models(), run_cells(cells)))
+    return curves_from_histories(scenario.name, histories)
 
 
 @pytest.fixture(scope="module")
 def fig8_small():
-    return run_fig8(
-        seed=3,
-        grid=GridSpec(64, 64, 24),
-        total_demands=4_000,
+    return curves(
+        scenario_2(), GridSpec(64, 64, 24), total_demands=4_000,
         checkpoint_every=500,
     )
 
@@ -48,11 +63,9 @@ class TestCurveBundle:
 
 class TestFig7Small:
     def test_runs_and_has_curves(self):
-        curves = run_fig7(
-            seed=3,
-            grid=GridSpec(48, 48, 16),
-            total_demands=4_000,
+        fig7 = curves(
+            scenario_1(), GridSpec(48, 48, 16), total_demands=4_000,
             checkpoint_every=1_000,
         )
-        assert curves.scenario == "scenario-1"
-        assert len(curves.demands) == 4
+        assert fig7.scenario == "scenario-1"
+        assert len(fig7.demands) == 4

@@ -3,17 +3,24 @@
 import pytest
 
 from repro.bayes.priors import GridSpec
-from repro.experiments.robustness import CellRobustness, run_robustness
+from repro.experiments.robustness import (
+    CellRobustness,
+    report_from_histories,
+    robustness_cells,
+)
+from repro.runtime.parallel import run_cells
 
 
 @pytest.fixture(scope="module")
 def report():
-    return run_robustness(
-        seeds=(1, 2),
+    seeds = (1, 2)
+    cells = robustness_cells(
+        seeds,
         grid=GridSpec(48, 48, 16),
         total_demands=4_000,
         checkpoint_every=1_000,
     )
+    return report_from_histories(seeds, run_cells(cells))
 
 
 class TestReport:

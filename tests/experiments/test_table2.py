@@ -3,21 +3,43 @@
 import pytest
 
 from repro.bayes.priors import GridSpec
-from repro.experiments.scenarios import scenario_1, scenario_2
-from repro.experiments.table2 import run_scenario_histories, run_table2
+from repro.experiments.scenarios import (
+    detection_models,
+    scenario_1,
+    scenario_2,
+)
+from repro.experiments.table2 import assessment_cells, table2_from_histories
+from repro.runtime.parallel import run_cells
+
+
+def run_histories(scenarios, grid, total_demands, checkpoint_every, seed):
+    """Assessment histories of *scenarios*, in grid order."""
+    return run_cells(assessment_cells(
+        "table2", scenarios, seed=seed, grid=grid,
+        total_demands=total_demands, checkpoint_every=checkpoint_every,
+    ))
+
+
+def scenario_histories(scenario, seed):
+    """One scenario's histories, keyed by detection regime."""
+    histories = run_histories(
+        [scenario], GridSpec(48, 48, 16), total_demands=2_000,
+        checkpoint_every=2_000, seed=seed,
+    )
+    return dict(zip(detection_models(), histories))
 
 
 @pytest.fixture(scope="module")
 def small_result():
-    return run_table2(
-        seed=3,
-        grid=GridSpec(64, 64, 24),
-        total_demands=4_000,
-        checkpoint_every=1_000,
+    scenarios = [scenario_1(), scenario_2()]
+    histories = run_histories(
+        scenarios, GridSpec(64, 64, 24), total_demands=4_000,
+        checkpoint_every=1_000, seed=3,
     )
+    return table2_from_histories(scenarios, histories)
 
 
-class TestRunTable2:
+class TestTable2Result:
     def test_all_cells_present(self, small_result):
         assert len(small_result.cells) == 2 * 3 * 3
         cell = small_result.cell("scenario-1", "perfect", "criterion-2")
@@ -46,13 +68,7 @@ class TestRunTable2:
 
 class TestSameStreamAcrossDetections:
     def test_true_failure_stream_shared(self):
-        histories = run_scenario_histories(
-            scenario_1(),
-            seed=11,
-            grid=GridSpec(48, 48, 16),
-            total_demands=2_000,
-            checkpoint_every=2_000,
-        )
+        histories = scenario_histories(scenario_1(), seed=11)
         perfect = histories["perfect"].final().counts
         omission = histories["omission"].final().counts
         # Omission can only hide failures, never add them.
@@ -60,13 +76,7 @@ class TestSameStreamAcrossDetections:
         assert omission.second_failures <= perfect.second_failures
 
     def test_back_to_back_hides_exactly_coincident(self):
-        histories = run_scenario_histories(
-            scenario_2(),
-            seed=11,
-            grid=GridSpec(48, 48, 16),
-            total_demands=2_000,
-            checkpoint_every=2_000,
-        )
+        histories = scenario_histories(scenario_2(), seed=11)
         perfect = histories["perfect"].final().counts
         b2b = histories["back-to-back"].final().counts
         assert b2b.both_fail == 0

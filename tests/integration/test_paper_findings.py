@@ -23,8 +23,13 @@ from repro.core.switching import evaluate_history
 from repro.experiments import paper_params as P
 from repro.experiments.event_sim import run_release_pair_simulation
 from repro.experiments.percentile_curves import curves_from_histories
-from repro.experiments.scenarios import scenario_1, scenario_2
-from repro.experiments.table2 import run_scenario_histories
+from repro.experiments.scenarios import (
+    detection_models,
+    scenario_1,
+    scenario_2,
+)
+from repro.experiments.table2 import assessment_cells
+from repro.runtime.parallel import run_cells
 
 
 @pytest.fixture(scope="module")
@@ -45,17 +50,23 @@ def independent_cell():
     )
 
 
+def histories(scenario, total_demands):
+    """The scenario's history under each detection regime."""
+    cells = assessment_cells(
+        "findings", [scenario], seed=3, grid=GridSpec(96, 96, 32),
+        total_demands=total_demands,
+    )
+    return dict(zip(detection_models(), run_cells(cells)))
+
+
 @pytest.fixture(scope="module")
 def scenario_histories():
-    grid = GridSpec(96, 96, 32)
     return {
-        "scenario-1": run_scenario_histories(
-            scenario_1(checkpoint_every=1_000), seed=3, grid=grid,
-            total_demands=20_000,
+        "scenario-1": histories(
+            scenario_1(checkpoint_every=1_000), total_demands=20_000
         ),
-        "scenario-2": run_scenario_histories(
-            scenario_2(checkpoint_every=250), seed=3, grid=grid,
-            total_demands=10_000,
+        "scenario-2": histories(
+            scenario_2(checkpoint_every=250), total_demands=10_000
         ),
     }
 

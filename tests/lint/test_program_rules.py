@@ -57,6 +57,15 @@ class TestCacheKeyCompleteness:
         # key=None traced cells are all accepted shapes.
         assert program_findings("cachekey_clean") == []
 
+    def test_schema_imported_from_another_module_is_checked(self):
+        # Tables 5/6 and the fidelity diff share one schema constant;
+        # a spec that imports it is checked against it all the same.
+        findings = program_findings(
+            "cachekey_imported_schema", select={"REPRO201"}
+        )
+        assert ids_and_lines(findings) == [("REPRO201", 10)]
+        assert "missing key field(s) backend" in findings[0].message
+
     def test_store_backed_grid_key_drift_fires(self):
         # Run-store streams are keyed like the cache, so REPRO201
         # also guards the store's key: a swept kwarg the key omits

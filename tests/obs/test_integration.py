@@ -16,8 +16,10 @@ from repro.bayes.runner import SequentialAssessment
 from repro.core.middleware import UpgradeMiddleware
 from repro.core.modes import ModeConfig
 from repro.experiments import paper_params as P
-from repro.experiments.event_sim import run_release_pair_simulation
-from repro.experiments.table5 import run_table5
+from repro.experiments.event_sim import (
+    release_pair_cells,
+    run_release_pair_simulation,
+)
 from repro.obs.diff import diff_traces
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemoryTracer, read_trace
@@ -161,10 +163,11 @@ class TestGridTraceDeterminism:
         for jobs in (1, 2):
             trace_dir = tmp_path / f"jobs{jobs}"
             trace_dir.mkdir()
-            run_table5(
-                seed=3, requests=60, runs=(1,), timeouts=(1.5, 2.0),
-                jobs=jobs, trace_dir=str(trace_dir),
+            cells = release_pair_cells(
+                "table5", "correlated", seed=3, requests=60, runs=(1,),
+                timeouts=(1.5, 2.0), jobs=jobs, trace_dir=str(trace_dir),
             )
+            run_cells(cells, jobs=jobs)
             dirs[jobs] = trace_dir
         for name in sorted(p.name for p in dirs[1].iterdir()):
             a = read_trace(dirs[1] / name)
@@ -177,16 +180,14 @@ class TestGridTraceDeterminism:
         cache = ResultCache(tmp_path / "cache")
         trace_dir = tmp_path / "traces"
         trace_dir.mkdir()
-        run_table5(
-            seed=3, requests=40, runs=(1,), timeouts=(1.5,),
-            cache=cache, trace_dir=str(trace_dir),
+        cells = release_pair_cells(
+            "table5", "correlated", seed=3, requests=40, runs=(1,),
+            timeouts=(1.5,), trace_dir=str(trace_dir),
         )
+        run_cells(cells, cache=cache)
         assert cache.entry_count() == 0
         # Second run must re-simulate and rewrite a non-empty trace.
-        run_table5(
-            seed=3, requests=40, runs=(1,), timeouts=(1.5,),
-            cache=cache, trace_dir=str(trace_dir),
-        )
+        run_cells(cells, cache=cache)
         (part,) = sorted(trace_dir.iterdir())
         assert read_trace(part)
 

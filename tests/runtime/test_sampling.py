@@ -17,7 +17,6 @@ from repro.experiments import paper_params as P
 from repro.runtime.sampling import (
     ScriptedDistribution,
     ScriptedJointOutcomeModel,
-    ScriptedOutcomeSource,
     build_demand_script,
 )
 from repro.simulation.correlation import (
@@ -151,19 +150,6 @@ class TestScriptedDistribution:
             np.array([5.0, 5.0]), base=Exponential(0.7)
         )
         assert scripted.mean == pytest.approx(0.7)
-
-
-class TestScriptedOutcomeSource:
-    def test_replays_and_delegates(self, rng):
-        base = OutcomeDistribution(0.9, 0.05, 0.05)
-        source = ScriptedOutcomeSource(
-            [Outcome.CORRECT, Outcome.EVIDENT_FAILURE], base=base
-        )
-        assert source.sample(rng) is Outcome.CORRECT
-        assert source.sample(rng) is Outcome.EVIDENT_FAILURE
-        with pytest.raises(SimulationError):
-            source.sample(rng)
-        assert source.p_correct == pytest.approx(0.9)
 
 
 class TestScriptedJointOutcomeModel:

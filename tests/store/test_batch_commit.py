@@ -18,7 +18,7 @@ import pytest
 
 from repro.experiments.event_sim import release_pair_cells
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.parallel import run_cells
+from repro.runtime.parallel import BatchSpec, CellSpec, run_cells
 from repro.store.log import RunStore
 
 
@@ -184,17 +184,80 @@ class TestBatchedGridResume:
             )
 
 
+def _square(x):
+    return x * x
+
+
+def _decline(kwargs_list, metrics):
+    return None
+
+
+class TestStoreLookupWhereCellsCommit:
+    """Each cell is looked up in the store where it would commit: a
+    chunk in its group file, a per-cell-path cell in its own file."""
+
+    def test_cold_batched_grid_makes_no_per_cell_lookup(
+        self, tmp_path, monkeypatch
+    ):
+        looked_up = []
+        load_result = RunStore.load_result
+
+        def spy(store, experiment, key):
+            looked_up.append(key)
+            return load_result(store, experiment, key)
+
+        monkeypatch.setattr(RunStore, "load_result", spy)
+        cells = release_pair_cells(
+            "table5", "correlated", seed=7, requests=150,
+            backend="columnar",
+        )
+        run_cells(cells, store=RunStore(tmp_path / "store"))
+        assert looked_up == []
+        assert len(list((tmp_path / "store" / "table5").iterdir())) == 1
+
+    def test_declined_group_resumes_from_its_per_cell_files(
+        self, tmp_path
+    ):
+        cells = [
+            CellSpec(
+                experiment="toy", fn=_square, kwargs={"x": x},
+                key={"x": x}, batch=BatchSpec(fn=_decline, group=("toy",)),
+            )
+            for x in range(4)
+        ]
+
+        def run():
+            metrics = MetricsRegistry()
+            results = run_cells(
+                cells, metrics=metrics,
+                store=RunStore(tmp_path / "store", metrics=metrics),
+            )
+            return results, metrics.as_dict()["counters"]
+
+        first, counters = run()
+        assert first == [0, 1, 4, 9]
+        assert counters["pool.cells_executed"] == 4
+        assert len(list((tmp_path / "store" / "toy").iterdir())) == 4
+
+        again, counters = run()
+        assert again == first
+        assert "pool.cells_executed" not in counters
+        assert counters["store.resume_skipped_cells"] == 4
+
+
 class TestSigtermAcrossBatchBoundary:
     def test_check_resume_kills_between_batch_commits(self):
         # Real SIGTERM, real subprocesses: cap chunks at 4 cells so the
         # 12-cell grid commits in three fsync'd batches, and kill the
         # victim once the first batch (>= 4 cells) is durable — the
         # resume must cross a batch commit boundary bit-identically.
+        # At 200,000 requests a chunk takes tens of milliseconds, so
+        # the kill lands before the last chunk commits.
         result = subprocess.run(
             [
                 sys.executable, "-m", "repro.store", "check-resume",
                 "table5", "--kill-after", "4", "--jobs", "1",
-                "--backend", "columnar", "--requests", "300",
+                "--backend", "columnar", "--requests", "200000",
                 "--batch-max-cells", "4", "--seed", "5",
             ],
             capture_output=True,
@@ -204,4 +267,5 @@ class TestSigtermAcrossBatchBoundary:
         assert result.returncode == 0, (
             result.stdout + "\n" + result.stderr
         )
+        assert "killed run after" in result.stdout
         assert "resume determinism OK" in result.stdout

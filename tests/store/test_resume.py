@@ -294,20 +294,42 @@ class TestOlderTreeStore:
         assert again == first
 
 
+def check_resume(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "repro.store", "check-resume", "table5",
+         *args],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
 class TestSigtermResume:
     def test_check_resume_harness_end_to_end(self):
-        # Real SIGTERM, real subprocesses: the exact harness CI runs.
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "repro.store", "check-resume",
-                "table5", "--kill-after", "2", "--jobs", "1",
-                "--backend", "columnar", "--requests", str(REQUESTS),
-            ],
-            capture_output=True,
-            text=True,
-            timeout=300,
+        # Real SIGTERM, real subprocesses: the exact harness CI runs,
+        # on the per-cell path (event kernel), which commits cell by
+        # cell.
+        result = check_resume(
+            "--kill-after", "3", "--jobs", "1", "--backend", "event",
+            "--requests", "300",
         )
         assert result.returncode == 0, (
             result.stdout + "\n" + result.stderr
         )
+        assert "killed run after" in result.stdout
         assert "resume determinism OK" in result.stdout
+
+    def test_a_kill_that_interrupts_nothing_fails(self):
+        # Columnar cells of one 12-cell grid commit as one chunk, so no
+        # kill can land mid-grid: the check must fail, not pass on a
+        # replay of a finished store.
+        result = check_resume(
+            "--kill-after", "2", "--jobs", "1", "--backend", "columnar",
+            "--requests", str(REQUESTS),
+        )
+        assert result.returncode == 1, (
+            result.stdout + "\n" + result.stderr
+        )
+        assert "the kill did not interrupt the run" in result.stderr
+        assert "holds 12 of the baseline's 12 cell(s)" in result.stderr
+        assert "resume determinism" not in result.stdout
