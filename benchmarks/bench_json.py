@@ -33,8 +33,10 @@ Measures the numbers the runtime work is accountable for —
   commit and load of a 12-cell chunk, as median and IQR),
 * the white-box posterior at the paper's 160x160x64 grid (``bayes`` —
   assessor construction and one checkpoint evaluation as median and
-  IQR of repeated runs, plus one Table 2 grid at 3,000 demands per cell
-  across every CPU),
+  IQR of repeated runs, one Table 2 grid at 3,000 demands per cell
+  across every CPU with its assessor constructions and posterior
+  evaluations counted in one process, and one full-size scenario-2
+  cell),
 * process start-up (``startup`` — ``import repro.pipeline`` and
   ``discover()`` in fresh interpreters as median and IQR, and the wall
   time of ``cli all --fast --no-cache``),
@@ -91,12 +93,14 @@ from repro.experiments.event_sim import (
     release_pair_cells,
     run_release_pair_simulation,
 )
-from repro.experiments.scenarios import scenario_1
+from repro.experiments.scenarios import scenario_1, scenario_2
+from repro.experiments.table2 import assessment_cells
 from repro.experiments.table5 import TABLE5_LABEL, TABLE5_SPEC
 from repro.runtime.parallel import _batch_chunk_limit, run_cells
 from repro.lint.engine import run_lint, run_program_lint
 from repro.pipeline import (
     ExperimentOptions,
+    build_grid,
     discover,
     get_spec,
     registered_specs,
@@ -357,10 +361,12 @@ def bench_store() -> dict:
 
 
 #: Repeats of each white-box micro-benchmark (median and IQR), of the
-#: Table 2 grid timing, and fresh interpreters timing their first grid.
+#: Table 2 grid timing, fresh interpreters timing their first grid, and
+#: repeats of the full-size scenario-2 cell.
 BAYES_REPEATS = 15
 BAYES_GRID_REPEATS = 3
 BAYES_FIRST_GRID_INTERPRETERS = 3
+BAYES_FULL_CELL_REPEATS = 3
 
 #: What a fresh interpreter times: its first Table 2 grid (the
 #: ``bayes.table2`` configuration), after ``discover()``.  Here the
@@ -406,6 +412,32 @@ def _timed_repeats(fn, repeats: int) -> list:
     return samples
 
 
+def _bayes_work(run) -> dict:
+    """Assessor constructions and posterior evaluations *run* makes in
+    this process, beside the checkpoints it records."""
+    counts = {"assessor_constructions": 0, "posterior_evaluations": 0}
+    init = WhiteBoxAssessor.__init__
+    summary = WhiteBoxAssessor.checkpoint_summary
+
+    def counted_init(self, *args, **kwargs):
+        counts["assessor_constructions"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_summary(self, *args, **kwargs):
+        counts["posterior_evaluations"] += 1
+        return summary(self, *args, **kwargs)
+
+    WhiteBoxAssessor.__init__ = counted_init
+    WhiteBoxAssessor.checkpoint_summary = counted_summary
+    try:
+        histories = run()
+    finally:
+        WhiteBoxAssessor.__init__ = init
+        WhiteBoxAssessor.checkpoint_summary = summary
+    counts["checkpoints"] = sum(len(h.records) for h in histories)
+    return counts
+
+
 def bench_bayes(src_dir: Path) -> dict:
     """The white-box posterior at the paper's 160x160x64 grid.
 
@@ -421,7 +453,12 @@ def bench_bayes(src_dir: Path) -> dict:
     utilization (``pool.jobs``, ``pool.utilization``), and
     ``first_grid`` is the median over
     :data:`BAYES_FIRST_GRID_INTERPRETERS` fresh interpreters of the same
-    grid run first (:data:`FIRST_GRID_PROBE`).
+    grid run first (:data:`FIRST_GRID_PROBE`).  ``in_process`` counts
+    the assessor constructions and posterior evaluations of one more
+    run of the grid, in this process at jobs 1, against its
+    checkpoints.  ``full_size_cell`` times one scenario-2 cell at the
+    paper's 50,000 demands (perfect detection, a checkpoint every 100),
+    median and IQR of :data:`BAYES_FULL_CELL_REPEATS` runs.
     """
     prior = scenario_1().prior
     grid = GridSpec()
@@ -451,6 +488,13 @@ def bench_bayes(src_dir: Path) -> dict:
         _in_fresh_interpreter(src_dir, FIRST_GRID_PROBE)
         for _ in range(BAYES_FIRST_GRID_INTERPRETERS)
     ]
+    in_process = _bayes_work(
+        lambda: run_cells(build_grid(spec, replace(options, jobs=1)))
+    )
+    full_size = assessment_cells("table2", [scenario_2()], seed=1)[0]
+    full_cell = _timed_repeats(
+        lambda: full_size.fn(**full_size.kwargs), BAYES_FULL_CELL_REPEATS
+    )
     cells = len(spec.build_cells(options, spec.sizes(options)))
     grid_seconds = float(np.median(grids))
     return {
@@ -471,6 +515,15 @@ def bench_bayes(src_dir: Path) -> dict:
                 "interpreters": BAYES_FIRST_GRID_INTERPRETERS,
                 "median_seconds": round(float(np.median(first_grids)), 4),
             },
+            "in_process": in_process,
+        },
+        "full_size_cell": {
+            "scenario": full_size.kwargs["scenario"].name,
+            "detection": full_size.kwargs["detection_name"],
+            "demands": full_size.kwargs["demands"],
+            "checkpoints": full_size.cost,
+            "repeats": BAYES_FULL_CELL_REPEATS,
+            **_quartiles(full_cell),
         },
     }
 

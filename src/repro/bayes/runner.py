@@ -9,7 +9,7 @@ criteria (which live in :mod:`repro.core.switching`).
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -52,6 +52,85 @@ class CheckpointRecord:
     def confidence_b(self, target: float) -> float:
         """Recorded P(pB <= target); raises KeyError for unrequested targets."""
         return self.confidence_b_at[target]
+
+
+#: One checkpoint's ``checkpoint_summary`` answer: TA99%, (TB99%, TB90%)
+#: and P(pB <= target) per confidence target.
+Summary = Tuple[List[float], List[float], List[float]]
+
+
+class _StreamPass:
+    """One pass over one demand stream: the checkpoint summaries its
+    detection regimes evaluated, by cumulative counts.
+
+    The regimes of a stream observe the same true failures, so until a
+    regime first distorts one they reach the same count vectors.  A
+    regime that already ran in the pass starts a new one, so a re-run
+    of a stream always evaluates its posteriors again.
+    """
+
+    __slots__ = ("stream", "regimes", "summaries")
+
+    def __init__(self, stream: Hashable):
+        self.stream = stream
+        self.regimes: Set[str] = set()
+        self.summaries: Dict[Tuple[int, int, int, int], Summary] = {}
+
+
+#: The assessor :meth:`SequentialAssessment.run` uses when it is given
+#: none, kept for the process's next run with the same prior and grid.
+_reused_assessor: Optional[WhiteBoxAssessor] = None
+
+#: The process's current stream pass (see :class:`_StreamPass`).
+_current_pass = _StreamPass(None)
+
+
+def _mismatch(
+    assessor: WhiteBoxAssessor, prior: WhiteBoxPrior, grid: GridSpec
+) -> Optional[str]:
+    """Why *assessor* cannot serve (*prior*, *grid*), or ``None``.
+
+    Grids compare by equality, priors by ``repr`` (which encodes their
+    parameters).
+    """
+    if assessor.grid != grid:
+        return (
+            f"assessor grid {assessor.grid!r} differs from the "
+            f"assessment's grid {grid!r}"
+        )
+    if repr(assessor.prior) != repr(prior):
+        return (
+            f"assessor prior {assessor.prior!r} differs from the "
+            f"assessment's prior {prior!r}"
+        )
+    return None
+
+
+def _reused_for(prior: WhiteBoxPrior, grid: GridSpec) -> WhiteBoxAssessor:
+    """The process's reused assessor for (*prior*, *grid*).
+
+    An assessor for another prior or grid is released before the new
+    one is built, so one set of grid-sized tables is alive at a time.
+    """
+    global _reused_assessor
+    if (
+        _reused_assessor is None
+        or _mismatch(_reused_assessor, prior, grid) is not None
+    ):
+        _reused_assessor = None
+        _reused_assessor = WhiteBoxAssessor(prior, grid)
+    return _reused_assessor
+
+
+def _pass_summaries(
+    stream: Hashable, regime: str
+) -> Dict[Tuple[int, int, int, int], Summary]:
+    """The summaries of *stream*'s current pass, which *regime* joins."""
+    global _current_pass
+    if _current_pass.stream != stream or regime in _current_pass.regimes:
+        _current_pass = _StreamPass(stream)
+    _current_pass.regimes.add(regime)
+    return _current_pass.summaries
 
 
 @dataclass
@@ -152,31 +231,52 @@ class SequentialAssessment:
     ) -> AssessmentHistory:
         """Simulate the stream and assess at each checkpoint.
 
-        An existing *assessor* can be supplied to reuse its (expensive)
-        precomputed likelihood grid across runs with the same prior and
-        grid; its observations are reset first.  An assessor built for
-        another grid (compared by equality) or prior (compared by
-        ``repr``, which encodes its parameters) raises
+        Without an *assessor*, the run takes the process's reused one
+        for its prior and grid, built on first use (the five likelihood
+        tables are the costly part of an assessor).  A run with another
+        prior or grid releases it before building the next, so at most
+        one is alive per process.  Such a run also joins the current
+        pass over its stream — the rng's initial state, the ground
+        truth, the sizes, the prior, the grid, the confidence targets
+        and the ``checkpoint_summary`` that evaluates them — and takes
+        the summary of a count vector another detection regime of the
+        pass already evaluated instead of evaluating it again.  A regime
+        that already ran in the pass starts a new one, so re-running a
+        stream evaluates every checkpoint again.  Memoised or not, every
+        record is IEEE-bit identical to a fresh assessor's.
+
+        A supplied *assessor* is reset and evaluates every checkpoint;
+        one built for another grid (compared by equality) or prior
+        (compared by ``repr``, which encodes its parameters) raises
         :class:`~repro.common.errors.ConfigurationError`.  A *tracer* (see
         :mod:`repro.obs.trace`) receives one ``checkpoint`` event per
-        posterior evaluation — the demand count, the cumulative Table-1
-        counts and the recorded percentiles; fields are functions of the
-        seeded stream only, so the trace is reproducible.
+        checkpoint — the demand count, the cumulative Table-1 counts and
+        the recorded percentiles; fields are functions of the seeded
+        stream only, so the trace is reproducible.
         """
         if assessor is None:
-            assessor = WhiteBoxAssessor(self.prior, self.grid)
+            assessor = _reused_for(self.prior, self.grid)
+            summaries = _pass_summaries(
+                (
+                    repr(rng.bit_generator.state),
+                    self.ground_truth,
+                    self.total_demands,
+                    self.checkpoint_every,
+                    repr(self.prior),
+                    self.grid,
+                    self.confidence_targets,
+                    type(assessor).checkpoint_summary,
+                ),
+                repr(self.detection),
+            )
         else:
-            if assessor.grid != self.grid:
-                raise ConfigurationError(
-                    f"assessor grid {assessor.grid!r} differs from the "
-                    f"assessment's grid {self.grid!r}"
-                )
-            if repr(assessor.prior) != repr(self.prior):
-                raise ConfigurationError(
-                    f"assessor prior {assessor.prior!r} differs from the "
-                    f"assessment's prior {self.prior!r}"
-                )
-            assessor.reset()
+            problem = _mismatch(assessor, self.prior, self.grid)
+            if problem is not None:
+                raise ConfigurationError(problem)
+            # Counts grow with every checkpoint, so a memo of one run
+            # alone never hits.
+            summaries = {}
+        assessor.reset()
         trace = tracer if tracer is not None and tracer.enabled else None
 
         a_true, b_true = self.ground_truth.sample(rng, self.total_demands)
@@ -202,15 +302,19 @@ class SequentialAssessment:
                 only_second_fails=r_b - r_both,
                 both_succeed=n - r_a - r_b + r_both,
             )
-            assessor.replace_counts(counts)
-            # One posterior evaluation answers every checkpoint query
-            # (bit-identical to the individual percentile_*/confidence_*
-            # calls — see WhiteBoxAssessor.checkpoint_summary).
-            (pa99,), (pb99, pb90), confidences = assessor.checkpoint_summary(
-                levels_a=(0.99,),
-                levels_b=(0.99, 0.90),
-                targets_b=self.confidence_targets,
-            )
+            summary = summaries.get(counts.as_tuple())
+            if summary is None:
+                assessor.replace_counts(counts)
+                # One posterior evaluation answers every checkpoint
+                # query (bit-identical to the individual percentile_* /
+                # confidence_* calls — see checkpoint_summary).
+                summary = assessor.checkpoint_summary(
+                    levels_a=(0.99,),
+                    levels_b=(0.99, 0.90),
+                    targets_b=self.confidence_targets,
+                )
+                summaries[counts.as_tuple()] = summary
+            (pa99,), (pb99, pb90), confidences = summary
             record = CheckpointRecord(
                 demands=n,
                 counts=counts,

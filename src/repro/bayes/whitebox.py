@@ -33,7 +33,13 @@ still sees the whole grid in memory order — so tables, posteriors,
 percentiles and confidences are IEEE-bit identical to evaluating every
 step over the whole grid at once, without its dozen grid-sized
 temporaries.  The array :meth:`WhiteBoxAssessor._posterior` returns *is*
-that buffer: the next evaluation overwrites it in place.
+that buffer: the next evaluation overwrites it in place.  The table
+build is the costly part of a construction, so the sequential runner
+(:meth:`repro.bayes.runner.SequentialAssessment.run`) keeps one
+assessor per process for the runs that share its prior and grid, and
+answers a checkpoint whose counts another detection regime of the same
+stream already evaluated from its own memo.  Every
+:meth:`WhiteBoxAssessor.checkpoint_summary` call is one evaluation.
 """
 
 from typing import Iterator, List, Optional, Sequence, Tuple

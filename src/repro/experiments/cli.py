@@ -49,6 +49,7 @@ import shutil
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -58,6 +59,7 @@ from repro.common.errors import ConfigurationError
 from repro.experiments.paper_params import DEFAULT_SEED
 from repro.pipeline import (
     ExperimentOptions,
+    build_grid,
     discover,
     registered_specs,
     run_experiment,
@@ -193,9 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _options(
-    args: argparse.Namespace,
-    trace_dir: Optional[str],
-    metrics: Optional[MetricsRegistry],
+    args: argparse.Namespace, metrics: Optional[MetricsRegistry]
 ) -> ExperimentOptions:
     """Map the parsed flags onto the uniform engine options."""
     cache = None
@@ -213,7 +213,6 @@ def _options(
         jobs=args.jobs,
         cache=cache,
         requests=args.requests,
-        trace_dir=trace_dir,
         metrics=metrics,
         output=args.output,
         backend=args.backend,
@@ -247,16 +246,32 @@ def main(argv: Optional[List[str]] = None) -> int:
         names = [args.experiment]
 
     metrics = MetricsRegistry() if args.metrics_json is not None else None
+    options = _options(args, metrics)
+    try:
+        # Build every grid before running any, so sizes a grid refuses
+        # (a figure left with one checkpoint) stop the run before a
+        # cell executes.
+        for name in names:
+            if not COMMANDS[name].is_composite:
+                build_grid(COMMANDS[name], options)
+    except ConfigurationError as error:
+        parser.error(str(error))
     trace_dir = (
         tempfile.mkdtemp(prefix="repro-trace-")
         if args.trace is not None
         else None
     )
-    options = _options(args, trace_dir, metrics)
+    options = replace(options, trace_dir=trace_dir)
 
     for name in names:
         started = time.time()
-        outcome = run_experiment(COMMANDS[name], options)
+        try:
+            outcome = run_experiment(COMMANDS[name], options)
+        except ConfigurationError as error:
+            # The report refuses its sections' sizes as it starts.
+            if trace_dir is not None:
+                shutil.rmtree(trace_dir, ignore_errors=True)
+            parser.error(str(error))
         elapsed = time.time() - started
         print(f"=== {name} (seed={args.seed}, {elapsed:.1f}s) ===")
         print(outcome.text)

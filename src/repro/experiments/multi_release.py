@@ -106,6 +106,15 @@ class MultiReleaseSweep:
     release_counts: List[int]
     metrics: List[SystemMetrics]
 
+    @property
+    def profile(self) -> str:
+        """Name of the latency profile the sweep's cells ran under.
+
+        Sweep cells pass no profile, so :func:`run_n_release_simulation`
+        takes the calibrated one, whatever ``--profile`` says.
+        """
+        return calibrated_profile().name
+
     def render(self) -> str:
         rows = []
         for n, metric in zip(self.release_counts, self.metrics):

@@ -19,6 +19,7 @@ from typing import Any, Callable, Dict, List, Mapping
 
 from repro.bayes.priors import GridSpec
 from repro.bayes.runner import AssessmentHistory
+from repro.common.errors import ConfigurationError
 from repro.common.tables import render_table
 from repro.experiments.paper_params import FIG8_DEMANDS
 from repro.experiments.scenarios import (
@@ -125,9 +126,19 @@ def _figure_builder(
     def build(
         options: ExperimentOptions, sizes: Mapping[str, Any]
     ) -> List[CellSpec]:
+        scenario = scenario_factory()
+        demands = sizes["total_demands"] or scenario.total_demands
+        every = sizes["checkpoint_every"] or scenario.checkpoint_every
+        if demands <= every:
+            # One checkpoint is one x value, and a curve needs two.
+            raise ConfigurationError(
+                f"{experiment} plots a checkpoint every {every} demands "
+                f"and needs two: requests must be at least {every + 1}, "
+                f"got {demands}"
+            )
         return assessment_cells(
             experiment,
-            [scenario_factory()],
+            [scenario],
             seed=options.seed,
             grid=sizes["grid"],
             total_demands=sizes["total_demands"],

@@ -24,6 +24,7 @@ from repro.experiments.event_sim import profile_by_name
 from repro.pipeline import (
     ExperimentOptions,
     ExperimentSpec,
+    build_grid,
     get_spec,
     register,
     run_experiment,
@@ -112,8 +113,10 @@ def _multi_release_section(sweep) -> str:
          m.system.mean_execution_time]
         for n, m in zip(sweep.release_counts, sweep.metrics)
     ]
-    return "## Extension: 1-out-of-N releases\n\n" + (
-        render_markdown_table(
+    return (
+        f"## Extension: 1-out-of-N releases (latency profile "
+        f"'{sweep.profile}')\n\n"
+        + render_markdown_table(
             ["Releases", "Availability", "Reliability", "System MET"],
             rows,
         )
@@ -142,6 +145,10 @@ def generate_report(options: ExperimentOptions) -> str:
     equal to what each experiment's own subcommand computes under the
     same options.
     """
+    # Build every section's grid first, so sizes one of them refuses
+    # stop the report before any section runs.
+    for name, _render in SECTIONS:
+        build_grid(get_spec(name), options)
     started = time.strftime("%Y-%m-%d %H:%M:%S")
     sections = [
         "# Reproduction report — Dependable Composite Web Services "

@@ -107,7 +107,9 @@ def _detection_history_cell(
 
     The stream generator is re-derived from (*seed*, scenario name)
     inside the cell, so the same ground-truth demand stream is seen by
-    every detection regime regardless of which process runs it.  With
+    every detection regime regardless of which process runs it; its
+    initial state is also what identifies the stream to the runner's
+    checkpoint memo.  With
     *trace_path* set, every posterior checkpoint is appended to a JSONL
     trace (fields are functions of the seeded stream only, so the
     trace is bit-identical for any ``jobs`` value).
@@ -159,6 +161,13 @@ def assessment_cells(
     share cached cells.  Traced cells bypass the cache (``key=None``).
     Each cell's ``cost`` is its number of posterior checkpoints, so a
     process pool starts the longest assessments first.
+
+    A process that runs several cells, inline or as a pool worker,
+    builds one white-box assessor per (prior, grid) in a row, and a
+    cell whose regime follows another of the same stream there
+    evaluates only the count vectors that regime did not reach (see
+    :meth:`~repro.bayes.runner.SequentialAssessment.run`).  Results
+    are IEEE-bit identical whichever process runs which cells.
     """
     import scipy.special  # noqa: F401  (forked pool workers inherit it)
 

@@ -23,8 +23,8 @@ come from this package.
 
 from repro.pipeline.engine import (
     ExperimentOutcome,
+    build_grid,
     run_experiment,
-    run_named,
     validate_cells,
 )
 from repro.pipeline.registry import (
@@ -40,12 +40,12 @@ __all__ = [
     "ExperimentOptions",
     "ExperimentOutcome",
     "ExperimentSpec",
+    "build_grid",
     "discover",
     "experiment_names",
     "get_spec",
     "register",
     "registered_specs",
     "run_experiment",
-    "run_named",
     "validate_cells",
 ]

@@ -6,7 +6,9 @@
 runtime stack in one place:
 
 * size resolution (``--fast`` overlays, the ``--requests`` override);
-* grid construction via the spec's ``build_cells`` hook;
+* grid construction via the spec's ``build_cells`` hook
+  (:func:`build_grid`, which a caller can also run ahead of a run to
+  refuse sizes before any cell executes);
 * cache-key schema validation (cacheable cells must carry exactly the
   fields the spec declares — key drift would silently fork the cache);
 * fan-out through :func:`~repro.runtime.parallel.run_cells`, which
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, List, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.pipeline.registry import get_spec
 from repro.pipeline.spec import ExperimentOptions, ExperimentSpec
 from repro.runtime.parallel import CellSpec, run_cells
 
@@ -80,6 +81,23 @@ def validate_cells(
             )
 
 
+def build_grid(
+    spec: ExperimentSpec, options: ExperimentOptions
+) -> List[CellSpec]:
+    """The grid *spec* runs under *options*, checked against its schema.
+
+    Building runs no cell, so a caller can build a grid ahead of running
+    it to refuse sizes the spec cannot use before any cell executes.
+    """
+    if spec.build_cells is None:
+        raise ConfigurationError(
+            f"experiment {spec.name!r} has no grid hooks"
+        )
+    cells = list(spec.build_cells(options, spec.sizes(options)))
+    validate_cells(spec, cells)
+    return cells
+
+
 def run_experiment(
     spec: ExperimentSpec, options: ExperimentOptions
 ) -> ExperimentOutcome:
@@ -88,14 +106,11 @@ def run_experiment(
         value = spec.composite(options)
         cell_count = 0
     else:
-        if spec.build_cells is None or spec.reduce is None:
+        if spec.reduce is None:  # unreachable after __post_init__; typed-core
             raise ConfigurationError(
                 f"experiment {spec.name!r} has no grid hooks"
             )
-        cells: List[CellSpec] = list(
-            spec.build_cells(options, spec.sizes(options))
-        )
-        validate_cells(spec, cells)
+        cells = build_grid(spec, options)
         cache = options.cache if spec.cacheable else None
         store = options.store if spec.cacheable else None
         results = run_cells(
@@ -119,8 +134,3 @@ def run_experiment(
         text=text,
         cells=cell_count,
     )
-
-
-def run_named(name: str, options: ExperimentOptions) -> ExperimentOutcome:
-    """Convenience: look the spec up in the registry and run it."""
-    return run_experiment(get_spec(name), options)

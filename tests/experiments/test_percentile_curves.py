@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bayes.priors import GridSpec
+from repro.experiments.cli import main
 from repro.experiments.percentile_curves import curves_from_histories
 from repro.experiments.scenarios import (
     detection_models,
@@ -69,3 +70,40 @@ class TestFig7Small:
         )
         assert fig7.scenario == "scenario-1"
         assert len(fig7.demands) == 4
+
+
+class TestTooFewCheckpoints:
+    """A figure needs two checkpoints: one per ``checkpoint_every``
+    demands (2,000 for Fig. 7, 500 for Fig. 8) plus the last demand."""
+
+    @pytest.mark.parametrize("argv, smallest", [
+        (["fig7", "--requests", "2000"], 2_001),
+        (["fig8", "--requests", "500"], 501),
+        (["all", "--requests", "300"], 2_001),
+        (["report", "--requests", "300"], 2_001),
+    ])
+    def test_one_checkpoint_is_refused_before_any_cell_runs(
+        self, argv, smallest, tmp_path, capsys
+    ):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--fast", "--seed", "1", "--cache-dir", str(cache)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"requests must be at least {smallest}" in captured.err
+        assert "Traceback" not in captured.err
+        assert list(cache.iterdir()) == []
+
+    @pytest.mark.parametrize("name, every", [("fig7", 2_000), ("fig8", 500)])
+    def test_two_checkpoints_render(self, name, every, tmp_path, capsys):
+        assert main([
+            name, "--fast", "--seed", "1", "--requests", str(every + 1),
+            "--cache-dir", str(tmp_path / "cache"),
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # The curve table's rows, then the plot and the bound check.
+        rows = [line.split()[0] for line in lines if line[:1].isdigit()]
+        assert rows[:2] == [str(every), str(every + 1)]
+        assert "99%-omission everywhere" in lines[-2]

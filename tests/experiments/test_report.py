@@ -6,11 +6,22 @@ import json
 from repro.bayes.priors import GridSpec
 from repro.experiments import report as report_mod
 from repro.experiments.cli import main
-from repro.experiments.event_sim import SimulationTable, release_pair_cells
+from repro.experiments.event_sim import (
+    SimulationTable,
+    calibrated_profile,
+    profile_by_name,
+    release_pair_cells,
+)
+from repro.experiments.multi_release import run_n_release_simulation
 from repro.experiments.percentile_curves import curves_from_histories
 from repro.experiments.scenarios import detection_models, scenario_2
 from repro.experiments.table2 import assessment_cells
-from repro.pipeline import ExperimentOptions, get_spec
+from repro.pipeline import (
+    ExperimentOptions,
+    build_grid,
+    get_spec,
+    run_experiment,
+)
 from repro.runtime.parallel import run_cells
 
 
@@ -26,6 +37,29 @@ class TestSections:
         assert text.startswith("## Fig. 8")
         assert "| Demands |" in text
         assert "99%-omission everywhere" in text
+
+    def test_multi_release_section_names_the_profile_its_cells_ran(self):
+        # --profile paper reaches Tables 5/6; the sweep's cells take no
+        # profile and run the calibrated one.
+        options = ExperimentOptions(
+            seed=1, fast=True, requests=300, profile="paper"
+        )
+        spec = get_spec("multirelease")
+        sweep = run_experiment(spec, options).value
+        profile = profile_by_name(sweep.profile)
+        assert profile.name == calibrated_profile().name != "paper"
+        assert report_mod._multi_release_section(sweep).startswith(
+            f"## Extension: 1-out-of-N releases (latency profile "
+            f"'{profile.name}')\n"
+        )
+        # The named profile reproduces the section's numbers.
+        cell = build_grid(spec, options)[-1]
+        rerun = run_n_release_simulation(**cell.kwargs, profile=profile)
+        assert rerun.system.counts == sweep.metrics[-1].system.counts
+        assert (
+            rerun.system.mean_execution_time
+            == sweep.metrics[-1].system.mean_execution_time
+        )
 
     def test_event_table_section(self):
         cells = release_pair_cells(

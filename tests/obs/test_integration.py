@@ -13,6 +13,7 @@ from repro.bayes.demand_process import TwoReleaseGroundTruth
 from repro.bayes.detection import PerfectDetection
 from repro.bayes.priors import GridSpec, WhiteBoxPrior
 from repro.bayes.runner import SequentialAssessment
+from repro.bayes.whitebox import WhiteBoxAssessor
 from repro.core.middleware import UpgradeMiddleware
 from repro.core.modes import ModeConfig
 from repro.experiments import paper_params as P
@@ -281,7 +282,15 @@ class TestBayesCheckpointTracing:
             assert event["percentile_b_99"] == record.percentile_b_99
             assert event["both_fail"] == record.counts.both_fail
 
-    def test_tracer_does_not_perturb_results(self):
+    def test_tracer_does_not_perturb_results(self, monkeypatch):
+        evaluations = []
+        original = WhiteBoxAssessor.checkpoint_summary
+
+        def counted(self, *args, **kwargs):
+            evaluations.append(self.counts)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(WhiteBoxAssessor, "checkpoint_summary", counted)
         assessment = SequentialAssessment(
             ground_truth=TwoReleaseGroundTruth(1e-2, 1e-2, 5e-3),
             detection=PerfectDetection(),
@@ -300,3 +309,6 @@ class TestBayesCheckpointTracing:
         assert [r.percentile_b_99 for r in plain.records] == [
             r.percentile_b_99 for r in traced.records
         ]
+        # A re-run of the stream evaluates again, not from the memo.
+        counts = [r.counts for r in plain.records]
+        assert evaluations == counts + counts

@@ -11,11 +11,13 @@ Sizes are shrunk via the uniform ``requests`` override, so these run at
 smoke scale.
 """
 
+import multiprocessing
 import os
 from dataclasses import replace
 
 import pytest
 
+from repro.bayes.whitebox import WhiteBoxAssessor
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import (
     ExperimentOptions,
@@ -48,6 +50,25 @@ GRID_SPECS = sorted(
 )
 
 
+def _count_evaluations(monkeypatch):
+    """Count posterior evaluations from here on, pool workers' included.
+
+    The Bayes runner answers a count vector another detection regime of
+    the same stream already evaluated from a memo; these counts show
+    that each run of a grid computes its posteriors itself.
+    """
+    calls = multiprocessing.get_context("fork").Value("l", 0)
+    original = WhiteBoxAssessor.checkpoint_summary
+
+    def counted(self, *args, **kwargs):
+        with calls.get_lock():
+            calls.value += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(WhiteBoxAssessor, "checkpoint_summary", counted)
+    return calls
+
+
 def _options(name: str, **overrides) -> ExperimentOptions:
     base = ExperimentOptions(
         seed=1, fast=True, requests=SMOKE_REQUESTS.get(name, 300)
@@ -64,13 +85,18 @@ class TestEveryGridSpec:
         # Two CPUs as far as the runtime can tell, so jobs=2 runs the
         # per-cell cells through the process pool even on a 1-CPU host.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        evaluations = _count_evaluations(monkeypatch)
         spec = registered_specs()[name]
         sequential = run_experiment(spec, _options(name, jobs=1))
+        inline = evaluations.value
         registry = MetricsRegistry()
         parallel = run_experiment(
             spec, _options(name, jobs=2, metrics=registry)
         )
         assert sequential.text == parallel.text
+        # Workers share fewer same-stream cells than one process running
+        # the grid in order, so they evaluate at least as often.
+        assert evaluations.value - inline >= inline
         assert sequential.cells == parallel.cells > 0
         snapshot = registry.as_dict()
         if snapshot["counters"].get("pool.cells_executed"):
@@ -78,11 +104,14 @@ class TestEveryGridSpec:
             assert snapshot["gauges"]["pool.jobs"] == 2.0
 
     @pytest.mark.parametrize("name", GRID_SPECS)
-    def test_cached_replay_equals_uncached(self, name, tmp_path):
+    def test_cached_replay_equals_uncached(self, name, tmp_path, monkeypatch):
+        evaluations = _count_evaluations(monkeypatch)
         spec = registered_specs()[name]
         uncached = run_experiment(spec, _options(name))
+        computed = evaluations.value
         cache = ResultCache(tmp_path / "cache")
         first = run_experiment(spec, _options(name, cache=cache))
+        assert evaluations.value == 2 * computed
         assert cache.entry_count() == first.cells > 0
         replay = run_experiment(spec, _options(name, cache=cache))
         assert first.text == uncached.text
