@@ -34,9 +34,9 @@ Measures the numbers the runtime work is accountable for —
 * the white-box posterior at the paper's 160x160x64 grid (``bayes`` —
   assessor construction and one checkpoint evaluation as median and
   IQR of repeated runs, one Table 2 grid at 3,000 demands per cell
-  across every CPU with its assessor constructions and posterior
-  evaluations counted in one process, and one full-size scenario-2
-  cell),
+  across every CPU, the same grid's assessor constructions, posterior
+  evaluations, pool workers and wall time at jobs 1, 2 and 4, one
+  full-size scenario-2 cell, and the full-size Table 2 grid at jobs 2),
 * process start-up (``startup`` — ``import repro.pipeline`` and
   ``discover()`` in fresh interpreters as median and IQR, and the wall
   time of ``cli all --fast --no-cache``),
@@ -68,6 +68,7 @@ plugin's statistics machinery.
 import argparse
 import gc
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -361,12 +362,18 @@ def bench_store() -> dict:
 
 
 #: Repeats of each white-box micro-benchmark (median and IQR), of the
-#: Table 2 grid timing, fresh interpreters timing their first grid, and
-#: repeats of the full-size scenario-2 cell.
+#: Table 2 grid timing, fresh interpreters timing their first grid,
+#: repeats of the full-size scenario-2 cell and of the full-size Table 2
+#: grid.
 BAYES_REPEATS = 15
 BAYES_GRID_REPEATS = 3
 BAYES_FIRST_GRID_INTERPRETERS = 3
 BAYES_FULL_CELL_REPEATS = 3
+BAYES_FULL_GRID_REPEATS = 3
+
+#: Worker counts at which ``bayes.table2.work`` counts the grid's
+#: assessor constructions and posterior evaluations and times it.
+BAYES_WORK_JOBS = (1, 2, 4)
 
 #: What a fresh interpreter times: its first Table 2 grid (the
 #: ``bayes.table2`` configuration), after ``discover()``.  Here the
@@ -413,18 +420,23 @@ def _timed_repeats(fn, repeats: int) -> list:
 
 
 def _bayes_work(run) -> dict:
-    """Assessor constructions and posterior evaluations *run* makes in
-    this process, beside the checkpoints it records."""
-    counts = {"assessor_constructions": 0, "posterior_evaluations": 0}
+    """Assessor constructions and posterior evaluations *run* makes,
+    its pool workers' included, beside the checkpoints it records.
+
+    The counters live in shared memory the forked workers inherit.
+    """
+    counts = multiprocessing.get_context("fork").Array("q", 2)
     init = WhiteBoxAssessor.__init__
     summary = WhiteBoxAssessor.checkpoint_summary
 
     def counted_init(self, *args, **kwargs):
-        counts["assessor_constructions"] += 1
+        with counts.get_lock():
+            counts[0] += 1
         init(self, *args, **kwargs)
 
     def counted_summary(self, *args, **kwargs):
-        counts["posterior_evaluations"] += 1
+        with counts.get_lock():
+            counts[1] += 1
         return summary(self, *args, **kwargs)
 
     WhiteBoxAssessor.__init__ = counted_init
@@ -434,8 +446,11 @@ def _bayes_work(run) -> dict:
     finally:
         WhiteBoxAssessor.__init__ = init
         WhiteBoxAssessor.checkpoint_summary = summary
-    counts["checkpoints"] = sum(len(h.records) for h in histories)
-    return counts
+    return {
+        "assessor_constructions": counts[0],
+        "posterior_evaluations": counts[1],
+        "checkpoints": sum(len(h.records) for h in histories),
+    }
 
 
 def bench_bayes(src_dir: Path) -> dict:
@@ -453,12 +468,17 @@ def bench_bayes(src_dir: Path) -> dict:
     utilization (``pool.jobs``, ``pool.utilization``), and
     ``first_grid`` is the median over
     :data:`BAYES_FIRST_GRID_INTERPRETERS` fresh interpreters of the same
-    grid run first (:data:`FIRST_GRID_PROBE`).  ``in_process`` counts
-    the assessor constructions and posterior evaluations of one more
-    run of the grid, in this process at jobs 1, against its
-    checkpoints.  ``full_size_cell`` times one scenario-2 cell at the
-    paper's 50,000 demands (perfect detection, a checkpoint every 100),
-    median and IQR of :data:`BAYES_FULL_CELL_REPEATS` runs.
+    grid run first (:data:`FIRST_GRID_PROBE`).  ``work`` counts the
+    assessor constructions and posterior evaluations of one more run of
+    the grid at each of :data:`BAYES_WORK_JOBS`, pool workers included,
+    against its checkpoints, with the workers its pool used
+    (``pool.jobs``) and the grid's wall time at that count (median and
+    IQR of :data:`BAYES_GRID_REPEATS` runs).  ``full_size_cell`` times one scenario-2
+    cell at the paper's 50,000 demands (perfect detection, a checkpoint
+    every 100), median and IQR of :data:`BAYES_FULL_CELL_REPEATS` runs,
+    and ``full_size_table2`` the whole Table 2 grid at the paper's sizes
+    with 2 workers, median and IQR of :data:`BAYES_FULL_GRID_REPEATS`
+    runs.
     """
     prior = scenario_1().prior
     grid = GridSpec()
@@ -488,12 +508,28 @@ def bench_bayes(src_dir: Path) -> dict:
         _in_fresh_interpreter(src_dir, FIRST_GRID_PROBE)
         for _ in range(BAYES_FIRST_GRID_INTERPRETERS)
     ]
-    in_process = _bayes_work(
-        lambda: run_cells(build_grid(spec, replace(options, jobs=1)))
-    )
+    work = {}
+    for count in BAYES_WORK_JOBS:
+        def grid_at(count=count, metrics=None):
+            return run_cells(
+                build_grid(spec, replace(options, jobs=count)),
+                jobs=count,
+                metrics=metrics,
+            )
+
+        registry = MetricsRegistry()
+        work[f"jobs_{count}"] = {
+            **_bayes_work(lambda: grid_at(metrics=registry)),
+            "pool_jobs": registry.as_dict()["gauges"]["pool.jobs"],
+            **_quartiles(_timed_repeats(grid_at, BAYES_GRID_REPEATS)),
+        }
     full_size = assessment_cells("table2", [scenario_2()], seed=1)[0]
     full_cell = _timed_repeats(
         lambda: full_size.fn(**full_size.kwargs), BAYES_FULL_CELL_REPEATS
+    )
+    full_grid = _timed_repeats(
+        lambda: run_experiment(spec, ExperimentOptions(seed=1, jobs=2)),
+        BAYES_FULL_GRID_REPEATS,
     )
     cells = len(spec.build_cells(options, spec.sizes(options)))
     grid_seconds = float(np.median(grids))
@@ -515,7 +551,7 @@ def bench_bayes(src_dir: Path) -> dict:
                 "interpreters": BAYES_FIRST_GRID_INTERPRETERS,
                 "median_seconds": round(float(np.median(first_grids)), 4),
             },
-            "in_process": in_process,
+            "work": work,
         },
         "full_size_cell": {
             "scenario": full_size.kwargs["scenario"].name,
@@ -524,6 +560,13 @@ def bench_bayes(src_dir: Path) -> dict:
             "checkpoints": full_size.cost,
             "repeats": BAYES_FULL_CELL_REPEATS,
             **_quartiles(full_cell),
+        },
+        "full_size_table2": {
+            "demands_per_cell": full_size.kwargs["demands"],
+            "cells": cells,
+            "jobs": 2,
+            "repeats": BAYES_FULL_GRID_REPEATS,
+            **_quartiles(full_grid),
         },
     }
 

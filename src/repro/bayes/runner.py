@@ -9,7 +9,7 @@ criteria (which live in :mod:`repro.core.switching`).
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,31 +58,19 @@ class CheckpointRecord:
 #: and P(pB <= target) per confidence target.
 Summary = Tuple[List[float], List[float], List[float]]
 
+#: A checkpoint's cumulative counts as the posterior sees them:
+#: (r1, r2, r3, r4), the order of :meth:`JointCounts.as_tuple`.
+Vector = Tuple[int, int, int, int]
 
-class _StreamPass:
-    """One pass over one demand stream: the checkpoint summaries its
-    detection regimes evaluated, by cumulative counts.
+#: The posterior levels every checkpoint records: TA99%, then TB99% and
+#: TB90%.
+LEVELS_A = (0.99,)
+LEVELS_B = (0.99, 0.90)
 
-    The regimes of a stream observe the same true failures, so until a
-    regime first distorts one they reach the same count vectors.  A
-    regime that already ran in the pass starts a new one, so a re-run
-    of a stream always evaluates its posteriors again.
-    """
-
-    __slots__ = ("stream", "regimes", "summaries")
-
-    def __init__(self, stream: Hashable):
-        self.stream = stream
-        self.regimes: Set[str] = set()
-        self.summaries: Dict[Tuple[int, int, int, int], Summary] = {}
-
-
-#: The assessor :meth:`SequentialAssessment.run` uses when it is given
-#: none, kept for the process's next run with the same prior and grid.
+#: The assessor :meth:`SequentialAssessment.run` and :func:`evaluate`
+#: use, kept for the process's next evaluation with the same prior and
+#: grid.
 _reused_assessor: Optional[WhiteBoxAssessor] = None
-
-#: The process's current stream pass (see :class:`_StreamPass`).
-_current_pass = _StreamPass(None)
 
 
 def _mismatch(
@@ -122,15 +110,37 @@ def _reused_for(prior: WhiteBoxPrior, grid: GridSpec) -> WhiteBoxAssessor:
     return _reused_assessor
 
 
-def _pass_summaries(
-    stream: Hashable, regime: str
-) -> Dict[Tuple[int, int, int, int], Summary]:
-    """The summaries of *stream*'s current pass, which *regime* joins."""
-    global _current_pass
-    if _current_pass.stream != stream or regime in _current_pass.regimes:
-        _current_pass = _StreamPass(stream)
-    _current_pass.regimes.add(regime)
-    return _current_pass.summaries
+def _summary(
+    assessor: WhiteBoxAssessor,
+    counts: JointCounts,
+    targets: Sequence[float],
+) -> Summary:
+    """One checkpoint's summary: exactly one posterior evaluation, which
+    answers every query (bit-identical to the individual percentile_* /
+    confidence_* calls — see ``checkpoint_summary``)."""
+    assessor.replace_counts(counts)
+    return assessor.checkpoint_summary(
+        levels_a=LEVELS_A, levels_b=LEVELS_B, targets_b=targets
+    )
+
+
+def evaluate(
+    prior: WhiteBoxPrior,
+    grid: GridSpec,
+    targets: Sequence[float],
+    vectors: Sequence[Vector],
+) -> List[Summary]:
+    """The summary of each count vector, in order, one evaluation each,
+    on the process's reused assessor for (*prior*, *grid*).
+
+    A plan's shares call it (see
+    :func:`repro.bayes.evaluation_plan.assess_planned`).
+    """
+    assessor = _reused_for(prior, grid)
+    return [
+        _summary(assessor, JointCounts(*vector), targets)
+        for vector in vectors
+    ]
 
 
 @dataclass
@@ -231,93 +241,101 @@ class SequentialAssessment:
     ) -> AssessmentHistory:
         """Simulate the stream and assess at each checkpoint.
 
-        Without an *assessor*, the run takes the process's reused one
-        for its prior and grid, built on first use (the five likelihood
-        tables are the costly part of an assessor).  A run with another
-        prior or grid releases it before building the next, so at most
-        one is alive per process.  Such a run also joins the current
-        pass over its stream — the rng's initial state, the ground
-        truth, the sizes, the prior, the grid, the confidence targets
-        and the ``checkpoint_summary`` that evaluates them — and takes
-        the summary of a count vector another detection regime of the
-        pass already evaluated instead of evaluating it again.  A regime
-        that already ran in the pass starts a new one, so re-running a
-        stream evaluates every checkpoint again.  Memoised or not, every
-        record is IEEE-bit identical to a fresh assessor's.
+        The run is its two halves in a row: :meth:`checkpoint_counts`
+        draws the stream and its cumulative counts, then every
+        checkpoint is evaluated once and :meth:`assemble` builds the
+        history.  Without an *assessor*, the run evaluates on the
+        process's reused one for its prior and grid, built on first use
+        (the five likelihood tables are the costly part of an
+        assessor); a run with another prior or grid releases it before
+        building the next, so at most one is alive per process.  An
+        assessment grid runs its untraced cells through
+        :func:`repro.bayes.evaluation_plan.assess_planned` instead,
+        which evaluates each distinct count vector once across the
+        grid; both give IEEE-bit identical records.
 
         A supplied *assessor* is reset and evaluates every checkpoint;
         one built for another grid (compared by equality) or prior
         (compared by ``repr``, which encodes its parameters) raises
-        :class:`~repro.common.errors.ConfigurationError`.  A *tracer* (see
-        :mod:`repro.obs.trace`) receives one ``checkpoint`` event per
-        checkpoint — the demand count, the cumulative Table-1 counts and
-        the recorded percentiles; fields are functions of the seeded
-        stream only, so the trace is reproducible.
+        :class:`~repro.common.errors.ConfigurationError`.  A *tracer*
+        receives one ``checkpoint`` event per checkpoint (see
+        :meth:`assemble`).
         """
         if assessor is None:
             assessor = _reused_for(self.prior, self.grid)
-            summaries = _pass_summaries(
-                (
-                    repr(rng.bit_generator.state),
-                    self.ground_truth,
-                    self.total_demands,
-                    self.checkpoint_every,
-                    repr(self.prior),
-                    self.grid,
-                    self.confidence_targets,
-                    type(assessor).checkpoint_summary,
-                ),
-                repr(self.detection),
-            )
         else:
             problem = _mismatch(assessor, self.prior, self.grid)
             if problem is not None:
                 raise ConfigurationError(problem)
-            # Counts grow with every checkpoint, so a memo of one run
-            # alone never hits.
-            summaries = {}
         assessor.reset()
-        trace = tracer if tracer is not None and tracer.enabled else None
+        counts = self.checkpoint_counts(rng)
+        return self.assemble(
+            counts,
+            [
+                _summary(assessor, checkpoint, self.confidence_targets)
+                for checkpoint in counts
+            ],
+            tracer,
+        )
 
+    def checkpoint_counts(
+        self, rng: np.random.Generator
+    ) -> List[JointCounts]:
+        """The cumulative observed Table-1 counts at every checkpoint.
+
+        The cheap half of :meth:`run`: it draws the true failures from
+        *rng*, passes them through the detection model (which draws from
+        the same generator after the stream) and reads the counts off
+        prefix sums — the posterior only ever sees cumulative counts.
+        """
         a_true, b_true = self.ground_truth.sample(rng, self.total_demands)
         a_obs, b_obs = self.detection.observe(a_true, b_true, rng)
-
-        # Cumulative counts are cheap to compute at every checkpoint from
-        # prefix sums; the posterior only ever sees cumulative counts.
         a_cum = np.cumsum(a_obs.astype(np.int64))
         b_cum = np.cumsum(b_obs.astype(np.int64))
         both_cum = np.cumsum((a_obs & b_obs).astype(np.int64))
-
-        history = AssessmentHistory(
-            ground_truth=self.ground_truth,
-            detection_name=self.detection.name,
-        )
+        counts = []
         for n in self.checkpoints():
             r_a = int(a_cum[n - 1])
             r_b = int(b_cum[n - 1])
             r_both = int(both_cum[n - 1])
-            counts = JointCounts(
-                both_fail=r_both,
-                only_first_fails=r_a - r_both,
-                only_second_fails=r_b - r_both,
-                both_succeed=n - r_a - r_b + r_both,
-            )
-            summary = summaries.get(counts.as_tuple())
-            if summary is None:
-                assessor.replace_counts(counts)
-                # One posterior evaluation answers every checkpoint
-                # query (bit-identical to the individual percentile_* /
-                # confidence_* calls — see checkpoint_summary).
-                summary = assessor.checkpoint_summary(
-                    levels_a=(0.99,),
-                    levels_b=(0.99, 0.90),
-                    targets_b=self.confidence_targets,
+            counts.append(
+                JointCounts(
+                    both_fail=r_both,
+                    only_first_fails=r_a - r_both,
+                    only_second_fails=r_b - r_both,
+                    both_succeed=n - r_a - r_b + r_both,
                 )
-                summaries[counts.as_tuple()] = summary
+            )
+        return counts
+
+    def assemble(
+        self,
+        counts: Sequence[JointCounts],
+        summaries: Sequence[Summary],
+        tracer: Optional[Tracer] = None,
+    ) -> AssessmentHistory:
+        """The history of :meth:`checkpoint_counts`' *counts* and each
+        checkpoint's ``checkpoint_summary`` answer, in checkpoint order.
+
+        Every record is a new object, its confidences a new dict, even
+        where two records share one summary.  A *tracer* (see
+        :mod:`repro.obs.trace`) receives one ``checkpoint`` event per
+        checkpoint — the demand count, the cumulative Table-1 counts
+        and the recorded percentiles; fields are functions of the
+        seeded stream only, so the trace is reproducible.
+        """
+        trace = tracer if tracer is not None and tracer.enabled else None
+        history = AssessmentHistory(
+            ground_truth=self.ground_truth,
+            detection_name=self.detection.name,
+        )
+        for n, checkpoint, summary in zip(
+            self.checkpoints(), counts, summaries
+        ):
             (pa99,), (pb99, pb90), confidences = summary
             record = CheckpointRecord(
                 demands=n,
-                counts=counts,
+                counts=checkpoint,
                 percentile_a_99=pa99,
                 percentile_b_99=pb99,
                 percentile_b_90=pb90,
@@ -330,10 +348,10 @@ class SequentialAssessment:
                 trace.emit(
                     "checkpoint",
                     demands=n,
-                    both_fail=counts.both_fail,
-                    only_first_fails=counts.only_first_fails,
-                    only_second_fails=counts.only_second_fails,
-                    both_succeed=counts.both_succeed,
+                    both_fail=checkpoint.both_fail,
+                    only_first_fails=checkpoint.only_first_fails,
+                    only_second_fails=checkpoint.only_second_fails,
+                    both_succeed=checkpoint.both_succeed,
                     percentile_a_99=record.percentile_a_99,
                     percentile_b_99=record.percentile_b_99,
                     percentile_b_90=record.percentile_b_90,

@@ -35,10 +35,10 @@ step over the whole grid at once, without its dozen grid-sized
 temporaries.  The array :meth:`WhiteBoxAssessor._posterior` returns *is*
 that buffer: the next evaluation overwrites it in place.  The table
 build is the costly part of a construction, so the sequential runner
-(:meth:`repro.bayes.runner.SequentialAssessment.run`) keeps one
-assessor per process for the runs that share its prior and grid, and
-answers a checkpoint whose counts another detection regime of the same
-stream already evaluated from its own memo.  Every
+(:mod:`repro.bayes.runner`) keeps one assessor per process for the
+evaluations that share its prior and grid, and an assessment grid
+evaluates each distinct count vector of its cells once
+(:func:`repro.bayes.evaluation_plan.assess_planned`).  Every
 :meth:`WhiteBoxAssessor.checkpoint_summary` call is one evaluation.
 """
 

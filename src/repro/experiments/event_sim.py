@@ -7,12 +7,24 @@ discrete-event kernel, and reduces the observation log to the Table-5/6
 row format (MET, CR/EER/NER counts, NRDT per release and for the
 adjudicated system).  :func:`release_pair_spec` declares both tables'
 :class:`~repro.pipeline.spec.ExperimentSpec` from the one cell builder
-they share, :func:`release_pair_cells`.
+they share, :func:`release_pair_cells`.  The columnar resolver
+(:mod:`repro.runtime.columnar`) is imported where a cell first resolves
+on it, so a process that only imports the experiment layer, or runs no
+columnar cell, does not compile it at start-up.
 """
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -29,7 +41,6 @@ from repro.experiments.paper_params import DEFAULT_SEED
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import JsonlTracer, Tracer
 from repro.pipeline.spec import ExperimentOptions, ExperimentSpec
-from repro.runtime import columnar
 from repro.runtime.parallel import BatchSpec, CellSpec
 from repro.runtime.sampling import (
     DemandScript,
@@ -56,6 +67,9 @@ from repro.simulation.metrics import ReleaseMetrics, SystemMetrics
 from repro.simulation.release_model import ReleaseBehaviour
 from repro.simulation.timing import SystemTimingPolicy
 from repro.simulation.workload import StreamingArrivalSource
+
+if TYPE_CHECKING:
+    from repro.runtime.batch import BatchContext
 
 #: Demand-resolution backends.  ``event`` threads every demand through
 #: the discrete-event kernel (the reference semantics); ``columnar``
@@ -257,6 +271,8 @@ def run_scripted_cell(
     spacing = timeout + P.ADJUDICATION_DELAY + 0.5
 
     if backend != "event":
+        from repro.runtime import columnar
+
         outcome_codes = None
         if releases < 2:
             # sample_many is bit-identical to the endpoint's scalar
@@ -580,12 +596,14 @@ def draw_release_pair_arena(
 
 def run_release_pair_batch(
     kwargs_list: List[Dict[str, Any]],
-    metrics: Optional[MetricsRegistry] = None,
+    batch: "BatchContext",
 ) -> Optional[List[SimulationRunResult]]:
     """Resolve a fused group of Table-5/6 cells over one shared arena.
 
     :func:`~repro.runtime.parallel.run_cells` calls this with the
-    kwargs of every cell in a ``(fn, group)`` chunk.  The group key
+    kwargs of every cell in a ``(fn, group)`` chunk; it counts into
+    the *batch* context's metrics registry and runs in the calling
+    process.  The group key
     guarantees the cells share (joint family, requests, profile,
     backend); this function still re-checks the columnar envelope per
     cell — any member outside it declines the whole group
@@ -606,6 +624,7 @@ def run_release_pair_batch(
     """
     if not kwargs_list:
         return []
+    metrics = batch.metrics
     count = len(kwargs_list)
     first = kwargs_list[0]
     for kw in kwargs_list:
@@ -623,6 +642,8 @@ def run_release_pair_batch(
         # A lone release samples its own marginal, not scripted outcome
         # codes: the per-cell path pre-draws that marginal.
         return _batch_fallback(metrics, count, "no-outcome-codes")
+    from repro.runtime import columnar
+
     seeds = [SeedSequenceFactory(kw["seed"]) for kw in kwargs_list]
     arena = draw_release_pair_arena(kwargs_list, profile, seeds)
     timeouts = [float(kw["timeout"]) for kw in kwargs_list]

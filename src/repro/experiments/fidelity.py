@@ -23,7 +23,6 @@ from repro.experiments.event_sim import (
 from repro.experiments.paper_params import REQUESTS_PER_RUN
 from repro.pipeline import ExperimentOptions, ExperimentSpec, register
 from repro.runtime.parallel import CellSpec
-from repro.simulation.metrics import ReleaseMetrics
 
 #: Observables diffed per column (count rows are scaled by requests).
 #: "EER+NER" pools the two failure classes: the paper's *split* of the
@@ -39,27 +38,29 @@ class FidelityDiff:
     """Relative errors of one regenerated table against the paper's."""
 
     label: str
-    #: observable -> list of |ours - paper| / paper over all cells.
-    errors: Dict[str, List[float]] = field(default_factory=dict)
+    #: observable -> |ours - paper| / paper over all cells, in cell order.
+    errors: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def add(self, observable: str, ours: float, reported: float) -> None:
         if reported == 0:
             return  # avoid dividing by zero on empty paper cells
-        self.errors.setdefault(observable, []).append(
-            abs(ours - reported) / abs(reported)
+        error = abs(ours - reported) / abs(reported)
+        self.errors[observable] = np.append(
+            self.errors.get(observable, []), error
         )
 
     def mean_error(self, observable: str) -> float:
-        values = self.errors.get(observable, [])
-        return float(np.mean(values)) if values else float("nan")
+        values = self.errors.get(observable)
+        return float(np.mean(values)) if values is not None else float("nan")
 
     def max_error(self, observable: str) -> float:
-        values = self.errors.get(observable, [])
-        return float(np.max(values)) if values else float("nan")
+        values = self.errors.get(observable)
+        return float(np.max(values)) if values is not None else float("nan")
 
     def overall_mean(self) -> float:
-        everything = [e for values in self.errors.values() for e in values]
-        return float(np.mean(everything)) if everything else float("nan")
+        if not self.errors:
+            return float("nan")
+        return float(np.mean(np.concatenate(list(self.errors.values()))))
 
     def render(self) -> str:
         rows = [
@@ -75,17 +76,17 @@ class FidelityDiff:
         )
 
 
-def _row_values(metrics: ReleaseMetrics, requests_scale: float) -> Dict[str, float]:
-    row = metrics.as_row()
-    return {
-        "MET": row["MET"],
-        "CR": row["CR"] * requests_scale,
-        "EER": row["EER"] * requests_scale,
-        "NER": row["NER"] * requests_scale,
-        "EER+NER": (row["EER"] + row["NER"]) * requests_scale,
-        "Total": row["Total"] * requests_scale,
-        "NRDT": row["NRDT"] * requests_scale,
-    }
+def _row_values(row: Mapping[str, float], scale: float = 1.0) -> List[float]:
+    """A table column's :data:`OBSERVABLES`, counts rescaled by *scale*."""
+    return [
+        row["MET"],
+        row["CR"] * scale,
+        row["EER"] * scale,
+        row["NER"] * scale,
+        (row["EER"] + row["NER"]) * scale,
+        row["Total"] * scale,
+        row["NRDT"] * scale,
+    ]
 
 
 def compare_to_paper(
@@ -97,31 +98,39 @@ def compare_to_paper(
     """Diff a regenerated table against the transcribed reported one.
 
     Count rows are rescaled to the paper's 10,000-request basis so
-    reduced-size regenerations remain comparable.
+    reduced-size regenerations remain comparable.  The values are
+    gathered once, one row per (cell, column), and the errors computed
+    as one array; a paper cell of 0 is skipped, and observables enter
+    the diff in the order their first non-empty paper cell appears.
     """
-    diff = FidelityDiff(label=label)
+    ours: List[List[float]] = []
+    paper: List[List[float]] = []
     for result in table.results:
         reported_cell = reported.get(result.run, {}).get(result.timeout)
         if reported_cell is None:
             continue
         requests = result.metrics.system.total_requests
         scale = paper_requests / requests if requests else 1.0
-        columns = {
-            "Rel1": result.metrics.releases[0],
-            "Rel2": result.metrics.releases[1],
-            "System": result.metrics.system,
-        }
-        for column, metrics in columns.items():
-            ours = _row_values(metrics, scale)
-            for observable in OBSERVABLES:
-                if observable == "EER+NER":
-                    reported_value = (
-                        reported_cell[column]["EER"]
-                        + reported_cell[column]["NER"]
-                    )
-                else:
-                    reported_value = reported_cell[column][observable]
-                diff.add(observable, ours[observable], reported_value)
+        columns = (
+            ("Rel1", result.metrics.releases[0]),
+            ("Rel2", result.metrics.releases[1]),
+            ("System", result.metrics.system),
+        )
+        for column, metrics in columns:
+            ours.append(_row_values(metrics.as_row(), scale))
+            paper.append(_row_values(reported_cell[column]))
+    diff = FidelityDiff(label=label)
+    if not ours:
+        return diff
+    ours_table = np.array(ours, dtype=float)
+    paper_table = np.array(paper, dtype=float)
+    present = paper_table != 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        errors = np.abs(ours_table - paper_table) / np.abs(paper_table)
+    first = np.where(present.any(axis=0), present.argmax(axis=0), len(ours))
+    for j in sorted(range(len(OBSERVABLES)), key=lambda j: first[j]):
+        if first[j] < len(ours):
+            diff.errors[OBSERVABLES[j]] = errors[present[:, j], j]
     return diff
 
 

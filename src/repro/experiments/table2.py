@@ -14,7 +14,18 @@ replays cells another one already computed.
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.bayes.priors import GridSpec
 from repro.bayes.runner import AssessmentHistory, SequentialAssessment
@@ -29,7 +40,10 @@ from repro.experiments.scenarios import (
 )
 from repro.obs.trace import JsonlTracer
 from repro.pipeline import ExperimentOptions, ExperimentSpec, register
-from repro.runtime.parallel import CellSpec
+from repro.runtime.parallel import BatchSpec, CellSpec
+
+if TYPE_CHECKING:
+    from repro.runtime.batch import BatchContext
 
 #: Cache namespace shared by every experiment built from assessment
 #: cells (table2, fig7, fig8, robustness) — equal cells hit one entry.
@@ -92,6 +106,36 @@ class Table2Result:
         )
 
 
+def _stream_assessment(
+    scenario: Scenario,
+    detection_name: str,
+    seed: int,
+    grid: GridSpec,
+    demands: int,
+    every: int,
+) -> Tuple[SequentialAssessment, np.random.Generator]:
+    """One (scenario, detection) cell's assessment and stream generator.
+
+    The stream generator is re-derived from (*seed*, scenario name), so
+    the same ground-truth demand stream is seen by every detection
+    regime regardless of which process runs it; the detection model
+    draws from the same generator after the stream, which is fine — the
+    underlying true failure sequence is identical.
+    """
+    assessment = SequentialAssessment(
+        ground_truth=scenario.ground_truth,
+        detection=detection_models()[detection_name],
+        prior=scenario.prior,
+        total_demands=demands,
+        checkpoint_every=every,
+        confidence_targets=scenario.confidence_targets(),
+        grid=grid,
+    )
+    return assessment, SeedSequenceFactory(seed).generator(
+        f"{scenario.name}/stream"
+    )
+
+
 def _detection_history_cell(
     scenario: Scenario,
     detection_name: str,
@@ -102,32 +146,17 @@ def _detection_history_cell(
     trace_path: Optional[str] = None,
     trace_cell: str = "",
 ) -> AssessmentHistory:
-    """One (scenario, detection) assessment; module-level so worker
-    processes can unpickle it.
+    """One (scenario, detection) assessment on its own; module-level so
+    worker processes can unpickle it.
 
-    The stream generator is re-derived from (*seed*, scenario name)
-    inside the cell, so the same ground-truth demand stream is seen by
-    every detection regime regardless of which process runs it; its
-    initial state is also what identifies the stream to the runner's
-    checkpoint memo.  With
-    *trace_path* set, every posterior checkpoint is appended to a JSONL
-    trace (fields are functions of the seeded stream only, so the
-    trace is bit-identical for any ``jobs`` value).
+    Traced cells take this path.  With *trace_path* set, every
+    posterior checkpoint is appended to a JSONL trace (fields are
+    functions of the seeded stream only, so the trace is bit-identical
+    for any ``jobs`` value).
     """
-    detection = detection_models()[detection_name]
-    assessment = SequentialAssessment(
-        ground_truth=scenario.ground_truth,
-        detection=detection,
-        prior=scenario.prior,
-        total_demands=demands,
-        checkpoint_every=every,
-        confidence_targets=scenario.confidence_targets(),
-        grid=grid,
+    assessment, rng = _stream_assessment(
+        scenario, detection_name, seed, grid, demands, every
     )
-    # Identical stream seed across regimes; the detection model draws
-    # from the same generator after the stream, which is fine — the
-    # underlying true failure sequence is identical.
-    rng = SeedSequenceFactory(seed).generator(f"{scenario.name}/stream")
     tracer = (
         JsonlTracer(trace_path, cell=trace_cell)
         if trace_path is not None
@@ -138,6 +167,38 @@ def _detection_history_cell(
     finally:
         if tracer is not None:
             tracer.close()
+
+
+def _planned_histories(
+    kwargs_list: List[Dict[str, Any]], batch: "BatchContext"
+) -> List[AssessmentHistory]:
+    """A chunk of untraced assessment cells as one plan.
+
+    Every cell draws its checkpoint counts in this process, then each
+    distinct count vector of the chunk is evaluated once, in even
+    shares fanned over the run's pool (see
+    :func:`~repro.bayes.evaluation_plan.assess_planned`), and each
+    cell's history is assembled from the summaries — IEEE-bit identical
+    to :func:`_detection_history_cell` on every cell, at any ``jobs``.
+    ``bayes.planned_cells`` counts the cells executed.
+    """
+    from repro.bayes.evaluation_plan import assess_planned
+
+    runs = [
+        _stream_assessment(
+            kw["scenario"], kw["detection_name"], kw["seed"], kw["grid"],
+            kw["demands"], kw["every"],
+        )
+        for kw in kwargs_list
+    ]
+    histories = assess_planned(runs, batch.jobs, batch.map)
+    if batch.metrics is not None:
+        batch.metrics.counter("bayes.planned_cells").inc(len(histories))
+    return histories
+
+
+#: The untraced assessment cells of a grid, planned together.
+PLANNED = BatchSpec(fn=_planned_histories, group=(ASSESSMENT_NAMESPACE,))
 
 
 def assessment_cells(
@@ -158,16 +219,16 @@ def assessment_cells(
     between rows are attributable to detection alone.  *experiment*
     labels trace files and cells; the cache namespace is always
     :data:`ASSESSMENT_NAMESPACE`, so table2 / fig7 / fig8 / robustness
-    share cached cells.  Traced cells bypass the cache (``key=None``).
-    Each cell's ``cost`` is its number of posterior checkpoints, so a
-    process pool starts the longest assessments first.
+    share cached cells.
 
-    A process that runs several cells, inline or as a pool worker,
-    builds one white-box assessor per (prior, grid) in a row, and a
-    cell whose regime follows another of the same stream there
-    evaluates only the count vectors that regime did not reach (see
-    :meth:`~repro.bayes.runner.SequentialAssessment.run`).  Results
-    are IEEE-bit identical whichever process runs which cells.
+    Untraced cells carry the :data:`PLANNED` batch spec: ``run_cells``
+    runs them in chunks of up to ``BATCH_MAX_CELLS`` cells, each chunk
+    one plan that evaluates every distinct count vector once, in even
+    shares over the pool (:func:`_planned_histories`), and commits as
+    one group file.  Traced cells bypass the cache (``key=None``) and
+    take the per-cell path, one assessment per cell, where ``cost`` —
+    the number of posterior checkpoints — starts the longest first.
+    Results are IEEE-bit identical either way, at any ``jobs``.
     """
     import scipy.special  # noqa: F401  (forked pool workers inherit it)
 
@@ -206,6 +267,7 @@ def assessment_cells(
                         demands=demands,
                         every=every,
                     ),
+                    batch=None if trace_path is not None else PLANNED,
                     cost=demands // every,
                 )
             )

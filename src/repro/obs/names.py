@@ -32,6 +32,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "backend.batched_scripts",
     "backend.columnar_cells",
     "backend.fallback_cells",
+    "bayes.planned_cells",
     "cache.corrupt",
     "cache.hit",
     "cache.miss",

@@ -94,8 +94,9 @@ class ExperimentOptions:
     The engine always fuses cells that declare a
     :class:`~repro.runtime.parallel.BatchSpec` into group executions —
     one shared demand-script arena resolved by the release-major kernel
-    and one fsync'd store commit per group — bit-identical to running
-    each cell alone.
+    for Tables 5/6, one posterior plan for an assessment grid, and one
+    fsync'd store commit per group — bit-identical to running each cell
+    alone.
     """
 
     seed: int

@@ -347,23 +347,17 @@ def _resolve_group(
 def _bounded_draws(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
     """Replay the adjudicator's per-demand ``integers(bound)`` draws.
 
-    A batched ``integers(2, size=m)`` consumes the bit stream exactly
-    like *m* scalar bound-2 draws (one random word each — the masked
-    rejection path never rejects for a power-of-two bound), so each
-    maximal run of bound-2 draws is one call (the whole array when every
-    bound is 2); other bounds stay scalar, which is definitionally
-    identical to the kernel's per-demand draws.
+    One ``integers(bounds)`` call over the whole array of bounds draws
+    element by element in order, each element exactly as a scalar
+    ``integers(bound)`` call draws it (a bound of 1 consumes nothing),
+    so the draws and the generator's final state are those of the
+    kernel's per-demand calls for any mix of bounds.  An array of 2s
+    (every two-release cell) takes ``integers(2, size=n)`` instead,
+    which draws the same for less per draw than an array of bounds.
     """
-    draws = np.empty(bounds.size, dtype=np.int64)
-    is_two = bounds == 2
-    edges = (np.flatnonzero(is_two[1:] != is_two[:-1]) + 1).tolist()
-    for lo, hi in zip([0, *edges], [*edges, bounds.size]):
-        if is_two[lo]:
-            draws[lo:hi] = rng.integers(2, size=hi - lo)
-        else:
-            for i in range(lo, hi):
-                draws[i] = rng.integers(int(bounds[i]))
-    return draws
+    if (bounds == 2).all():
+        return rng.integers(2, size=bounds.size)
+    return rng.integers(bounds)
 
 
 def _stable_ranks(keys: Sequence[np.ndarray]) -> List[np.ndarray]:

@@ -28,6 +28,15 @@ more than one CPU — with these guarantees:
   dies raises :class:`~repro.common.errors.WorkerCrashError` naming
   every cell left unfinished.
 
+Cells carrying a :class:`BatchSpec` run first, a chunk at a time, as
+one call to their batch function; a
+:class:`~repro.runtime.batch.BatchContext` lets that function fan its
+own independent tasks over the pool under the same rules (a faulting
+task names the cells it served), so no module of the experiment layer
+calls :func:`run_cells` itself.  :func:`run_inline`,
+:func:`run_pooled` and :func:`record_pool_gauges` are the execution
+steps both share.
+
 Cell functions must be module-level (picklable) and their kwargs and
 results picklable; everything in the experiment layer already is.
 """
@@ -41,7 +50,17 @@ import warnings
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -50,22 +69,27 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime.cache import ResultCache
 from repro.store.log import RunStore
 
+if TYPE_CHECKING:
+    from repro.runtime.batch import BatchContext
+
 
 @dataclass(frozen=True)
 class BatchSpec:
     """How a cell may be fused into a batched group execution.
 
-    *fn* takes the kwargs dicts of a whole group of cells (plus the
-    metrics registry) and returns their results in order — or ``None``
-    to decline the group, in which case every member falls back to the
-    ordinary per-cell path.  Cells fuse only with cells sharing the same
-    ``(fn, group)`` pair, so *group* must carry everything that must be
-    homogeneous across a fused batch (mode, release count, workload
-    shape).
+    *fn* takes the kwargs dicts of a whole group of cells and the
+    chunk's :class:`~repro.runtime.batch.BatchContext` (the run's
+    metrics registry, its
+    ``jobs`` and a way to fan independent tasks over the pool), and
+    returns their results in order — or ``None`` to decline the group,
+    in which case every member falls back to the ordinary per-cell
+    path.  Cells fuse only with cells sharing the same ``(fn, group)``
+    pair, so *group* must carry everything that must be homogeneous
+    across a fused batch (mode, release count, workload shape).
     """
 
     fn: Callable[
-        [List[Dict[str, Any]], Optional[MetricsRegistry]],
+        [List[Dict[str, Any]], "BatchContext"],
         Optional[List[Any]],
     ]
     group: Tuple[Any, ...]
@@ -94,9 +118,10 @@ class CellSpec:
     cost:
         Relative estimate of the cell's work, known before it runs (a
         non-negative finite number; only its order among a grid's cells
-        matters).  The pool dispatches costlier cells first, so a long
-        cell never starts last.  It is not part of the cache key and
-        never reaches *fn*.
+        matters).  The pool dispatches costlier per-cell-path cells
+        first, so a long cell never starts last; batched cells run as
+        their chunk.  It is not part of the cache key and never reaches
+        *fn*.
     """
 
     experiment: str
@@ -197,29 +222,31 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     )
 
 
-def _describe(spec: CellSpec, index: int) -> str:
+def describe_cell(spec: CellSpec, index: int) -> str:
+    """How a fault names cell *index*: its experiment, index and key."""
     return f"cell {index} of {spec.experiment!r} (key {spec.key!r})"
 
 
-def _name_cell(error: BaseException, spec: CellSpec, index: int) -> None:
-    """Note on *error* which cell raised it (notes need Python 3.11+)."""
+def _note(error: BaseException, where: str) -> None:
+    """Note on *error* where it was raised (notes need Python 3.11+)."""
     if sys.version_info >= (3, 11):
-        error.add_note(f"raised in {_describe(spec, index)}")
+        error.add_note(f"raised in {where}")
 
 
 def _collect(
     futures: Dict[Future[Any], int],
-    cells: Sequence[CellSpec],
+    describe: Callable[[int], str],
     unpack: Callable[[int, Any], None],
+    noun: str,
 ) -> None:
     """Hand every pooled result to *unpack* as it completes.
 
-    A cell exception is re-raised with a note naming the cell.  A dead
-    worker breaks the whole pool: the results that did come back are
-    still handed over, then :class:`WorkerCrashError` names every other
-    cell.  Whatever ends the collection early (a fault, an interrupt)
-    cancels the cells not yet started, so the pool's shutdown waits only
-    for the running ones.
+    An exception is re-raised with a note naming (*describe*) what
+    raised it.  A dead worker breaks the whole pool: the results that
+    did come back are still handed over, then :class:`WorkerCrashError`
+    names every other *noun*.  Whatever ends the collection early (a
+    fault, an interrupt) cancels the work not yet started, so the
+    pool's shutdown waits only for the running ones.
     """
     pending = dict(futures)
     try:
@@ -235,17 +262,91 @@ def _collect(
                     else:
                         lost.append(other_index)
                 raise WorkerCrashError(
-                    f"a pool worker died before {len(lost)} cell(s) "
+                    f"a pool worker died before {len(lost)} {noun}(s) "
                     "finished: "
-                    + "; ".join(_describe(cells[i], i) for i in sorted(lost))
+                    + "; ".join(describe(i) for i in sorted(lost))
                 ) from error
             except Exception as error:
-                _name_cell(error, cells[index], index)
+                _note(error, describe(index))
                 raise
             unpack(index, outcome)
     finally:
         for future in pending:
             future.cancel()
+
+
+def run_inline(
+    indices: Sequence[int],
+    call: Callable[[Any], Any],
+    payloads: Sequence[Any],
+    describe: Callable[[int], str],
+    unpack: Callable[[int, Any], None],
+) -> None:
+    """Run ``call(payloads[i])`` for every *i* in *indices*, in order.
+
+    An exception is re-raised with a note naming (*describe*) what
+    raised it.
+    """
+    for index in indices:
+        try:
+            outcome = call(payloads[index])
+        except Exception as error:
+            _note(error, describe(index))
+            raise
+        unpack(index, outcome)
+
+
+def run_pooled(
+    order: Sequence[int],
+    call: Callable[[Any], Any],
+    payloads: Sequence[Any],
+    describe: Callable[[int], str],
+    unpack: Callable[[int, Any], None],
+    workers: int,
+    noun: str,
+) -> int:
+    """Run ``call(payloads[i])`` for every *i*, submitted in *order*, on
+    a pool of *workers*; return the workers used.
+
+    *call* must be module-level and the payloads picklable.  If the
+    platform cannot provide a process pool, the work runs inline in
+    index order with a warning, on one worker.
+    """
+    try:
+        pool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=_pool_context()
+        )
+    except OSError as error:
+        warnings.warn(
+            f"process pool unavailable ({error!r}); "
+            f"running {len(order)} {noun}s inline",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        run_inline(sorted(order), call, payloads, describe, unpack)
+        return 1
+    with pool:
+        futures = {pool.submit(call, payloads[index]): index for index in order}
+        _collect(futures, describe, unpack, noun)
+    return workers
+
+
+def record_pool_gauges(
+    metrics: MetricsRegistry,
+    timings: Sequence[Tuple[float, float]],
+    batch_started: float,
+    workers: int,
+) -> None:
+    """Record ``pool.jobs`` and ``pool.utilization`` — busy
+    worker-seconds over *workers* x the span from *batch_started* to
+    the last finish — for work timed as ``(started, elapsed)``."""
+    metrics.gauge("pool.jobs").set(float(workers))
+    span = max(started + elapsed for started, elapsed in timings) - batch_started
+    if span > 0.0:
+        busy = 0.0
+        for _started, elapsed in timings:
+            busy += elapsed
+        metrics.gauge("pool.utilization").set(busy / (workers * span))
 
 
 def _run_batched(
@@ -255,6 +356,7 @@ def _run_batched(
     cache: Optional[ResultCache],
     metrics: Optional[MetricsRegistry],
     store: Optional[RunStore],
+    jobs: int,
 ) -> List[int]:
     """Execute fusable cells group by group; return the remaining todo.
 
@@ -262,7 +364,9 @@ def _run_batched(
     ``(fn, group)`` pair in first-appearance order, each partition is
     chunked to at most :data:`BATCH_MAX_CELLS` cells (grid order — so
     chunk membership is deterministic and a resumed run reconstructs the
-    same chunks), and each chunk runs as one call to the batch function.
+    same chunks), and each chunk runs as one call to the batch function,
+    in the parent, with a :class:`~repro.runtime.batch.BatchContext`
+    through which it may fan tasks over a pool of up to *jobs* workers.
     Results land in the cache via one :meth:`ResultCache.put_many` and
     in the store via one fsync'd
     :meth:`~repro.store.log.RunStore.commit_group_results` per chunk —
@@ -279,6 +383,8 @@ def _run_batched(
             groups.setdefault((batch.fn, batch.group), []).append(index)
     if not groups:
         return todo
+    from repro.runtime.batch import BatchContext
+
     limit = _batch_chunk_limit()
     done: set = set()
     for (fn, _group), members in groups.items():
@@ -306,7 +412,14 @@ def _run_batched(
                             "store.batch_resume_skipped_cells"
                         ).inc(len(chunk))
                     continue
-            values = fn([spec.kwargs for spec in specs], metrics)
+            values = fn(
+                [spec.kwargs for spec in specs],
+                BatchContext(
+                    metrics=metrics,
+                    jobs=jobs,
+                    cells=[(i, cells[i]) for i in chunk],
+                ),
+            )
             if values is None:
                 continue
             if len(values) != len(chunk):
@@ -414,12 +527,16 @@ def run_cells(
     executions first — one batched call per ``(fn, group)`` chunk of at
     most :data:`BATCH_MAX_CELLS` cells (``REPRO_BATCH_MAX_CELLS``
     overrides), with one cache write-back and one fsync'd store commit
-    per chunk.  For those cells the durability grain coarsens from one
-    cell to one chunk; chunk membership is deterministic, so a resumed
-    run finds its completed chunks in the store
-    (``store.batch_resume_skipped_cells``).  Cells without a
-    :class:`BatchSpec`, and the cells of a declined group, take the
-    per-cell path.
+    per chunk.  The call runs in this process and receives a
+    :class:`~repro.runtime.batch.BatchContext` carrying *metrics*, the
+    resolved *jobs* and its ``map``, which fans the function's own tasks over
+    a pool (an assessment grid's posterior evaluations); a task that
+    raises, or a worker that dies, fails the chunk before it commits.
+    For those cells the durability grain coarsens from one cell to one
+    chunk; chunk membership is deterministic, so a resumed run finds its
+    completed chunks in the store (``store.batch_resume_skipped_cells``).
+    Cells without a :class:`BatchSpec`, and the cells of a declined
+    group, take the per-cell path.
     """
     jobs = resolve_jobs(jobs)
     results: List[Any] = [None] * len(cells)
@@ -432,13 +549,14 @@ def run_cells(
                 continue
         todo.append(index)
 
-    # Batched pass first: fusable cells run as fused groups (one arena,
-    # one resolver call, one fsync'd store commit per chunk) in the
-    # parent process — no pool dispatch, no pickling.  Whatever the pass
-    # declines (no BatchSpec, or the batch function fell back) continues
-    # below on the per-cell path, which looks each cell up in the store
-    # where it commits: its own file.
-    todo = _run_batched(cells, todo, results, cache, metrics, store)
+    # Batched pass first: fusable cells run as fused groups (one batch
+    # call and one fsync'd store commit per chunk), called in the parent
+    # process; a batch function may fan its own tasks over a pool
+    # (BatchContext.map).  Whatever the pass declines (no BatchSpec, or
+    # the batch function fell back) continues below on the per-cell
+    # path, which looks each cell up in the store where it commits: its
+    # own file.
+    todo = _run_batched(cells, todo, results, cache, metrics, store, jobs)
     if store is not None:
         todo = _resume_cells(cells, todo, results, cache, metrics, store)
 
@@ -467,68 +585,36 @@ def run_cells(
             if store is not None:
                 store.commit_result(spec.experiment, spec.key, value)
 
-    def run_inline(indices: Sequence[int]) -> None:
-        for index in indices:
-            try:
-                outcome = execute(cells[index])
-            except Exception as error:
-                _name_cell(error, cells[index], index)
-                raise
-            unpack(index, outcome)
+    def describe(index: int) -> str:
+        return describe_cell(cells[index], index)
 
     workers_used = 1
     if jobs <= 1 or len(todo) <= 1:
-        run_inline(todo)
+        run_inline(todo, execute, cells, describe, unpack)
     elif (os.cpu_count() or 1) <= 1:
         # One CPU cannot run workers concurrently, so the pool would
         # only add fork + pickle tax to every cell regardless of cost.
         if metrics is not None:
             metrics.counter("pool.inline_cells").inc(len(todo))
-        run_inline(todo)
+        run_inline(todo, execute, cells, describe, unpack)
     else:
-        workers_used = min(jobs, len(todo))
         # Longest first, so no long cell starts last while the other
         # workers idle; the sort is stable, so equal costs keep grid order.
         order = sorted(
             todo, key=lambda index: cells[index].cost, reverse=True
         )
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers_used, mp_context=_pool_context()
-            )
-        except OSError as error:
-            warnings.warn(
-                f"process pool unavailable ({error!r}); "
-                f"running {len(todo)} cells inline",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            workers_used = 1
-            run_inline(todo)
-        else:
-            with pool:
-                futures = {
-                    pool.submit(execute, cells[index]): index
-                    for index in order
-                }
-                _collect(futures, cells, unpack)
+        workers_used = run_pooled(
+            order, execute, cells, describe, unpack,
+            min(jobs, len(todo)), "cell",
+        )
 
     if metrics is not None and timings:
-        span = max(
-            started + elapsed for started, elapsed in timings
-        ) - batch_started
-        busy = 0.0
         for started, elapsed in timings:
             metrics.histogram("pool.cell_seconds").observe(elapsed)
             metrics.histogram("pool.queue_wait_seconds").observe(
                 max(0.0, started - batch_started)
             )
-            busy += elapsed
         metrics.counter("pool.cells_executed").inc(len(timings))
-        metrics.gauge("pool.jobs").set(float(workers_used))
-        if span > 0.0:
-            metrics.gauge("pool.utilization").set(
-                busy / (workers_used * span)
-            )
+        record_pool_gauges(metrics, timings, batch_started, workers_used)
 
     return results

@@ -36,6 +36,7 @@ from repro.experiments.multi_release import chained_model
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import ExperimentOptions, get_spec, run_experiment
 from repro.runtime import columnar
+from repro.runtime.batch import BatchContext
 from repro.runtime.cache import ResultCache
 from repro.runtime.parallel import BATCH_MAX_CELLS, run_cells
 from repro.runtime.sampling import (
@@ -509,7 +510,9 @@ class TestOrchestration:
             for timeout in P.TIMEOUTS
         ]
         metrics = MetricsRegistry()
-        results = run_release_pair_batch(kwargs_list, metrics)
+        results = run_release_pair_batch(
+            kwargs_list, BatchContext(metrics=metrics)
+        )
         counters = metrics.as_dict()["counters"]
         assert counters["backend.batched_cells"] == 9
         assert counters["backend.batched_scripts"] == 3

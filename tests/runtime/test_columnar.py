@@ -19,6 +19,7 @@ counters say why.
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, ValidationError
@@ -369,6 +370,25 @@ class TestTieAndBoundaryEquivalence:
         event = run_release_pair_simulation(backend="event", **kwargs)
         columnar = run_release_pair_simulation(backend="columnar", **kwargs)
         assert rows_as_bits(event) == rows_as_bits(columnar)
+
+    def test_tie_break_draws_match_scalar_draws(self):
+        # The kernel draws integers(bound) once per mismatching demand;
+        # the resolver draws the whole array of bounds in one call.
+        # Bounds 1-5 mixed, a third of the arrays all 2; the
+        # generator's next draw shows its state is the same too.
+        layout = np.random.default_rng(2024)
+        for case in range(200):
+            size = int(layout.integers(1, 401))
+            if case % 3 == 0:
+                bounds = np.full(size, 2, dtype=np.intp)
+            else:
+                bounds = layout.integers(1, 6, size=size).astype(np.intp)
+            scalar = np.random.default_rng(case)
+            expected = [int(scalar.integers(int(b))) for b in bounds]
+            batched = np.random.default_rng(case)
+            drawn = columnar._bounded_draws(batched, bounds)
+            assert drawn.tolist() == expected, case
+            assert batched.integers(2**62) == scalar.integers(2**62), case
 
 
 class TestEnvelope:

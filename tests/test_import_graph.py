@@ -5,7 +5,9 @@ experiment module imports at load time is paid by every process — a
 simulation sweep, a cache replay, each pool worker.  The Bayes layer
 imports ``scipy.special`` on first use and never ``scipy.stats``, and
 the result cache reads the ruleset version from ``repro.lint.version``
-without loading the analysis machinery.  Each check runs in a fresh
+without loading the analysis machinery.  The modules only a running
+grid needs (the columnar resolver, the batch context, the assessment
+plan) load when a grid first uses them.  Each check runs in a fresh
 interpreter, because this test process has long since imported both.
 """
 
@@ -61,6 +63,23 @@ def test_discover_and_columnar_grid_load_no_scipy_and_no_lint_engine():
     assert [name for name in modules if name.split(".")[0] == "scipy"] == []
     lint = [name for name in modules if name.startswith("repro.lint.")]
     assert lint == ["repro.lint.version"]
+
+
+def test_discover_loads_no_module_only_a_running_grid_needs():
+    modules = modules_after(
+        """
+        from repro.pipeline import discover
+        discover()
+        """
+    )
+    assert "repro.experiments.table2" in modules
+    assert "repro.experiments.event_sim" in modules
+    for name in (
+        "repro.bayes.evaluation_plan",
+        "repro.runtime.batch",
+        "repro.runtime.columnar",
+    ):
+        assert name not in modules
 
 
 def test_table2_cell_loads_scipy_special_not_stats():
