@@ -22,7 +22,7 @@ Measures the numbers the runtime work is accountable for —
   event vs the fused batched columnar path as median and IQR, with the
   pool's inline-gate decision recorded), a ≥1000-cell campaign sweep
   down the batched path (``campaign`` — median and IQR, cells/sec,
-  deterministic chunk sizes, scripts drawn, fallback ratio) and the
+  deterministic chunk sizes, scripts drawn) and the
   fused path's script-arena draw for one full-size Table 5 group
   (``arena_draw`` — median and IQR, cells, scripts and rows drawn) and
   the columnar resolver alone on that group and on fidelity's
@@ -557,7 +557,10 @@ def bench_bayes(src_dir: Path) -> dict:
             "scenario": full_size.kwargs["scenario"].name,
             "detection": full_size.kwargs["detection_name"],
             "demands": full_size.kwargs["demands"],
-            "checkpoints": full_size.cost,
+            # One every `every` demands, and one at the end.
+            "checkpoints": -(
+                -full_size.kwargs["demands"] // full_size.kwargs["every"]
+            ),
             "repeats": BAYES_FULL_CELL_REPEATS,
             **_quartiles(full_cell),
         },
@@ -731,10 +734,8 @@ def bench_campaign(grids: int, requests: int) -> dict:
     seeds — a parameter-sweep campaign over one workload shape), runs
     all of them as one cell list with batching on — median and IQR of
     :data:`CAMPAIGN_REPEATS` runs, GC paused — and reports cells/sec,
-    the deterministic chunk sizes the batched pass used, the scripts
-    drawn (a run split across two chunks is drawn in each), and the
-    fallback ratio (which must be 0.0: every cell of this campaign is
-    inside the columnar envelope).
+    the deterministic chunk sizes the batched pass used and the scripts
+    drawn (a run split across two chunks is drawn in each).
     """
     cells = []
     for index in range(grids):
@@ -753,8 +754,6 @@ def bench_campaign(grids: int, requests: int) -> dict:
     samples = _timed_repeats(run, CAMPAIGN_REPEATS)
     counters = last["counters"]
     batched = int(counters.get("backend.batched_cells", 0))
-    fallback = int(counters.get("backend.batched_fallback_cells", 0))
-    total = batched + fallback
     # Chunk membership is deterministic (grid order, fixed limit), so
     # the batch sizes are arithmetic, not sampled.
     limit = _batch_chunk_limit()
@@ -774,8 +773,6 @@ def bench_campaign(grids: int, requests: int) -> dict:
         "batch_sizes": {"max": max(chunks), "min": min(chunks)},
         "batched_cells": batched,
         "batched_scripts": int(counters.get("backend.batched_scripts", 0)),
-        "fallback_cells": fallback,
-        "fallback_ratio": round(fallback / total, 4) if total else 0.0,
     }
 
 

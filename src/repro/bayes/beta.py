@@ -101,8 +101,11 @@ class TruncatedBeta:
 
         Computed from cdf differences rather than pdf × width so that very
         peaked priors (e.g. Beta(20, 20)) lose no mass to discretisation.
+        ``betainc`` can step down by an ulp where the cdf is flat at 1,
+        so the edges' cdf is made non-decreasing first: no cell gets a
+        negative weight, and the total mass is unchanged.
         """
-        mass = np.diff(self.cdf(self._edges(points)))
+        mass = np.diff(np.maximum.accumulate(self.cdf(self._edges(points))))
         total = mass.sum()
         if total <= 0.0:
             raise ValidationError("prior mass vanished on the grid")

@@ -5,7 +5,8 @@ table) observe each demand stream through several detection regimes,
 which reach the same cumulative counts until a regime first distorts a
 failure.  :func:`assess_planned` draws every cell's checkpoint counts,
 evaluates each distinct count vector once, in even shares that a caller
-fans over a pool, and assembles each cell's history from the summaries.
+fans over a pool, and assembles each cell's history from the summaries,
+writing a traced cell's checkpoint events as it goes.
 
 The experiment layer imports this module when its first plan runs, so
 a process that never assesses does not compile it at start-up.
@@ -13,7 +14,7 @@ a process that never assesses does not compile it at start-up.
 
 import itertools
 import operator
-from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from repro.bayes.runner import (
     Vector,
     evaluate,
 )
+from repro.obs.trace import JsonlTracer
 
 #: The part of a share that one prior serves: :func:`evaluate`'s
 #: arguments (prior, grid, confidence targets, count vectors).
@@ -62,6 +64,7 @@ def assess_planned(
     runs: Sequence[Tuple[SequentialAssessment, np.random.Generator]],
     shares: int,
     fan_out: FanOut,
+    traces: Optional[Sequence[Optional[Tuple[str, str]]]] = None,
 ) -> List[AssessmentHistory]:
     """Run many assessments, evaluating each distinct count vector once.
 
@@ -83,6 +86,14 @@ def assess_planned(
     histories are IEEE-bit identical to :meth:`SequentialAssessment.run`
     on a fresh assessor per run, for any *shares* and any *fan_out*.
     Histories come back in *runs* order.
+
+    *traces*, when given, holds a ``(path, cell)`` pair or ``None`` per
+    run.  A run with a pair writes one ``checkpoint`` event per
+    checkpoint to a :class:`~repro.obs.trace.JsonlTracer` on *path*
+    labelled *cell*, opened only while :meth:`SequentialAssessment.assemble`
+    builds that run's history — after the fan-out, so no pool worker
+    inherits an open file.  The file is byte-equal to the trace
+    :meth:`SequentialAssessment.run` writes for the run.
     """
     counts = [assessment.checkpoint_counts(rng) for assessment, rng in runs]
     keys = [_evaluation_key(assessment) for assessment, _rng in runs]
@@ -128,10 +139,17 @@ def assess_planned(
             ),
         )
     )
-    return [
-        assessment.assemble(
-            checkpoints,
-            [summaries[key, checkpoint.as_tuple()] for checkpoint in checkpoints],
-        )
-        for (assessment, _rng), key, checkpoints in zip(runs, keys, counts)
-    ]
+    histories = []
+    for (assessment, _rng), key, checkpoints, trace in zip(
+        runs, keys, counts, traces or itertools.repeat(None)
+    ):
+        answers = [
+            summaries[key, checkpoint.as_tuple()] for checkpoint in checkpoints
+        ]
+        tracer = None if trace is None else JsonlTracer(trace[0], cell=trace[1])
+        try:
+            histories.append(assessment.assemble(checkpoints, answers, tracer))
+        finally:
+            if tracer is not None:
+                tracer.close()
+    return histories

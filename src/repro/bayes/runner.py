@@ -249,10 +249,11 @@ class SequentialAssessment:
         (the five likelihood tables are the costly part of an
         assessor); a run with another prior or grid releases it before
         building the next, so at most one is alive per process.  An
-        assessment grid runs its untraced cells through
+        assessment grid runs its cells, traced or not, through
         :func:`repro.bayes.evaluation_plan.assess_planned` instead,
         which evaluates each distinct count vector once across the
-        grid; both give IEEE-bit identical records.
+        grid; this method is the per-cell reference that plan is held
+        to, with IEEE-bit identical records and byte-equal traces.
 
         A supplied *assessor* is reset and evaluates every checkpoint;
         one built for another grid (compared by equality) or prior

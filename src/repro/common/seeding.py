@@ -40,7 +40,9 @@ class SeedSequenceFactory:
     Streams are derived with ``numpy.random.SeedSequence(root, spawn_key)``
     where the spawn key is a stable hash of the stream name.  Requesting the
     same name twice returns generators with identical state histories, which
-    the test suite relies on.
+    the test suite relies on.  The root seed must be an integer >= 0 (a
+    seed sequence takes no negative entropy); anything else is a
+    :class:`~repro.common.errors.ConfigurationError`.
 
     Example
     -------
@@ -55,6 +57,10 @@ class SeedSequenceFactory:
         ):
             raise ConfigurationError(
                 f"root_seed must be an integer, got {root_seed!r}"
+            )
+        if root_seed < 0:
+            raise ConfigurationError(
+                f"root_seed must be >= 0, got {root_seed!r}"
             )
         self._root_seed = int(root_seed)
         self._issued: Dict[str, int] = {}

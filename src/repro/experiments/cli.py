@@ -64,7 +64,7 @@ from repro.pipeline import (
     registered_specs,
     run_experiment,
 )
-from repro.pipeline.spec import check_requests
+from repro.pipeline.spec import check_requests, check_seed
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.parallel import resolve_jobs
 from repro.store.log import RunStore
@@ -225,6 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         resolve_jobs(args.jobs)
+        check_seed(args.seed)
         check_requests(args.requests)
     except ConfigurationError as error:
         parser.error(str(error))
@@ -237,8 +238,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiment is None:
         parser.error("an experiment is required unless --clear-cache is given")
     if args.experiment == "all":
-        # Composite experiments that re-run the others declare
-        # in_all=False (the 'report' spec), so 'all' never recurses.
+        # Composite experiments re-run the others (the 'report' spec),
+        # so 'all' skips them and never recurses.
         names = sorted(
             name for name, spec in COMMANDS.items() if spec.in_all
         )

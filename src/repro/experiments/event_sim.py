@@ -557,21 +557,6 @@ def run_joint_model_cell(
     return SimulationRunResult(run, timeout, metrics_)
 
 
-def _batch_fallback(
-    metrics: Optional[MetricsRegistry], count: int, slug: str
-) -> None:
-    """Decline a fused group: count its cells and label the reason.
-
-    Returning ``None`` from the batch function sends every member back
-    to the per-cell path, which re-runs the full envelope check cell by
-    cell — so a declined group is never wrong, only slower.
-    """
-    if metrics is not None:
-        metrics.counter("backend.batched_fallback_cells").inc(count)
-        metrics.counter(f"backend.batched_fallback_reason.{slug}").inc(count)
-    return None
-
-
 def draw_release_pair_arena(
     kwargs_list: Sequence[Dict[str, Any]],
     profile: LatencyProfile,
@@ -597,21 +582,19 @@ def draw_release_pair_arena(
 def run_release_pair_batch(
     kwargs_list: List[Dict[str, Any]],
     batch: "BatchContext",
-) -> Optional[List[SimulationRunResult]]:
+) -> List[SimulationRunResult]:
     """Resolve a fused group of Table-5/6 cells over one shared arena.
 
     :func:`~repro.runtime.parallel.run_cells` calls this with the
     kwargs of every cell in a ``(fn, group)`` chunk; it counts into
     the *batch* context's metrics registry and runs in the calling
-    process.  The group key
-    guarantees the cells share (joint family, requests, profile,
-    backend); this function still re-checks the columnar envelope per
-    cell — any member outside it declines the whole group
-    (``backend.batched_fallback_cells``, reason-labelled), and the
-    cells fall back to the ordinary per-cell path, whose own ``auto``
-    logic then handles them correctly.
+    process.  :func:`release_pair_cells` attaches the batch spec only
+    to cells the arena can resolve (untraced, ``auto`` or ``columnar``
+    backend, two or more releases), and its group key makes the cells
+    share joint family, requests, profile and backend, so every group
+    that reaches this function resolves here.
 
-    On the fused path: one shared demand-script arena is drawn by
+    One shared demand-script arena is drawn by
     :func:`draw_release_pair_arena`, one row per distinct script (a
     12-cell Table 5/6 group draws 4), one call to
     :func:`repro.runtime.columnar.resolve_cell_batch` reduces every cell
@@ -622,26 +605,10 @@ def run_release_pair_batch(
     named streams exactly as the standalone path draws it, and every
     cell keeps its own middleware generator.
     """
-    if not kwargs_list:
-        return []
     metrics = batch.metrics
     count = len(kwargs_list)
-    first = kwargs_list[0]
-    for kw in kwargs_list:
-        if kw.get("trace_path") is not None:
-            return _batch_fallback(metrics, count, "tracing")
-        if kw.get("backend", "event") not in ("auto", "columnar"):
-            return _batch_fallback(metrics, count, "event-backend")
-        if kw["requests"] != first["requests"] or repr(
-            kw.get("profile")
-        ) != repr(first.get("profile")):
-            return _batch_fallback(metrics, count, "heterogeneous")
-    profile = first.get("profile") or paper_profile()
+    profile = kwargs_list[0].get("profile") or paper_profile()
     releases = len(profile.release_latencies)
-    if releases < 2:
-        # A lone release samples its own marginal, not scripted outcome
-        # codes: the per-cell path pre-draws that marginal.
-        return _batch_fallback(metrics, count, "no-outcome-codes")
     from repro.runtime import columnar
 
     seeds = [SeedSequenceFactory(kw["seed"]) for kw in kwargs_list]
@@ -710,13 +677,16 @@ def release_pair_cells(
     the inline ``jobs=1`` path — worker-process registries cannot
     report back to the parent.
 
-    Columnar-eligible cells — untraced, ``auto``/``columnar`` backend —
-    carry a :class:`~repro.runtime.parallel.BatchSpec` grouping them by
+    Cells the script arena can resolve — untraced, ``auto``/``columnar``
+    backend, two or more releases — carry a
+    :class:`~repro.runtime.parallel.BatchSpec` grouping them by
     everything a fused arena must share (experiment, joint family,
     requests, profile, backend), so ``run_cells`` draws each group into
     one script arena and resolves it with the release-major kernel via
-    :func:`run_release_pair_batch`.  Event-backend and traced cells take
-    the per-cell path.
+    :func:`run_release_pair_batch`.  The other cells carry none and take
+    the per-cell path: traced and event-backend cells, and a lone
+    release, which samples its own marginal rather than scripted
+    outcome codes (the per-cell columnar path pre-draws that marginal).
     """
     if backend not in BACKENDS:
         raise ConfigurationError(
@@ -729,7 +699,8 @@ def release_pair_cells(
     profile_name = repr(profile) if profile else "paper"
     cell_metrics = metrics if jobs == 1 else None
     untraced_batch = None
-    if backend in ("auto", "columnar"):
+    releases = len((profile or paper_profile()).release_latencies)
+    if backend in ("auto", "columnar") and releases >= 2:
         untraced_batch = BatchSpec(
             fn=run_release_pair_batch,
             group=(

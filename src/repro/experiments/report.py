@@ -181,5 +181,4 @@ REPORT_SPEC = register(ExperimentSpec(
     title="Markdown reproduction report over every experiment",
     composite=_composite,
     render=_render,
-    in_all=False,
 ))

@@ -149,8 +149,10 @@ def _detection_history_cell(
     """One (scenario, detection) assessment on its own; module-level so
     worker processes can unpickle it.
 
-    Traced cells take this path.  With *trace_path* set, every
-    posterior checkpoint is appended to a JSONL trace (fields are
+    The per-cell reference the plan is held to: a grid runs its cells
+    through :data:`PLANNED`, and a cell stripped of it runs here, with
+    IEEE-bit identical histories and traces.  With *trace_path* set,
+    every posterior checkpoint is appended to a JSONL trace (fields are
     functions of the seeded stream only, so the trace is bit-identical
     for any ``jobs`` value).
     """
@@ -172,14 +174,16 @@ def _detection_history_cell(
 def _planned_histories(
     kwargs_list: List[Dict[str, Any]], batch: "BatchContext"
 ) -> List[AssessmentHistory]:
-    """A chunk of untraced assessment cells as one plan.
+    """A chunk of assessment cells as one plan.
 
     Every cell draws its checkpoint counts in this process, then each
     distinct count vector of the chunk is evaluated once, in even
     shares fanned over the run's pool (see
     :func:`~repro.bayes.evaluation_plan.assess_planned`), and each
-    cell's history is assembled from the summaries — IEEE-bit identical
-    to :func:`_detection_history_cell` on every cell, at any ``jobs``.
+    cell's history is assembled from the summaries, a traced cell's
+    checkpoint events written as it is assembled — histories and traces
+    IEEE-bit identical to :func:`_detection_history_cell` on every
+    cell, at any ``jobs``.
     ``bayes.planned_cells`` counts the cells executed.
     """
     from repro.bayes.evaluation_plan import assess_planned
@@ -191,13 +195,18 @@ def _planned_histories(
         )
         for kw in kwargs_list
     ]
-    histories = assess_planned(runs, batch.jobs, batch.map)
+    traces = [
+        None if kw["trace_path"] is None
+        else (kw["trace_path"], kw["trace_cell"])
+        for kw in kwargs_list
+    ]
+    histories = assess_planned(runs, batch.jobs, batch.map, traces)
     if batch.metrics is not None:
         batch.metrics.counter("bayes.planned_cells").inc(len(histories))
     return histories
 
 
-#: The untraced assessment cells of a grid, planned together.
+#: Every assessment cell of a grid, traced or not, planned together.
 PLANNED = BatchSpec(fn=_planned_histories, group=(ASSESSMENT_NAMESPACE,))
 
 
@@ -221,14 +230,14 @@ def assessment_cells(
     :data:`ASSESSMENT_NAMESPACE`, so table2 / fig7 / fig8 / robustness
     share cached cells.
 
-    Untraced cells carry the :data:`PLANNED` batch spec: ``run_cells``
+    Every cell carries the :data:`PLANNED` batch spec: ``run_cells``
     runs them in chunks of up to ``BATCH_MAX_CELLS`` cells, each chunk
     one plan that evaluates every distinct count vector once, in even
     shares over the pool (:func:`_planned_histories`), and commits as
-    one group file.  Traced cells bypass the cache (``key=None``) and
-    take the per-cell path, one assessment per cell, where ``cost`` —
-    the number of posterior checkpoints — starts the longest first.
-    Results are IEEE-bit identical either way, at any ``jobs``.
+    one group file.  Traced cells bypass the cache and the store
+    (``key=None``); the plan writes their checkpoint events as it
+    assembles their histories, so tracing does not change how many
+    posterior evaluations a grid makes.
     """
     import scipy.special  # noqa: F401  (forked pool workers inherit it)
 
@@ -267,8 +276,7 @@ def assessment_cells(
                         demands=demands,
                         every=every,
                     ),
-                    batch=None if trace_path is not None else PLANNED,
-                    cost=demands // every,
+                    batch=PLANNED,
                 )
             )
     return cells

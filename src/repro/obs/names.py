@@ -28,7 +28,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "aio.queue_wait_seconds",
     "aio.throughput",
     "backend.batched_cells",
-    "backend.batched_fallback_cells",
     "backend.batched_scripts",
     "backend.columnar_cells",
     "backend.fallback_cells",
@@ -56,10 +55,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
 #: time (one counter per columnar fallback slug).  A dynamic metric
 #: name must start with one of these; REPRO203 separately checks that
 #: literal ``backend.fallback_reason.<slug>`` names use declared slugs.
-METRIC_PREFIXES: Tuple[str, ...] = (
-    "backend.batched_fallback_reason.",
-    "backend.fallback_reason.",
-)
+METRIC_PREFIXES: Tuple[str, ...] = ("backend.fallback_reason.",)
 
 #: Every trace-event ``kind`` emitted through a Tracer: kernel activity
 #: (schedule / dispatch / cancel / compact), middleware demand spans

@@ -111,14 +111,12 @@ def run_experiment(
                 f"experiment {spec.name!r} has no grid hooks"
             )
         cells = build_grid(spec, options)
-        cache = options.cache if spec.cacheable else None
-        store = options.store if spec.cacheable else None
         results = run_cells(
             cells,
             jobs=options.jobs,
-            cache=cache,
+            cache=options.cache,
             metrics=options.metrics,
-            store=store,
+            store=options.store,
         )
         value = spec.reduce(results, options)
         cell_count = len(cells)

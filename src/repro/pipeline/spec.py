@@ -32,7 +32,6 @@ it declares cells and never runs them (``run_cells`` has one caller,
 the engine).
 """
 
-import os
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -50,6 +49,17 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime.cache import ResultCache
 from repro.runtime.parallel import CellSpec
 from repro.store.log import RunStore
+
+
+def check_seed(seed: int) -> None:
+    """Reject a negative root seed.
+
+    numpy seed sequences take non-negative integers only, so a negative
+    ``--seed`` is a :class:`ConfigurationError` naming ``seed``, raised
+    before any cell is built or drawn.
+    """
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed!r}")
 
 
 def check_requests(requests: Optional[int]) -> None:
@@ -71,12 +81,12 @@ class ExperimentOptions:
     """Uniform run options, shared by every experiment.
 
     One instance carries everything the CLI flags express: the root
-    seed, the ``--fast`` switch, the latency-profile name, the worker
-    count, the result cache (``None`` = disabled), the uniform
-    workload override (``--requests``; at least 1 when given, see
-    :func:`check_requests`), the per-cell trace directory,
-    the metrics registry, the report output path and the
-    demand-resolution backend (``--backend``: ``event`` threads every
+    seed (at least 0, see :func:`check_seed`), the ``--fast`` switch,
+    the latency-profile name, the worker count, the result cache
+    (``None`` = disabled), the uniform workload override
+    (``--requests``; at least 1 when given, see :func:`check_requests`),
+    the per-cell trace directory, the metrics registry, the report
+    output path and the demand-resolution backend (``--backend``: ``event`` threads every
     demand through the event kernel, ``columnar`` resolves whole cells
     as array programs — bit-identical across the parallel §4.2
     operating modes and fixed-order sequential mode, any release count
@@ -112,13 +122,8 @@ class ExperimentOptions:
     store: Optional[RunStore] = None
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         check_requests(self.requests)
-
-    def trace_path(self, filename: str) -> Optional[str]:
-        """Per-cell trace file path, or ``None`` when tracing is off."""
-        if self.trace_dir is None:
-            return None
-        return os.path.join(self.trace_dir, filename)
 
 
 #: Cell kwargs that carry observability plumbing (tracers, metric
@@ -179,10 +184,6 @@ class ExperimentSpec:
     cache_schema:
         Field names every cacheable cell key must consist of; the
         engine rejects grids whose keys drift from the schema.
-    cacheable:
-        ``False`` opts the whole experiment out of the result cache.
-    in_all:
-        Whether ``repro-experiments all`` includes this experiment.
     """
 
     name: str
@@ -191,13 +192,10 @@ class ExperimentSpec:
     reduce: Optional[Reducer] = None
     render: Optional[Renderer] = None
     composite: Optional[CompositeRunner] = None
-    description: str = ""
     full_sizes: Mapping[str, Any] = field(default_factory=dict)
     fast_sizes: Mapping[str, Any] = field(default_factory=dict)
     workload_key: Optional[str] = None
     cache_schema: Tuple[str, ...] = ()
-    cacheable: bool = True
-    in_all: bool = True
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -236,6 +234,13 @@ class ExperimentSpec:
     def is_composite(self) -> bool:
         """True for orchestrating experiments with no grid of their own."""
         return self.composite is not None
+
+    @property
+    def in_all(self) -> bool:
+        """Whether ``repro-experiments all`` runs this experiment: every
+        grid experiment does; a composite (the report, which runs the
+        others) does not, so ``all`` never recurses."""
+        return self.composite is None
 
     def sizes(self, options: ExperimentOptions) -> Dict[str, Any]:
         """Resolve the size knobs for one run.

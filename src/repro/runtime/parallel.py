@@ -11,9 +11,8 @@ more than one CPU — with these guarantees:
   seed in its kwargs (derived per cell via
   :meth:`~repro.common.seeding.SeedSequenceFactory.child_seed`), so
   results are bit-identical for any ``jobs`` value;
-* **ordering** — results come back in cell order regardless of the
-  order cells are dispatched in (longest first, by each cell's
-  :attr:`CellSpec.cost` hint) or complete in;
+* **ordering** — cells are submitted in grid order and their results
+  come back in grid order, whatever order they complete in;
 * **caching** — cells carrying a key are looked up in / written back to
   a :class:`~repro.runtime.cache.ResultCache` when one is supplied;
 * **resumability** — with a :class:`~repro.store.RunStore` attached,
@@ -41,7 +40,6 @@ Cell functions must be module-level (picklable) and their kwargs and
 results picklable; everything in the experiment layer already is.
 """
 
-import math
 import multiprocessing
 import os
 import sys
@@ -79,19 +77,16 @@ class BatchSpec:
 
     *fn* takes the kwargs dicts of a whole group of cells and the
     chunk's :class:`~repro.runtime.batch.BatchContext` (the run's
-    metrics registry, its
-    ``jobs`` and a way to fan independent tasks over the pool), and
-    returns their results in order — or ``None`` to decline the group,
-    in which case every member falls back to the ordinary per-cell
-    path.  Cells fuse only with cells sharing the same ``(fn, group)``
-    pair, so *group* must carry everything that must be homogeneous
-    across a fused batch (mode, release count, workload shape).
+    metrics registry, its ``jobs`` and a way to fan independent tasks
+    over the pool), and returns their results in order.  Cells fuse only
+    with cells sharing the same ``(fn, group)`` pair, so *group* must
+    carry everything that must be homogeneous across a fused batch
+    (mode, release count, workload shape).  A grid's builder attaches a
+    batch spec only to cells *fn* can resolve, so the decision is made
+    once, when the grid is built; *fn* never declines a group.
     """
 
-    fn: Callable[
-        [List[Dict[str, Any]], "BatchContext"],
-        Optional[List[Any]],
-    ]
+    fn: Callable[[List[Dict[str, Any]], "BatchContext"], List[Any]]
     group: Tuple[Any, ...]
 
 
@@ -115,13 +110,6 @@ class CellSpec:
         Optional :class:`BatchSpec` declaring the cell fusable into a
         batched group execution; ``None`` keeps the cell on the
         per-cell path.
-    cost:
-        Relative estimate of the cell's work, known before it runs (a
-        non-negative finite number; only its order among a grid's cells
-        matters).  The pool dispatches costlier per-cell-path cells
-        first, so a long cell never starts last; batched cells run as
-        their chunk.  It is not part of the cache key and never reaches
-        *fn*.
     """
 
     experiment: str
@@ -129,13 +117,8 @@ class CellSpec:
     kwargs: Dict[str, Any] = field(default_factory=dict)
     key: Optional[Mapping[str, Any]] = None
     batch: Optional[BatchSpec] = None
-    cost: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.cost) and self.cost >= 0):
-            raise ConfigurationError(
-                f"cell cost must be a finite number >= 0, got {self.cost!r}"
-            )
         # A live Generator in cell kwargs would be consumed in whatever
         # order the pool schedules cells — the exact stream-sharing bug
         # REPRO202 flags statically.  Cells must take an integer seed
@@ -192,10 +175,6 @@ def _batch_chunk_limit() -> int:
     if limit < 1:
         raise ConfigurationError(message)
     return limit
-
-
-def _execute_cell(spec: CellSpec) -> Any:
-    return spec.fn(**spec.kwargs)
 
 
 def _execute_cell_timed(spec: CellSpec) -> Tuple[Any, float, float]:
@@ -358,7 +337,8 @@ def _run_batched(
     store: Optional[RunStore],
     jobs: int,
 ) -> List[int]:
-    """Execute fusable cells group by group; return the remaining todo.
+    """Execute fusable cells group by group; return the other cells of
+    *todo*, which take the per-cell path.
 
     Pending cells carrying a :class:`BatchSpec` are partitioned by their
     ``(fn, group)`` pair in first-appearance order, each partition is
@@ -372,21 +352,21 @@ def _run_batched(
     :meth:`~repro.store.log.RunStore.commit_group_results` per chunk —
     the batched durability grain.  A chunk whose group file is already
     committed is served from the store without executing
-    (``store.batch_resume_skipped_cells``).  A batch function returning
-    ``None`` declines the chunk; its cells stay in the returned todo and
-    take the ordinary per-cell path.
+    (``store.batch_resume_skipped_cells``).
     """
     groups: Dict[Tuple[Any, ...], List[int]] = {}
+    per_cell: List[int] = []
     for index in todo:
         batch = cells[index].batch
-        if batch is not None:
+        if batch is None:
+            per_cell.append(index)
+        else:
             groups.setdefault((batch.fn, batch.group), []).append(index)
     if not groups:
-        return todo
+        return per_cell
     from repro.runtime.batch import BatchContext
 
     limit = _batch_chunk_limit()
-    done: set = set()
     for (fn, _group), members in groups.items():
         for start in range(0, len(members), limit):
             chunk = members[start:start + limit]
@@ -402,7 +382,6 @@ def _run_batched(
                 if hit and values is not None:
                     for i, value in zip(chunk, values):
                         results[i] = value
-                        done.add(i)
                     if cache is not None:
                         cache.put_many(
                             experiment, list(zip(keys, values))
@@ -420,8 +399,6 @@ def _run_batched(
                     cells=[(i, cells[i]) for i in chunk],
                 ),
             )
-            if values is None:
-                continue
             if len(values) != len(chunk):
                 raise ConfigurationError(
                     f"batch function {fn!r} returned {len(values)} "
@@ -429,7 +406,6 @@ def _run_batched(
                 )
             for i, value in zip(chunk, values):
                 results[i] = value
-                done.add(i)
             keyed = [
                 (spec.key, value)
                 for spec, value in zip(specs, values)
@@ -440,7 +416,7 @@ def _run_batched(
             if resumable:
                 assert store is not None
                 store.commit_group_results(experiment, keys, values)
-    return [index for index in todo if index not in done]
+    return per_cell
 
 
 def _resume_cells(
@@ -485,12 +461,10 @@ def run_cells(
 
     ``jobs <= 1``, or a single pending cell, runs inline in grid order,
     with no pool and no pickling.  Otherwise the pending cells fan across
-    one process pool of ``min(jobs, pending)`` workers, submitted longest
-    first — in descending :attr:`CellSpec.cost`, ties in grid order — so
-    that a long cell never starts last while the other workers idle.  A
-    single-CPU host runs the batch inline instead: with no second core
-    the pool can only add fork + pickle tax (``pool.inline_cells``
-    counts the cells so diverted).  All paths produce bit-identical
+    one process pool of ``min(jobs, pending)`` workers, submitted in grid
+    order.  A single-CPU host runs the batch inline instead: with no
+    second core the pool can only add fork + pickle tax
+    (``pool.inline_cells`` counts the cells so diverted).  All paths produce bit-identical
     results because each cell is a pure function of its kwargs.  If the
     platform cannot provide a process pool the call degrades to inline
     execution with a warning rather than failing.
@@ -503,14 +477,15 @@ def run_cells(
     fault stay committed to cache and store, so re-running the grid
     executes only the cells that were not.
 
-    With a :class:`~repro.obs.metrics.MetricsRegistry` attached, each
-    executed cell records its wall time (``pool.cell_seconds``) and
-    queue wait from the start of the call (``pool.queue_wait_seconds``),
-    and the batch records the worker count the executor actually used
-    (``pool.jobs`` — 1 on the inline path, ``min(jobs, cells-to-run)``
-    on the pool path) and worker utilization (``pool.utilization`` —
-    busy worker-seconds over used workers x batch span).  The timed path
-    pickles a couple of extra floats per cell; results are unaffected.
+    Every per-cell-path cell runs through one timed execute function; an
+    attached :class:`~repro.obs.metrics.MetricsRegistry` decides only
+    whether the timings are recorded: each executed cell's wall time
+    (``pool.cell_seconds``) and queue wait from the start of the call
+    (``pool.queue_wait_seconds``), the worker count the executor
+    actually used (``pool.jobs`` — 1 on the inline path,
+    ``min(jobs, cells-to-run)`` on the pool path) and worker utilization
+    (``pool.utilization`` — busy worker-seconds over used workers x
+    batch span).
 
     With a :class:`~repro.store.log.RunStore` attached, each cell is
     looked up in the store where it would commit: a chunk of batched
@@ -535,8 +510,8 @@ def run_cells(
     For those cells the durability grain coarsens from one cell to one
     chunk; chunk membership is deterministic, so a resumed run finds its
     completed chunks in the store (``store.batch_resume_skipped_cells``).
-    Cells without a :class:`BatchSpec`, and the cells of a declined
-    group, take the per-cell path.
+    Cells without a :class:`BatchSpec` take the per-cell path; which
+    path a cell takes is fixed when its grid is built.
     """
     jobs = resolve_jobs(jobs)
     results: List[Any] = [None] * len(cells)
@@ -552,28 +527,20 @@ def run_cells(
     # Batched pass first: fusable cells run as fused groups (one batch
     # call and one fsync'd store commit per chunk), called in the parent
     # process; a batch function may fan its own tasks over a pool
-    # (BatchContext.map).  Whatever the pass declines (no BatchSpec, or
-    # the batch function fell back) continues below on the per-cell
-    # path, which looks each cell up in the store where it commits: its
-    # own file.
+    # (BatchContext.map).  Cells without a BatchSpec continue below on
+    # the per-cell path, which looks each cell up in the store where it
+    # commits: its own file.
     todo = _run_batched(cells, todo, results, cache, metrics, store, jobs)
     if store is not None:
         todo = _resume_cells(cells, todo, results, cache, metrics, store)
 
-    execute: Callable[[CellSpec], Any] = (
-        _execute_cell_timed if metrics is not None else _execute_cell
-    )
-    batch_started = time.perf_counter() if metrics is not None else 0.0
+    batch_started = time.perf_counter()
     timings: List[Tuple[float, float]] = []
 
-    def unpack(index: int, outcome: Any) -> None:
-        if metrics is None:
-            value = outcome
-            results[index] = value
-        else:
-            value, started, elapsed = outcome
-            results[index] = value
-            timings.append((started, elapsed))
+    def unpack(index: int, outcome: Tuple[Any, float, float]) -> None:
+        value, started, elapsed = outcome
+        results[index] = value
+        timings.append((started, elapsed))
         # Commit per cell, as results arrive: the durability grain of
         # resumable grids.  Cache first (cheap), then the store file's
         # commit — a crash between the two re-runs nothing (the cache
@@ -590,21 +557,16 @@ def run_cells(
 
     workers_used = 1
     if jobs <= 1 or len(todo) <= 1:
-        run_inline(todo, execute, cells, describe, unpack)
+        run_inline(todo, _execute_cell_timed, cells, describe, unpack)
     elif (os.cpu_count() or 1) <= 1:
         # One CPU cannot run workers concurrently, so the pool would
-        # only add fork + pickle tax to every cell regardless of cost.
+        # only add fork + pickle tax to every cell.
         if metrics is not None:
             metrics.counter("pool.inline_cells").inc(len(todo))
-        run_inline(todo, execute, cells, describe, unpack)
+        run_inline(todo, _execute_cell_timed, cells, describe, unpack)
     else:
-        # Longest first, so no long cell starts last while the other
-        # workers idle; the sort is stable, so equal costs keep grid order.
-        order = sorted(
-            todo, key=lambda index: cells[index].cost, reverse=True
-        )
         workers_used = run_pooled(
-            order, execute, cells, describe, unpack,
+            todo, _execute_cell_timed, cells, describe, unpack,
             min(jobs, len(todo)), "cell",
         )
 

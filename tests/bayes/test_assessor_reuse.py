@@ -2,14 +2,15 @@
 
 :meth:`SequentialAssessment.run` evaluates every checkpoint of its own
 stream on one white-box assessor kept per process.  An assessment grid
-runs its untraced cells as one plan instead
+runs its cells, traced or not, as one plan instead
 (:func:`~repro.bayes.evaluation_plan.assess_planned`): every cell
 draws its counts, each distinct count vector is evaluated exactly once
 in shares over the pool, and the histories are assembled from the
-summaries.
+summaries, a traced cell's checkpoint events written as it is
+assembled.
 These tests hold both paths IEEE-bit identical to a fresh assessor per
-cell, at most one assessor alive per process, and every run of a grid
-a new computation.
+cell, traces byte-equal, at most one assessor alive per process, and
+every run of a grid a new computation.
 """
 
 import dataclasses
@@ -35,7 +36,9 @@ from repro.bayes.evaluation_plan import assess_planned
 from repro.bayes.runner import SequentialAssessment
 from repro.bayes.whitebox import WhiteBoxAssessor
 from repro.common.errors import WorkerCrashError
+from repro.experiments import cli
 from repro.experiments.scenarios import scenario_2
+from repro.experiments.table2 import PLANNED
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import ExperimentOptions, build_grid, discover, get_spec
 from repro.runtime.batch import BatchContext
@@ -494,12 +497,15 @@ def test_a_patch_is_seen_at_any_jobs_and_a_rerun_evaluates_again(
 
 
 @pytest.mark.parametrize("name", GRIDS)
-def test_traced_cells_take_the_per_cell_path(
-    name, tmp_path, monkeypatch, two_cpus
-):
+def test_traced_grids_take_the_plan(name, tmp_path, monkeypatch, two_cpus):
+    fresh = tmp_path / "fresh"
     with monkeypatch.context() as patch:
         with_fresh_assessor(patch)
-        reference, reference_traces = run_grid(name, 1, tmp_path / "fresh")
+        reference = [
+            record_bits(history)
+            for history in run_cells(per_cell(grid_cells(name, fresh)))
+        ]
+    reference_traces = {p.name: p.read_bytes() for p in sorted(fresh.iterdir())}
     assert reference_traces
     runs = multiprocessing.get_context("fork").Value("l", 0)
     run = SequentialAssessment.run
@@ -511,10 +517,9 @@ def test_traced_cells_take_the_per_cell_path(
 
     monkeypatch.setattr(SequentialAssessment, "run", counted)
     cells = grid_cells(name, tmp_path / "unused")
-    assert all(cell.batch is None and cell.key is None for cell in cells)
+    assert all(cell.batch is PLANNED and cell.key is None for cell in cells)
     untraced, _ = run_grid(name, 1)
     assert untraced == reference
-    assert runs.value == 0
     for jobs in (1, 2):
         registry = MetricsRegistry()
         histories, traces = run_grid(
@@ -523,9 +528,26 @@ def test_traced_cells_take_the_per_cell_path(
         counters = registry.as_dict()["counters"]
         assert histories == reference
         assert traces == reference_traces
-        assert counters["pool.cells_executed"] == len(cells)
-        assert "bayes.planned_cells" not in counters
-    assert runs.value == 2 * len(cells)
+        assert counters["bayes.planned_cells"] == len(cells)
+        assert "pool.cells_executed" not in counters
+    assert runs.value == 0
+
+
+def test_tracing_leaves_the_evaluation_count_unchanged(
+    tmp_path, monkeypatch, capsys
+):
+    calls = count_evaluations(monkeypatch)
+    counts = {}
+    for traced in (False, True):
+        calls.value = 0
+        argv = ["table2", "--fast", "--seed", "1", "--jobs", "1", "--no-cache"]
+        if traced:
+            argv += ["--trace", str(tmp_path / "trace.jsonl")]
+        assert cli.main(argv) == 0
+        counts[traced] = calls.value
+    capsys.readouterr()
+    assert counts == {False: 55, True: 55}
+    assert (tmp_path / "trace.jsonl").stat().st_size > 0
 
 
 # -- faults and the store ----------------------------------------------------

@@ -51,6 +51,14 @@ class TestSeedSequenceFactory:
         with pytest.raises(ConfigurationError):
             SeedSequenceFactory(True)
 
+    @pytest.mark.parametrize("seed", [-1, -5, np.int64(-2)])
+    def test_rejects_negative_root_seed(self, seed):
+        with pytest.raises(ConfigurationError, match="root_seed must be >= 0"):
+            SeedSequenceFactory(seed)
+
+    def test_accepts_root_seed_zero(self):
+        assert SeedSequenceFactory(0).root_seed == 0
+
     def test_rejects_empty_name(self):
         with pytest.raises(ConfigurationError):
             SeedSequenceFactory(1).generator("")

@@ -38,6 +38,31 @@ class TestParsing:
         assert captured.out == ""
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("experiment", [
+        "table2",  # planned assessment grid
+        "table5",  # fused grid
+        "multirelease",  # per-cell grid
+        "service_load",
+        "calibrate",
+    ])
+    def test_negative_seed_is_a_usage_error(
+        self, experiment, capsys, tmp_path
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([experiment, "--fast", "--seed", "-5",
+                  "--cache-dir", str(tmp_path / "cache")])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        errors = [
+            line for line in captured.err.splitlines()
+            if line.startswith("repro-experiments: error: ")
+        ]
+        assert errors == ["repro-experiments: error: seed must be >= 0, got -5"]
+        assert "Traceback" not in captured.err
+        # Rejected before any grid ran: nothing printed, nothing cached.
+        assert captured.out == ""
+        assert not (tmp_path / "cache").exists()
+
     def test_cache_flags(self):
         args = build_parser().parse_args(
             ["table5", "--no-cache", "--cache-dir", "/tmp/x"]

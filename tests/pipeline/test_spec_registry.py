@@ -107,6 +107,14 @@ class TestOptionsValidation:
         assert ExperimentOptions(seed=1, requests=1).requests == 1
         assert ExperimentOptions(seed=1).requests is None
 
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            ExperimentOptions(seed=seed)
+
+    def test_seed_zero_accepted(self):
+        assert ExperimentOptions(seed=0).seed == 0
+
 
 class TestRegistry:
     def test_discover_finds_every_experiment(self):

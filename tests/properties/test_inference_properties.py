@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bayes.beta import TruncatedBeta
@@ -50,6 +50,9 @@ class TestTruncatedBetaProperties:
 
     @given(truncated_betas(), st.integers(8, 256))
     @settings(max_examples=40, deadline=None)
+    # betainc steps down by an ulp near 1 here: cell 214's raw cdf
+    # difference is -1.1e-16.
+    @example(TruncatedBeta(4.0, 23.5, upper=0.03125), 254)
     def test_grid_weights_normalised(self, dist, points):
         weights = dist.grid_weights(points)
         assert weights.sum() == pytest.approx(1.0)

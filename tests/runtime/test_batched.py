@@ -9,9 +9,10 @@ bytes), the batched resolver against :func:`resolve_cell` for every
 columnar operating mode x release count x several seeds (reduced rows
 as IEEE bit patterns), chunks the parallel kernel splits at its
 row budget, the orchestration (fused ``run_cells`` vs the same cells
-with their ``BatchSpec`` stripped) end to end, the mixed-envelope group
-fallback, the guards direct callers meet (random-order mode, a bad
-TimeOut), and cache-key invariance in both directions (a batched run's
+with their ``BatchSpec`` stripped) end to end, which cells the grid
+builder fuses (untraced, columnar-capable, two or more releases), the
+guards direct callers meet (random-order mode, a bad TimeOut), and
+cache-key invariance in both directions (a batched run's
 cache serves a per-cell run and vice versa).  The arena, resolver and
 kernel-block tests also run on the real grids' shape — three TimeOut
 cells sharing one arena row per script — duplicates included.
@@ -528,47 +529,14 @@ class TestOrchestration:
         assert counters["backend.batched_cells"] == 12
         assert counters["backend.batched_scripts"] == 4
         assert counters["backend.columnar_cells"] == 12
-        assert "backend.batched_fallback_cells" not in counters
 
-    def test_mixed_envelope_group_falls_back_whole_and_stays_correct(
-        self, tmp_path
+    def test_lone_release_cells_carry_no_batch_spec_and_match_the_event_kernel(
+        self,
     ):
-        # Doctor one cell of the group outside the arena's envelope (a
-        # trace path) while keeping its BatchSpec: the batch function
-        # must decline the whole group, and every cell — the doctored
-        # one included — must come back correct down the per-cell path
-        # (the doctored cell on the event kernel, bit-identical to
-        # columnar by contract).
-        metrics = MetricsRegistry()
-        cells = self.grid(metrics)
-        doctored = dataclasses.replace(
-            cells[3],
-            kwargs={
-                **cells[3].kwargs,
-                "trace_path": str(tmp_path / "doctored.jsonl"),
-            },
-        )
-        cells = cells[:3] + [doctored] + cells[4:]
-        results = run_cells(cells, metrics=metrics)
-        counters = metrics.as_dict()["counters"]
-        assert counters["backend.batched_fallback_cells"] == 12
-        assert counters["backend.batched_fallback_reason.tracing"] == 12
-        assert "backend.batched_cells" not in counters
-        # The per-cell path resolved every cell: the eleven untraced
-        # ones columnar, the traced one on the event kernel.
-        assert counters["backend.columnar_cells"] == 11
-        assert counters["backend.fallback_cells"] == 1
-        assert counters["backend.fallback_reason.tracing"] == 1
-        assert (tmp_path / "doctored.jsonl").stat().st_size > 0
-        baseline = run_cells(per_cell(self.grid()))
-        for left, right in zip(results, baseline):
-            assert rows_as_bits(left.metrics) == rows_as_bits(right.metrics)
-
-    def test_lone_release_group_declines_to_the_per_cell_path(self):
         # A lone release samples its own marginal, which the arena does
-        # not script: the group declines before drawing, and the
-        # per-cell path resolves every cell columnar, bit-identical to
-        # the event kernel.
+        # not script: the builder leaves its cells on the per-cell path,
+        # which resolves every cell columnar, bit-identical to the event
+        # kernel.
         profile = LatencyProfile(
             "single", Exponential(P.T1_MEAN), (Exponential(P.T2_MEAN),)
         )
@@ -577,12 +545,11 @@ class TestOrchestration:
             "table5", "correlated", seed=11, requests=120,
             profile=profile, backend="auto", metrics=metrics,
         )
+        assert all(cell.batch is None for cell in cells)
         results = run_cells(cells, metrics=metrics)
         counters = metrics.as_dict()["counters"]
-        assert (
-            counters["backend.batched_fallback_reason.no-outcome-codes"]
-            == 12
-        )
+        assert "backend.batched_cells" not in counters
+        assert "backend.fallback_cells" not in counters
         assert counters["backend.columnar_cells"] == 12
         event = run_cells(release_pair_cells(
             "table5", "correlated", seed=11, requests=120,
@@ -602,6 +569,14 @@ class TestOrchestration:
     def test_event_backend_cells_carry_no_batch_spec(self):
         for spec in self.grid(backend="event"):
             assert spec.batch is None
+
+    @pytest.mark.parametrize("backend", ["auto", "columnar"])
+    def test_traced_cells_carry_no_batch_spec(self, tmp_path, backend):
+        cells = release_pair_cells(
+            "table5", "correlated", seed=11, requests=120,
+            backend=backend, trace_dir=str(tmp_path),
+        )
+        assert all(cell.batch is None for cell in cells)
 
     def test_batched_cache_serves_per_cell_run(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

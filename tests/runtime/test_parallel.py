@@ -108,14 +108,6 @@ class TestCellSpecGuard:
             experiment="unit", fn=_draw, kwargs={"seed": 3}, key={"seed": 3}
         )
         assert spec.kwargs == {"seed": 3}
-        assert spec.cost == 0.0
-
-    @pytest.mark.parametrize(
-        "cost", [-1, float("nan"), float("inf")], ids=["negative", "nan", "inf"]
-    )
-    def test_cost_must_be_finite_and_non_negative(self, cost):
-        with pytest.raises(ConfigurationError, match="cost"):
-            CellSpec("unit", _square, {"x": 1}, cost=cost)
 
 
 class TestResolveJobs:
@@ -265,19 +257,16 @@ class _RecordingPool:
 
 
 class TestDispatchOrder:
-    def test_descending_cost_ties_in_grid_order(self, monkeypatch, two_cpus):
+    def test_cells_are_submitted_in_grid_order(self, monkeypatch, two_cpus):
         submitted = []
         monkeypatch.setattr(
             parallel,
             "ProcessPoolExecutor",
             lambda **kwargs: _RecordingPool(submitted, **kwargs),
         )
-        cells = [
-            CellSpec("unit", _square, {"x": x}, cost=cost)
-            for x, cost in enumerate([1, 5, 0, 5, 3, 1])
-        ]
+        cells = [CellSpec("unit", _square, {"x": x}) for x in range(6)]
         assert run_cells(cells, jobs=2) == [0, 1, 4, 9, 16, 25]
-        assert submitted == [1, 3, 4, 0, 5, 2]
+        assert submitted == [0, 1, 2, 3, 4, 5]
 
 
 class TestPoolFaults:
@@ -303,7 +292,7 @@ class TestPoolFaults:
     ):
         # The failing cell is dispatched first; of the eight slow cells
         # behind it, only those already handed to a worker still run.
-        cells = [CellSpec("unit", _fail_at, {"x": 0, "bad": 0}, cost=1)]
+        cells = [CellSpec("unit", _fail_at, {"x": 0, "bad": 0})]
         cells += [
             CellSpec("unit", _nap_and_square,
                      {"x": x, "marker_dir": str(tmp_path)})
@@ -325,7 +314,7 @@ class TestPoolFaults:
         markers = tmp_path / "markers"
         markers.mkdir()
         cells = _cells([1, 2, 3, 4], marker_dir=markers)
-        # Last in the grid, at the same default cost: dispatched last.
+        # Last in the grid: dispatched last.
         cells.append(
             CellSpec(
                 "unit",

@@ -188,8 +188,8 @@ def _square(x):
     return x * x
 
 
-def _decline(kwargs_list, metrics):
-    return None
+def _squares(kwargs_list, batch):
+    return [kw["x"] * kw["x"] for kw in kwargs_list]
 
 
 class TestStoreLookupWhereCellsCommit:
@@ -215,13 +215,16 @@ class TestStoreLookupWhereCellsCommit:
         assert looked_up == []
         assert len(list((tmp_path / "store" / "table5").iterdir())) == 1
 
-    def test_declined_group_resumes_from_its_per_cell_files(
+    def test_mixed_grid_resumes_each_cell_where_it_committed(
         self, tmp_path
     ):
+        # Odd cells are batched (one group file), even ones take the
+        # per-cell path (one file each).
+        toy = BatchSpec(fn=_squares, group=("toy",))
         cells = [
             CellSpec(
                 experiment="toy", fn=_square, kwargs={"x": x},
-                key={"x": x}, batch=BatchSpec(fn=_decline, group=("toy",)),
+                key={"x": x}, batch=toy if x % 2 else None,
             )
             for x in range(4)
         ]
@@ -236,13 +239,14 @@ class TestStoreLookupWhereCellsCommit:
 
         first, counters = run()
         assert first == [0, 1, 4, 9]
-        assert counters["pool.cells_executed"] == 4
-        assert len(list((tmp_path / "store" / "toy").iterdir())) == 4
+        assert counters["pool.cells_executed"] == 2
+        assert len(list((tmp_path / "store" / "toy").iterdir())) == 3
 
         again, counters = run()
         assert again == first
         assert "pool.cells_executed" not in counters
-        assert counters["store.resume_skipped_cells"] == 4
+        assert counters["store.resume_skipped_cells"] == 2
+        assert counters["store.batch_resume_skipped_cells"] == 2
 
 
 class TestSigtermAcrossBatchBoundary:
