@@ -33,7 +33,8 @@ Measures the numbers the runtime work is accountable for —
   commit and load of a 12-cell chunk, as median and IQR),
 * the white-box posterior at the paper's 160x160x64 grid (``bayes`` —
   assessor construction and one checkpoint evaluation as median and
-  IQR of repeated runs, one Table 2 grid at 3,000 demands per cell
+  IQR of repeated runs, the bytes of grid-shaped arrays a constructed
+  assessor holds, one Table 2 grid at 3,000 demands per cell
   across every CPU, the same grid's assessor constructions, posterior
   evaluations, pool workers and wall time at jobs 1, 2 and 4, one
   full-size scenario-2 cell, and the full-size Table 2 grid at jobs 2),
@@ -453,11 +454,25 @@ def _bayes_work(run) -> dict:
     }
 
 
+def _grid_bytes(assessor: WhiteBoxAssessor) -> int:
+    """Bytes of the distinct grid-shaped arrays *assessor* holds."""
+    grid = assessor.grid
+    shape = (grid.n_pa, grid.n_pb, grid.n_q)
+    held = {
+        id(value if value.base is None else value.base): value.nbytes
+        for value in vars(assessor).values()
+        if isinstance(value, np.ndarray) and value.shape == shape
+    }
+    return sum(held.values())
+
+
 def bench_bayes(src_dir: Path) -> dict:
     """The white-box posterior at the paper's 160x160x64 grid.
 
-    ``construct`` builds a :class:`WhiteBoxAssessor` (its five
-    likelihood tables); ``checkpoint`` replaces the counts and answers
+    ``construct`` builds a :class:`WhiteBoxAssessor` (its three
+    grid-sized likelihood tables and the compact log p11 table), and
+    ``assessor_bytes`` is what the grid-shaped arrays of a constructed
+    assessor hold; ``checkpoint`` replaces the counts and answers
     one checkpoint's queries (a posterior evaluation plus both
     single-release marginals) — each as median and IQR of
     :data:`BAYES_REPEATS` runs with the collector paused.  ``table2``
@@ -486,6 +501,7 @@ def bench_bayes(src_dir: Path) -> dict:
         lambda: WhiteBoxAssessor(prior, grid), BAYES_REPEATS
     )
     assessor = WhiteBoxAssessor(prior, grid)
+    assessor_bytes = _grid_bytes(assessor)
     counts = JointCounts(15, 35, 25, 2_925)
 
     def checkpoint() -> None:
@@ -537,6 +553,7 @@ def bench_bayes(src_dir: Path) -> dict:
         "grid": [grid.n_pa, grid.n_pb, grid.n_q],
         "repeats": BAYES_REPEATS,
         "construct": _quartiles(construct),
+        "assessor_bytes": assessor_bytes,
         "checkpoint": _quartiles(evaluate),
         "table2": {
             "demands_per_cell": 3_000,

@@ -17,31 +17,40 @@ Marginal posteriors (eq. 3-5) come from summing the grid; confidences
 ``pAB = q * min(pA, pB)``, ``q ~ U(0, 1)`` makes the paper's indifference
 prior a product measure on the grid.
 
-Evaluation.  :class:`WhiteBoxAssessor` allocates its grids once: the
-five likelihood tables (``pAB`` and the four cell log-probabilities)
-and one posterior buffer, six float64 arrays of the grid's shape
-(≈ 79 MB at the default 160×160×64), plus a scratch block.  The tables
-are built block by block of :data:`BLOCK_ROWS` pA rows, straight into
-place.  A posterior evaluation makes two passes over the same blocks:
-the first writes the log-prior plus ``r·log p`` for each non-zero count
-into the buffer and tracks the peak, the second subtracts the peak and
-exponentiates.  The total, the normalising division and the marginal
-sums then run as whole-grid numpy calls.  Every elementwise operation
-gives the same bits wherever in the grid it runs, the terms are added
-in the same order, the peak is an exact maximum, and each reduction
-still sees the whole grid in memory order — so tables, posteriors,
-percentiles and confidences are IEEE-bit identical to evaluating every
-step over the whole grid at once, without its dozen grid-sized
-temporaries.  The array :meth:`WhiteBoxAssessor._posterior` returns *is*
-that buffer: the next evaluation overwrites it in place.  The table
-build is the costly part of a construction, so the sequential runner
-(:mod:`repro.bayes.runner`) keeps one assessor per process for the
-evaluations that share its prior and grid, and an assessment grid
-evaluates each distinct count vector of its cells once
+Evaluation.  :class:`WhiteBoxAssessor` allocates its grids once: three
+cell log-probability tables (``log p10``, ``log p01``, ``log p00``) and
+one posterior buffer, four float64 arrays of the grid's shape (≈ 52 MB
+at the default 160×160×64), plus a scratch block.  The fourth table,
+``log p11 = log(q·min(pA, pB))``, depends on (pA, pB) only through the
+smaller value, so it is kept compact: one ``(n_pa + n_pb) × n_q`` table
+of ``log(q·m)``, m running over pA's grid and then pB's, and for each pA
+row the first pB index where pB ≥ pA (both grids ascend).  ``pAB``
+itself is built on first use: only the pAB marginal reads it.  The
+three full tables are built block by block of :data:`BLOCK_ROWS` pA
+rows, straight into place, from a block-sized ``pAB`` scratch.  A
+posterior evaluation makes two passes over the same blocks: the first
+writes the log-prior into the buffer, adds ``r1·log p11`` to each pA
+row's two spans (pB's rows of the compact table below the row's split,
+the row's own pA row from the split on), then ``r·log p`` for each
+other non-zero count, and tracks the peak; the second subtracts the
+peak and exponentiates.  The total, the normalising division and the
+marginal sums then run as whole-grid numpy calls.  Every elementwise
+operation gives the same bits wherever in the grid it runs, the terms
+are added in the same order, the peak is an exact maximum, and each
+reduction still sees the whole grid in memory order — so tables,
+posteriors, percentiles and confidences are IEEE-bit identical to
+evaluating every step over the whole grid at once, without its dozen
+grid-sized temporaries.  The array :meth:`WhiteBoxAssessor._posterior`
+returns *is* that buffer: the next evaluation overwrites it in place.
+The table build is the costly part of a construction, so the
+sequential runner (:mod:`repro.bayes.runner`) keeps one assessor per
+process for the evaluations that share its prior and grid, and an
+assessment grid evaluates each distinct count vector of its cells once
 (:func:`repro.bayes.evaluation_plan.assess_planned`).  Every
 :meth:`WhiteBoxAssessor.checkpoint_summary` call is one evaluation.
 """
 
+import functools
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -111,9 +120,14 @@ class WhiteBoxAssessor:
             log_wa[:, None, None] + log_wb[None, :, None] + log_wq
         )  # (A, B, 1) broadcastable over Q
 
+        # log p11 = log(q·min(pA, pB)), compact: log(q·m) with m over
+        # pA's grid then pB's, and per pA row the first pB index where
+        # pB >= pA.  Both grids ascend (cell midpoints).
+        minima = np.concatenate((self._pa, self._pb))
+        self._log_qm = _safe_log(self._q[None, :] * minima[:, None])
+        self._split = np.searchsorted(self._pb, self._pa).tolist()
+
         shape = (grid.n_pa, grid.n_pb, grid.n_q)
-        self._pab = np.empty(shape)
-        self._log_p11 = np.empty(shape)
         self._log_p10 = np.empty(shape)
         self._log_p01 = np.empty(shape)
         self._log_p00 = np.empty(shape)
@@ -165,21 +179,43 @@ class WhiteBoxAssessor:
             yield slice(start, start + rows)
 
     def _build_tables(self) -> None:
-        """Fill ``pAB`` and the four cell log-probabilities in place."""
+        """Fill ``log p10``, ``log p01`` and ``log p00`` in place."""
         pb3 = self._pb[None, :, None]
         q3 = self._q[None, None, :]
+        pab_block = np.empty_like(self._scratch)
         for rows in self._blocks():
             pa3 = self._pa[rows, None, None]
-            pab = self._pab[rows]
-            diff = self._scratch[: len(pab)]
+            pab = pab_block[: len(pa3)]
+            diff = self._scratch[: len(pa3)]
             np.multiply(q3, np.minimum(pa3, pb3), out=pab)
-            _safe_log(pab, out=self._log_p11[rows])
             np.subtract(pa3, pab, out=diff)
             _safe_log(diff, out=self._log_p10[rows])
             np.subtract(pb3, pab, out=diff)
             _safe_log(diff, out=self._log_p01[rows])
             np.add(1.0 - pa3 - pb3, pab, out=diff)
             _safe_log(diff, out=self._log_p00[rows])
+
+    @functools.cached_property
+    def _pab(self) -> np.ndarray:
+        """``pAB = q·min(pA, pB)`` over the grid, built on first use."""
+        pa3 = self._pa[:, None, None]
+        pb3 = self._pb[None, :, None]
+        return self._q[None, None, :] * np.minimum(pa3, pb3)
+
+    def _add_log_p11(
+        self, block: np.ndarray, start: int, scaled: np.ndarray
+    ) -> None:
+        """Add ``r1·log p11`` to the pA rows of *block* from row *start*.
+
+        *scaled* is the compact table times r1.  Below a row's split pB
+        is the smaller value, so pB's rows of the table apply; from the
+        split on, the row's own pA row does, broadcast over pB.
+        """
+        pb_rows = scaled[self.grid.n_pa:]
+        for index, row in enumerate(block, start=start):
+            split = self._split[index]
+            row[:split] += pb_rows[:split]
+            row[split:] += scaled[index]
 
     def _posterior(self) -> np.ndarray:
         """The normalised posterior grid for the current counts.
@@ -193,20 +229,23 @@ class WhiteBoxAssessor:
             return self._posterior_cache
         # Multiply only the terms with non-zero exponents: with r=0 a cell
         # probability of exactly zero is still admissible (0^0 = 1).
+        r1, *others = self._counts.as_tuple()
         terms = [
             (r, table)
             for r, table in zip(
-                self._counts.as_tuple(),
-                (self._log_p11, self._log_p10, self._log_p01, self._log_p00),
+                others, (self._log_p10, self._log_p01, self._log_p00)
             )
             if r
         ]
+        scaled_p11 = self._log_qm * r1 if r1 else None
         log_post = self._posterior_buffer
         peak = -np.inf
         for rows in self._blocks():
             block = log_post[rows]
             term = self._scratch[: len(block)]
             np.copyto(block, self._log_prior[rows])
+            if scaled_p11 is not None:
+                self._add_log_p11(block, rows.start, scaled_p11)
             for r, table in terms:
                 np.multiply(table[rows], r, out=term)
                 np.add(block, term, out=block)

@@ -194,6 +194,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The output locations a run writes: (flag, whether it names a
+#: directory rather than a file).
+LOCATION_FLAGS = (
+    ("--cache-dir", True),
+    ("--store", True),
+    ("--trace", False),
+    ("--metrics-json", False),
+    ("--output", False),
+)
+
+
+def check_location(flag: str, path: str, directory: bool) -> None:
+    """Reject an output location that nothing could be written to.
+
+    A directory location that is an existing non-directory, a file
+    location that is an existing directory, and any location under an
+    existing non-directory raise a :class:`ConfigurationError` naming
+    *flag*.  Missing parent directories are fine: they are created.
+    """
+    target = os.path.abspath(path)
+    if os.path.exists(target):
+        if os.path.isdir(target) != directory:
+            kind = "not a directory" if directory else "a directory"
+            raise ConfigurationError(f"{flag} {path!r} is {kind}")
+        return
+    parent = os.path.dirname(target)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ConfigurationError(
+            f"{flag} {path!r} lies under {parent!r}, which is not a "
+            f"directory"
+        )
+
+
 def _options(
     args: argparse.Namespace, metrics: Optional[MetricsRegistry]
 ) -> ExperimentOptions:
@@ -227,6 +262,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         resolve_jobs(args.jobs)
         check_seed(args.seed)
         check_requests(args.requests)
+        for flag, directory in LOCATION_FLAGS:
+            path = getattr(args, flag[2:].replace("-", "_"))
+            if path is not None:
+                check_location(flag, path, directory)
     except ConfigurationError as error:
         parser.error(str(error))
     if args.clear_cache:
@@ -263,36 +302,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         else None
     )
     options = replace(options, trace_dir=trace_dir)
+    try:
+        for name in names:
+            started = time.time()
+            try:
+                outcome = run_experiment(COMMANDS[name], options)
+            except ConfigurationError as error:
+                # The report refuses its sections' sizes as it starts.
+                parser.error(str(error))
+            elapsed = time.time() - started
+            print(f"=== {name} (seed={args.seed}, {elapsed:.1f}s) ===")
+            print(outcome.text)
+            print()
 
-    for name in names:
-        started = time.time()
-        try:
-            outcome = run_experiment(COMMANDS[name], options)
-        except ConfigurationError as error:
-            # The report refuses its sections' sizes as it starts.
-            if trace_dir is not None:
-                shutil.rmtree(trace_dir, ignore_errors=True)
-            parser.error(str(error))
-        elapsed = time.time() - started
-        print(f"=== {name} (seed={args.seed}, {elapsed:.1f}s) ===")
-        print(outcome.text)
-        print()
-
-    if trace_dir is not None:
-        # Per-cell trace parts merge in sorted-filename order — a pure
-        # function of the grid, never of worker scheduling — so the
-        # merged trace is bit-identical for any --jobs value.
-        parts = sorted(
-            os.path.join(trace_dir, entry)
-            for entry in os.listdir(trace_dir)
-            if entry.endswith(".jsonl")
-        )
-        count = merge_traces(parts, args.trace)
-        shutil.rmtree(trace_dir, ignore_errors=True)
-        print(
-            f"trace: {count} events from {len(parts)} cell(s) "
-            f"-> {args.trace}"
-        )
+        if trace_dir is not None:
+            # Per-cell trace parts merge in sorted-filename order — a
+            # pure function of the grid, never of worker scheduling — so
+            # the merged trace is bit-identical for any --jobs value.
+            parts = sorted(
+                os.path.join(trace_dir, entry)
+                for entry in os.listdir(trace_dir)
+                if entry.endswith(".jsonl")
+            )
+            count = merge_traces(parts, args.trace)
+            print(
+                f"trace: {count} events from {len(parts)} cell(s) "
+                f"-> {args.trace}"
+            )
+    finally:
+        if trace_dir is not None:
+            shutil.rmtree(trace_dir, ignore_errors=True)
     if metrics is not None:
         metrics.write_json(args.metrics_json)
         print(f"metrics -> {args.metrics_json}")

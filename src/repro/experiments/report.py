@@ -15,6 +15,7 @@ option (``--jobs``, ``--backend``, the result cache, ``--store``,
 the same options is served by the cache ``all`` filled.
 """
 
+import os
 import time
 from typing import Any, Callable, List, Tuple
 
@@ -165,6 +166,9 @@ def generate_report(options: ExperimentOptions) -> str:
 def _composite(options: ExperimentOptions) -> str:
     text = generate_report(options)
     if options.output:
+        # Like --trace and --metrics-json, missing parents are created.
+        parent = os.path.dirname(os.path.abspath(options.output))
+        os.makedirs(parent, exist_ok=True)
         with open(options.output, "w") as handle:
             handle.write(text)
     return text

@@ -214,6 +214,22 @@ def reference_tables(assessor):
     )
 
 
+def expanded_log_p11(assessor):
+    """The whole-grid log p11 that the compact table and splits encode:
+    pB's rows below each pA row's split, the pA row's own from it on."""
+    grid = assessor.grid
+    pb_rows = assessor._log_qm[grid.n_pa:]
+    return np.stack([
+        np.concatenate((
+            pb_rows[:split],
+            np.broadcast_to(
+                assessor._log_qm[index], (grid.n_pb - split, grid.n_q)
+            ),
+        ))
+        for index, split in enumerate(assessor._split)
+    ])
+
+
 def reference_posterior(assessor, tables):
     """The normalised posterior, one whole-grid numpy op per step."""
     prior, grid = assessor.prior, assessor.grid
@@ -262,12 +278,15 @@ COUNT_CASES = [
 GRIDS = [GridSpec(), GridSpec(96, 96, 32), GridSpec(50, 40, 12)]
 
 
+#: Two priors over one support.
+PRIOR = WhiteBoxPrior(
+    TruncatedBeta(20, 20, upper=0.002), TruncatedBeta(2, 3, upper=0.002)
+)
+
+
 @pytest.fixture(scope="module", params=GRIDS, ids=repr)
 def assessed(request):
-    prior = WhiteBoxPrior(
-        TruncatedBeta(20, 20, upper=0.002), TruncatedBeta(2, 3, upper=0.002)
-    )
-    assessor = WhiteBoxAssessor(prior, request.param)
+    assessor = WhiteBoxAssessor(PRIOR, request.param)
     return assessor, reference_tables(assessor)
 
 
@@ -279,10 +298,22 @@ class TestBlockedEvaluationMatchesWholeGrid:
 
         assert GRIDS[-1].n_pa % whitebox.BLOCK_ROWS != 0
 
+    def test_pa_equals_pb_on_a_square_grid(self):
+        # The two priors share a support, so on a square grid pA's and
+        # pB's values coincide, and the r1 > 0 cases cover cells where
+        # pA = pB: the split between the compact log p11 table's spans.
+        square = [grid for grid in GRIDS if grid.n_pa == grid.n_pb]
+        assert square
+        for grid in square:
+            assert _same_bits(
+                PRIOR.marginal_a.grid(grid.n_pa),
+                PRIOR.marginal_b.grid(grid.n_pb),
+            )
+
     def test_tables(self, assessed):
         assessor, tables = assessed
         built = (
-            assessor._pab, assessor._log_p11, assessor._log_p10,
+            assessor._pab, expanded_log_p11(assessor), assessor._log_p10,
             assessor._log_p01, assessor._log_p00,
         )
         for name, got, expected in zip(
@@ -346,3 +377,44 @@ class TestPosteriorBufferReuse:
         for (values, mass), (values_copy, mass_copy) in zip(kept, copies):
             assert _same_bits(values, values_copy)
             assert _same_bits(mass, mass_copy)
+
+
+def _grid_arrays(assessor):
+    """The distinct arrays of the grid's shape the assessor holds, by
+    attribute name (a view counts with the array it views)."""
+    grid = assessor.grid
+    shape = (grid.n_pa, grid.n_pb, grid.n_q)
+    held = {}
+    for name, value in vars(assessor).items():
+        if isinstance(value, np.ndarray) and value.shape == shape:
+            base = value if value.base is None else value.base
+            held.setdefault(id(base), (name, value))
+    return dict(held.values())
+
+
+class TestGridSizedArrays:
+    """Four float64 arrays of the grid's shape; pAB only on demand."""
+
+    HELD = {"_log_p10", "_log_p01", "_log_p00", "_posterior_buffer"}
+
+    def test_four_after_construction_and_evaluation(self, assessor):
+        arrays = _grid_arrays(assessor)
+        assert set(arrays) == self.HELD
+        assert all(array.dtype == np.float64 for array in arrays.values())
+        assessor.replace_counts(JointCounts(3, 12, 7, 2_978))
+        assessor.checkpoint_summary(
+            levels_a=(0.99,), levels_b=(0.99, 0.90), targets_b=(1e-3,)
+        )
+        assert set(_grid_arrays(assessor)) == self.HELD
+
+    @pytest.mark.parametrize("query", [
+        "marginal_ab", "posterior_mean_ab",
+    ])
+    def test_pab_is_built_by_the_pab_marginal_only(self, assessor, query):
+        assessor.replace_counts(JointCounts(1, 4, 2, 9_993))
+        assessor.checkpoint_summary(levels_a=(0.99,), levels_b=(0.99,))
+        assessor.marginal_a()
+        assessor.marginal_b()
+        assert "_pab" not in vars(assessor)
+        getattr(assessor, query)()
+        assert set(_grid_arrays(assessor)) == self.HELD | {"_pab"}

@@ -1,11 +1,30 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and Hypothesis settings for the test suite."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.bayes.beta import TruncatedBeta
 from repro.bayes.priors import GridSpec, WhiteBoxPrior
 from repro.common.seeding import SeedSequenceFactory
+
+#: Property tests draw the same examples on every run and keep no
+#: example database, so a Tier-1 result is reproducible.  CI sets
+#: ``HYPOTHESIS_PROFILE=randomized`` in one step that runs the property
+#: tests again on fresh examples.  Hypothesis's own caches (constants
+#: read from the code under test, unicode tables) are written while test
+#: modules are collected, so their directory is set here, outside the
+#: checkout, before any test module is imported.
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY",
+    os.path.join(tempfile.gettempdir(), "repro-hypothesis"),
+)
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.register_profile("randomized", derandomize=False, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
 
 
 @pytest.fixture(autouse=True)

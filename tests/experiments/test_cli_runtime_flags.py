@@ -1,8 +1,10 @@
 """Tests for the CLI's parallel-runtime and cache flags."""
 
+import tempfile
+
 import pytest
 
-from repro.experiments.cli import build_parser, main
+from repro.experiments.cli import build_parser, check_location, main
 from repro.runtime.cache import ResultCache
 
 
@@ -143,3 +145,74 @@ class TestCacheLifecycle:
         assert main(base + ["--backend", "auto"]) == 0
         auto = strip(capsys.readouterr().out)
         assert event == columnar == auto
+
+
+class TestOutputLocations:
+    """A location nothing could be written to is refused before any cell
+    runs or any scratch directory is made."""
+
+    @pytest.fixture
+    def scratch(self, tmp_path, monkeypatch):
+        """Where --trace's per-cell scratch directory would be made."""
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        return scratch
+
+    def _refused(self, argv, flag, tmp_path, scratch, capsys):
+        if flag != "--cache-dir":
+            argv = argv + ["--cache-dir", str(tmp_path / "cache")]
+        with pytest.raises(SystemExit) as info:
+            main(["table5", "--fast", "--seed", "1"] + argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        errors = [
+            line for line in captured.err.splitlines()
+            if line.startswith("repro-experiments: error: ")
+        ]
+        assert len(errors) == 1 and flag in errors[0], captured.err
+        assert "Traceback" not in captured.err
+        # Nothing ran: nothing printed, cached or left in the scratch.
+        assert captured.out == ""
+        assert not (tmp_path / "cache").exists()
+        assert list(scratch.iterdir()) == []
+        return errors[0]
+
+    @pytest.mark.parametrize("flag, location", [
+        ("--cache-dir", "file"),
+        ("--cache-dir", "file/cache"),
+        ("--store", "file"),
+        ("--store", "file/store"),
+        ("--trace", "file/trace.jsonl"),
+        ("--metrics-json", "file/deeper/metrics.json"),
+        ("--output", "file/report.md"),
+    ])
+    def test_location_at_or_under_a_regular_file(
+        self, flag, location, tmp_path, scratch, capsys
+    ):
+        (tmp_path / "file").write_text("not a directory\n")
+        error = self._refused(
+            [flag, str(tmp_path / location)], flag, tmp_path, scratch, capsys
+        )
+        assert "not a directory" in error
+
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics-json", "--output"])
+    def test_file_location_that_is_a_directory(
+        self, flag, tmp_path, scratch, capsys
+    ):
+        (tmp_path / "directory").mkdir()
+        error = self._refused(
+            [flag, str(tmp_path / "directory")], flag, tmp_path, scratch,
+            capsys,
+        )
+        assert "is a directory" in error
+
+    @pytest.mark.parametrize("location, directory", [
+        ("missing/parents/out.json", False),
+        ("missing/parents/store", True),
+        ("existing.json", False),
+        (".", True),
+    ])
+    def test_writable_locations_pass(self, location, directory, tmp_path):
+        (tmp_path / "existing.json").write_text("{}\n")
+        check_location("--flag", str(tmp_path / location), directory)

@@ -113,6 +113,14 @@ class TestComposedFromSpecs:
         assert "| paper |" in text
         assert "Best fit" in text
 
+    def test_output_parents_are_created(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            report_mod, "generate_report", lambda options: "report\n"
+        )
+        output = tmp_path / "missing" / "parents" / "report.md"
+        report_mod._composite(ExperimentOptions(seed=1, output=str(output)))
+        assert output.read_text() == "report\n"
+
     def test_cli_output_flag_parsed(self):
         from repro.experiments.cli import build_parser
 
