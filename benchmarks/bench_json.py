@@ -469,10 +469,13 @@ def _grid_bytes(assessor: WhiteBoxAssessor) -> int:
 def bench_bayes(src_dir: Path) -> dict:
     """The white-box posterior at the paper's 160x160x64 grid.
 
-    ``construct`` builds a :class:`WhiteBoxAssessor` (its three
-    grid-sized likelihood tables and the compact log p11 table), and
-    ``assessor_bytes`` is what the grid-shaped arrays of a constructed
-    assessor hold; ``checkpoint`` replaces the counts and answers
+    ``construct`` builds a :class:`WhiteBoxAssessor` (its two
+    grid-sized likelihood tables, the cross table and log p00, and the
+    compact log p11 and log(m - q*m) tables), and ``assessor_bytes`` is
+    what the grid-shaped arrays of a constructed assessor hold: three
+    float64 arrays, 39,321,600 bytes at 160x160x64, a figure CI's
+    ``bench`` job gates exactly because ``--quick`` does not change
+    it; ``checkpoint`` replaces the counts and answers
     one checkpoint's queries (a posterior evaluation plus both
     single-release marginals) — each as median and IQR of
     :data:`BAYES_REPEATS` runs with the collector paused.  ``table2``

@@ -17,27 +17,29 @@ Marginal posteriors (eq. 3-5) come from summing the grid; confidences
 ``pAB = q * min(pA, pB)``, ``q ~ U(0, 1)`` makes the paper's indifference
 prior a product measure on the grid.
 
-Evaluation.  :class:`WhiteBoxAssessor` allocates its grids once: three
-cell log-probability tables (``log p10``, ``log p01``, ``log p00``) and
-one posterior buffer, four float64 arrays of the grid's shape (≈ 52 MB
-at the default 160×160×64), plus a scratch block.  The fourth table,
-``log p11 = log(q·min(pA, pB))``, depends on (pA, pB) only through the
-smaller value, so it is kept compact: one ``(n_pa + n_pb) × n_q`` table
-of ``log(q·m)``, m running over pA's grid and then pB's, and for each pA
-row the first pB index where pB ≥ pA (both grids ascend).  ``pAB``
-itself is built on first use: only the pAB marginal reads it.  The
-three full tables are built block by block of :data:`BLOCK_ROWS` pA
-rows, straight into place, from a block-sized ``pAB`` scratch.  A
-posterior evaluation makes two passes over the same blocks: the first
-writes the log-prior into the buffer, adds ``r1·log p11`` to each pA
-row's two spans (pB's rows of the compact table below the row's split,
-the row's own pA row from the split on), then ``r·log p`` for each
-other non-zero count, and tracks the peak; the second subtracts the
-peak and exponentiates.  The total, the normalising division and the
-marginal sums then run as whole-grid numpy calls.  Every elementwise
-operation gives the same bits wherever in the grid it runs, the terms
-are added in the same order, the peak is an exact maximum, and each
-reduction still sees the whole grid in memory order — so tables,
+Evaluation.  :class:`WhiteBoxAssessor` allocates its grids once: two
+log-probability tables and one posterior buffer, three float64 arrays
+of the grid's shape (≈ 39 MB at the default 160×160×64), plus a scratch
+block.  With m = min(pA, pB), ``p11 = q·m`` and the smaller release's
+solo failure (p10 where pA ≤ pB, p01 where pB < pA) is ``m − q·m``, so
+both are kept compact: ``(n_pa + n_pb) × n_q`` tables of ``log(q·m)``
+and ``log(m − q·m)``, m over pA's grid then pB's, and for each pA row
+the first pB index where pB ≥ pA (both grids ascend).  The larger
+release's solo failure fills one full table, the *cross* table
+``log(max(pA, pB) − q·m)`` (log p10 below a row's split, log p01 from
+it on), and ``log p00`` the other.  ``pAB`` itself is built on first
+use: only the pAB marginal reads it.  The two full tables are built
+block by block of :data:`BLOCK_ROWS` pA rows, straight into place, from
+a block-sized ``pAB`` scratch.  A posterior evaluation makes two passes
+over the same blocks: the first writes the log-prior into the buffer,
+adds the non-zero ``r·log p`` of p11, p10 and p01 to each pA row's two
+spans, from the compact rows or the cross table, then ``r4·log p00``,
+and tracks the peak; the second subtracts the peak and exponentiates.
+The total, the normalising division and the marginal sums then run as
+whole-grid numpy calls.  Every elementwise operation gives the same
+bits wherever in the grid it runs, ``max`` and ``min`` are exact, the
+terms are added in the same order, the peak is an exact maximum, and
+each reduction still sees the whole grid in memory order — so tables,
 posteriors, percentiles and confidences are IEEE-bit identical to
 evaluating every step over the whole grid at once, without its dozen
 grid-sized temporaries.  The array :meth:`WhiteBoxAssessor._posterior`
@@ -120,16 +122,18 @@ class WhiteBoxAssessor:
             log_wa[:, None, None] + log_wb[None, :, None] + log_wq
         )  # (A, B, 1) broadcastable over Q
 
-        # log p11 = log(q·min(pA, pB)), compact: log(q·m) with m over
-        # pA's grid then pB's, and per pA row the first pB index where
-        # pB >= pA.  Both grids ascend (cell midpoints).
-        minima = np.concatenate((self._pa, self._pb))
-        self._log_qm = _safe_log(self._q[None, :] * minima[:, None])
+        # Compact tables over the smaller value m = min(pA, pB), m over
+        # pA's grid then pB's: log p11 = log(q·m), and the smaller
+        # release's solo failure log(m − q·m).  Per pA row, the first pB
+        # index where pB >= pA.  Both grids ascend (cell midpoints).
+        minima = np.concatenate((self._pa, self._pb))[:, None]
+        qm = self._q[None, :] * minima
+        self._log_qm = _safe_log(qm)
+        self._log_m_qm = _safe_log(minima - qm)
         self._split = np.searchsorted(self._pb, self._pa).tolist()
 
         shape = (grid.n_pa, grid.n_pb, grid.n_q)
-        self._log_p10 = np.empty(shape)
-        self._log_p01 = np.empty(shape)
+        self._log_cross = np.empty(shape)
         self._log_p00 = np.empty(shape)
         self._posterior_buffer = np.empty(shape)
         self._scratch = np.empty((min(BLOCK_ROWS, grid.n_pa),) + shape[1:])
@@ -179,7 +183,7 @@ class WhiteBoxAssessor:
             yield slice(start, start + rows)
 
     def _build_tables(self) -> None:
-        """Fill ``log p10``, ``log p01`` and ``log p00`` in place."""
+        """Fill the cross table and ``log p00`` in place."""
         pb3 = self._pb[None, :, None]
         q3 = self._q[None, None, :]
         pab_block = np.empty_like(self._scratch)
@@ -188,10 +192,8 @@ class WhiteBoxAssessor:
             pab = pab_block[: len(pa3)]
             diff = self._scratch[: len(pa3)]
             np.multiply(q3, np.minimum(pa3, pb3), out=pab)
-            np.subtract(pa3, pab, out=diff)
-            _safe_log(diff, out=self._log_p10[rows])
-            np.subtract(pb3, pab, out=diff)
-            _safe_log(diff, out=self._log_p01[rows])
+            np.subtract(np.maximum(pa3, pb3), pab, out=diff)
+            _safe_log(diff, out=self._log_cross[rows])
             np.add(1.0 - pa3 - pb3, pab, out=diff)
             _safe_log(diff, out=self._log_p00[rows])
 
@@ -202,20 +204,35 @@ class WhiteBoxAssessor:
         pb3 = self._pb[None, :, None]
         return self._q[None, None, :] * np.minimum(pa3, pb3)
 
-    def _add_log_p11(
-        self, block: np.ndarray, start: int, scaled: np.ndarray
+    def _add_split_terms(
+        self, block: np.ndarray, start: int, compact: tuple, r2: int, r3: int
     ) -> None:
-        """Add ``r1·log p11`` to the pA rows of *block* from row *start*.
+        """Add the p11, p10 and p01 terms to the pA rows of *block* from
+        row *start*, in that order.
 
-        *scaled* is the compact table times r1.  Below a row's split pB
-        is the smaller value, so pB's rows of the table apply; from the
-        split on, the row's own pA row does, broadcast over pB.
+        *compact* holds r1 × log p11, r2 × pA's rows and r3 × pB's rows
+        of log(m − q·m) (``None`` for a zero count).  Below a row's split
+        pB is the smaller value, from it on pA is: each term takes the
+        smaller value's compact rows (pA's row broadcast over pB) or,
+        for the larger release's solo failure, the cross table × r.
         """
-        pb_rows = scaled[self.grid.n_pa:]
-        for index, row in enumerate(block, start=start):
+        p11, p10, p01 = compact
+        p11_pb = None if p11 is None else p11[self.grid.n_pa:]
+        for offset, row in enumerate(block):
+            index = start + offset
             split = self._split[index]
-            row[:split] += pb_rows[:split]
-            row[split:] += scaled[index]
+            below, above = row[:split], row[split:]
+            cross = self._log_cross[index]
+            term = self._scratch[offset]
+            if p11 is not None:
+                below += p11_pb[:split]
+                above += p11[index]
+            if p10 is not None:
+                below += np.multiply(cross[:split], r2, out=term[:split])
+                above += p10[index]
+            if p01 is not None:
+                below += p01[:split]
+                above += np.multiply(cross[split:], r3, out=term[split:])
 
     def _posterior(self) -> np.ndarray:
         """The normalised posterior grid for the current counts.
@@ -229,25 +246,23 @@ class WhiteBoxAssessor:
             return self._posterior_cache
         # Multiply only the terms with non-zero exponents: with r=0 a cell
         # probability of exactly zero is still admissible (0^0 = 1).
-        r1, *others = self._counts.as_tuple()
-        terms = [
-            (r, table)
-            for r, table in zip(
-                others, (self._log_p10, self._log_p01, self._log_p00)
-            )
-            if r
-        ]
-        scaled_p11 = self._log_qm * r1 if r1 else None
+        r1, r2, r3, r4 = self._counts.as_tuple()
+        n_pa = self.grid.n_pa
+        compact = (
+            self._log_qm * r1 if r1 else None,
+            self._log_m_qm[:n_pa] * r2 if r2 else None,
+            self._log_m_qm[n_pa:] * r3 if r3 else None,
+        )
         log_post = self._posterior_buffer
         peak = -np.inf
         for rows in self._blocks():
             block = log_post[rows]
-            term = self._scratch[: len(block)]
             np.copyto(block, self._log_prior[rows])
-            if scaled_p11 is not None:
-                self._add_log_p11(block, rows.start, scaled_p11)
-            for r, table in terms:
-                np.multiply(table[rows], r, out=term)
+            if r1 or r2 or r3:
+                self._add_split_terms(block, rows.start, compact, r2, r3)
+            if r4:
+                term = self._scratch[: len(block)]
+                np.multiply(self._log_p00[rows], r4, out=term)
                 np.add(block, term, out=block)
             peak = max(peak, block.max())
         if not np.isfinite(peak):

@@ -65,7 +65,7 @@ from repro.pipeline import (
     run_experiment,
 )
 from repro.pipeline.spec import check_requests, check_seed
-from repro.runtime.cache import ResultCache, default_cache_dir
+from repro.runtime.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
 from repro.runtime.parallel import resolve_jobs
 from repro.store.log import RunStore
 
@@ -266,6 +266,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             path = getattr(args, flag[2:].replace("-", "_"))
             if path is not None:
                 check_location(flag, path, directory)
+        if args.cache_dir is None and (args.clear_cache or not args.no_cache):
+            # Without --cache-dir, $REPRO_CACHE_DIR or the home default
+            # is the cache: check it as the flag would be.
+            source = (
+                CACHE_DIR_ENV if os.environ.get(CACHE_DIR_ENV)
+                else "the default cache directory"
+            )
+            check_location(source, os.fspath(default_cache_dir()), True)
     except ConfigurationError as error:
         parser.error(str(error))
     if args.clear_cache:

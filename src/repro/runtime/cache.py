@@ -49,9 +49,13 @@ _READ_SIZE = 1 << 16
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 
 
+#: The environment variable that names the cache root.
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+
 def default_cache_dir() -> Path:
     """The cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-dsn2004``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
+    env = os.environ.get(CACHE_DIR_ENV)
     if env:
         return Path(env)
     return Path.home() / ".cache" / "repro-dsn2004"

@@ -214,20 +214,39 @@ def reference_tables(assessor):
     )
 
 
-def expanded_log_p11(assessor):
-    """The whole-grid log p11 that the compact table and splits encode:
-    pB's rows below each pA row's split, the pA row's own from it on."""
-    grid = assessor.grid
-    pb_rows = assessor._log_qm[grid.n_pa:]
+def expanded(assessor, below, above):
+    """The whole-grid table that per-row spans encode: pA row i takes
+    ``below(i)`` before its split and ``above(i)`` from it on, each a
+    (pB, q) table."""
     return np.stack([
-        np.concatenate((
-            pb_rows[:split],
-            np.broadcast_to(
-                assessor._log_qm[index], (grid.n_pb - split, grid.n_q)
-            ),
-        ))
+        np.concatenate((below(index)[:split], above(index)[split:]))
         for index, split in enumerate(assessor._split)
     ])
+
+
+def expanded_tables(assessor):
+    """``(log p11, log p10, log p01)`` as the compact tables and the
+    cross table encode them: below a row's split pB is the smaller
+    value, from it on pA is, and the larger release's solo failure is
+    the cross table's."""
+    grid = assessor.grid
+    shape = (grid.n_pb, grid.n_q)
+
+    def pa_row(table):
+        return lambda index: np.broadcast_to(table[index], shape)
+
+    def pb_rows(table):
+        return lambda index: table[grid.n_pa:]
+
+    def cross(index):
+        return assessor._log_cross[index]
+
+    qm, m_qm = assessor._log_qm, assessor._log_m_qm
+    return (
+        expanded(assessor, pb_rows(qm), pa_row(qm)),
+        expanded(assessor, cross, pa_row(m_qm)),
+        expanded(assessor, pb_rows(m_qm), cross),
+    )
 
 
 def reference_posterior(assessor, tables):
@@ -263,13 +282,17 @@ def _same_bits(left, right):
 
 
 #: One full-stream count and the same stream with each Table-1 cell
-#: emptied in turn, then all four empty (the prior).
+#: emptied in turn, then with only one failure cell left, then all four
+#: empty (the prior).
 COUNT_CASES = [
     (3, 12, 7, 2_978),
     (0, 12, 7, 2_981),
     (3, 0, 7, 2_990),
     (3, 12, 0, 2_985),
     (3, 12, 7, 0),
+    (3, 0, 0, 2_997),
+    (0, 12, 0, 2_988),
+    (0, 0, 7, 2_993),
     (0, 0, 0, 0),
 ]
 
@@ -283,11 +306,37 @@ PRIOR = WhiteBoxPrior(
     TruncatedBeta(20, 20, upper=0.002), TruncatedBeta(2, 3, upper=0.002)
 )
 
+#: Priors whose supports differ, each way round, so that whole pA rows
+#: (whole blocks of them, with pA's support the wider) fall on one side
+#: of the split.
+WIDER_PA = WhiteBoxPrior(
+    TruncatedBeta(2, 3, upper=0.01), TruncatedBeta(20, 20, upper=0.002)
+)
+WIDER_PB = WhiteBoxPrior(
+    TruncatedBeta(20, 20, upper=0.002), TruncatedBeta(2, 3, upper=0.01)
+)
 
-@pytest.fixture(scope="module", params=GRIDS, ids=repr)
+PRIORS = {"one-support": PRIOR, "wider-pA": WIDER_PA, "wider-pB": WIDER_PB}
+
+#: (prior, grid) pairs: the one-support prior on every grid, the others
+#: on the two smaller grids (the paper's grid adds run time, not cases).
+ASSESSED = [("one-support", grid) for grid in GRIDS] + [
+    (name, grid) for name in ("wider-pA", "wider-pB") for grid in GRIDS[1:]
+]
+
+
+@pytest.fixture(
+    scope="module",
+    params=ASSESSED,
+    ids=lambda param: f"{param[0]}-{param[1]!r}",
+)
 def assessed(request):
-    assessor = WhiteBoxAssessor(PRIOR, request.param)
-    return assessor, reference_tables(assessor)
+    """An assessor, its whole-grid reference tables and the order that
+    sorts the reference pAB (built once: the sort dominates a test)."""
+    name, grid = request.param
+    assessor = WhiteBoxAssessor(PRIORS[name], grid)
+    tables = reference_tables(assessor)
+    return assessor, tables, np.argsort(tables[0], axis=None)
 
 
 class TestBlockedEvaluationMatchesWholeGrid:
@@ -310,12 +359,18 @@ class TestBlockedEvaluationMatchesWholeGrid:
                 PRIOR.marginal_b.grid(grid.n_pb),
             )
 
+    @pytest.mark.parametrize("name, split", [
+        ("wider-pA", GRIDS[1].n_pb), ("wider-pB", 0),
+    ])
+    def test_rows_wholly_on_one_side_of_the_split(self, name, split):
+        # pA above pB's support puts a pA row wholly below its split
+        # (p10 from the cross table, p01 from pB's compact rows); pA
+        # below pB's support, wholly from it on.
+        assert split in WhiteBoxAssessor(PRIORS[name], GRIDS[1])._split
+
     def test_tables(self, assessed):
-        assessor, tables = assessed
-        built = (
-            assessor._pab, expanded_log_p11(assessor), assessor._log_p10,
-            assessor._log_p01, assessor._log_p00,
-        )
+        assessor, tables, _order = assessed
+        built = (assessor._pab, *expanded_tables(assessor), assessor._log_p00)
         for name, got, expected in zip(
             ("pab", "log_p11", "log_p10", "log_p01", "log_p00"),
             built, tables,
@@ -324,14 +379,13 @@ class TestBlockedEvaluationMatchesWholeGrid:
 
     @pytest.mark.parametrize("counts", COUNT_CASES, ids=str)
     def test_posterior_summary_and_marginals(self, assessed, counts):
-        assessor, tables = assessed
+        assessor, tables, order = assessed
         assessor.replace_counts(JointCounts(*counts))
         expected = reference_posterior(assessor, tables)
         assert _same_bits(assessor._posterior(), expected)
 
         mass_a = expected.sum(axis=(1, 2))
         mass_b = expected.sum(axis=(0, 2))
-        order = np.argsort(tables[0], axis=None)
         marginals = (
             (assessor.marginal_a(), (assessor._pa, mass_a)),
             (assessor.marginal_b(), (assessor._pb, mass_b)),
@@ -393,11 +447,11 @@ def _grid_arrays(assessor):
 
 
 class TestGridSizedArrays:
-    """Four float64 arrays of the grid's shape; pAB only on demand."""
+    """Three float64 arrays of the grid's shape; pAB only on demand."""
 
-    HELD = {"_log_p10", "_log_p01", "_log_p00", "_posterior_buffer"}
+    HELD = {"_log_cross", "_log_p00", "_posterior_buffer"}
 
-    def test_four_after_construction_and_evaluation(self, assessor):
+    def test_three_after_construction_and_evaluation(self, assessor):
         arrays = _grid_arrays(assessor)
         assert set(arrays) == self.HELD
         assert all(array.dtype == np.float64 for array in arrays.values())

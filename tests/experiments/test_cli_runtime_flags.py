@@ -160,7 +160,7 @@ class TestOutputLocations:
         return scratch
 
     def _refused(self, argv, flag, tmp_path, scratch, capsys):
-        if flag != "--cache-dir":
+        if flag not in ("--cache-dir", "REPRO_CACHE_DIR"):
             argv = argv + ["--cache-dir", str(tmp_path / "cache")]
         with pytest.raises(SystemExit) as info:
             main(["table5", "--fast", "--seed", "1"] + argv)
@@ -195,6 +195,27 @@ class TestOutputLocations:
             [flag, str(tmp_path / location)], flag, tmp_path, scratch, capsys
         )
         assert "not a directory" in error
+
+    @pytest.mark.parametrize("location", ["file", "file/cache"])
+    @pytest.mark.parametrize("argv", [[], ["--clear-cache"]], ids=str)
+    def test_cache_location_from_the_environment(
+        self, location, argv, tmp_path, scratch, capsys, monkeypatch
+    ):
+        (tmp_path / "file").write_text("not a directory\n")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / location))
+        error = self._refused(
+            argv, "REPRO_CACHE_DIR", tmp_path, scratch, capsys
+        )
+        assert "not a directory" in error
+
+    def test_cache_flag_overrides_the_environment(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "file").write_text("not a directory\n")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "file"))
+        cache = tmp_path / "cache"
+        assert main(["--clear-cache", "--cache-dir", str(cache)]) == 0
+        assert f"from {cache}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--trace", "--metrics-json", "--output"])
     def test_file_location_that_is_a_directory(
